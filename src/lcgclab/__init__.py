@@ -62,7 +62,6 @@ from .losses import (
     consistency_loss,
     distribution_alignment,
     ema_update,
-    fixmatch_loss,
     pseudo_label,
     sharpen,
     supervised_loss,

@@ -53,6 +53,7 @@ from __future__ import annotations
 import difflib
 import os
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 from .data import AugmentConfig, LongTailSpec
@@ -64,47 +65,73 @@ _D_AUG = AugmentConfig()
 _D_TRAIN = TrainSettings()
 _D_LCGC = LCGCConfig()
 
-# key -> (kind, default[, choices])
+# LCGCConfig fields that each method pins, whatever the lcgc.* keys say.
+_METHOD_PINS: dict[str, dict] = {
+    "baseline": {
+        "lam": 0.0,
+        "refine_pseudo_labels": False,
+        "refine_at_test": False,
+        "double_subtract": False,
+    },
+    "cdmad": {"lam": 0.0, "refine_pseudo_labels": True, "refine_at_test": True},
+    "lcgc": {},
+}
+
+# key -> (ExperimentConfig attribute, kind, default[, choices]). The one
+# table behind parsing, building and the resolved() echo; a dotted
+# attribute names a field of the nested spec/aug dataclass.
 _SCHEMA: dict[str, tuple] = {
-    "dataset.classes": ("int", _D_SPEC.classes),
-    "dataset.dim": ("int", _D_SPEC.dim),
-    "dataset.n_max_labeled": ("int", _D_SPEC.n_max_labeled),
-    "dataset.n_max_unlabeled": ("int", _D_SPEC.n_max_unlabeled),
-    "dataset.gamma_labeled": ("float", _D_SPEC.gamma_labeled),
-    "dataset.gamma_unlabeled": ("float", _D_SPEC.gamma_unlabeled),
-    "dataset.reversed_unlabeled": ("bool", _D_SPEC.reversed_unlabeled),
-    "dataset.class_separation": ("float", _D_SPEC.class_separation),
-    "dataset.noise_sigma": ("float", _D_SPEC.noise_sigma),
-    "dataset.test_per_class": ("int", _D_SPEC.test_per_class),
-    "dataset.seed": ("int", _D_SPEC.seed),
-    "augment.sigma_weak": ("float", _D_AUG.sigma_weak),
-    "augment.sigma_strong": ("float", _D_AUG.sigma_strong),
-    "augment.mask_fraction": ("float", _D_AUG.mask_fraction),
-    "model.hidden": ("int_list", (64,)),
-    "backbone": ("choice", "fixmatch", ("fixmatch", "remix-lite")),
-    "method": ("choice", "lcgc", ("baseline", "cdmad", "lcgc")),
-    "seeds": ("int_list", (1, 2, 3, 4, 5)),
-    "output_dir": ("str", "runs"),
-    "train.steps": ("int", _D_TRAIN.steps),
-    "train.batch_size": ("int", _D_TRAIN.batch_size),
-    "train.mu": ("int", _D_TRAIN.mu),
-    "train.lr": ("float", _D_TRAIN.lr),
-    "train.tau": ("float", _D_TRAIN.tau),
-    "train.consistency_weight": ("float", _D_TRAIN.consistency_weight),
-    "lcgc.lambda": ("float", _D_LCGC.lam),
-    "lcgc.baseline": ("choice", _D_LCGC.baseline, BASELINE_COLORS),
-    "lcgc.refine_pseudo_labels": ("bool", _D_LCGC.refine_pseudo_labels),
-    "lcgc.refine_at_test": ("bool", _D_LCGC.refine_at_test),
-    "lcgc.ig_steps": ("int", _D_LCGC.ig_steps),
-    "lcgc.double_subtract": ("bool", _D_LCGC.double_subtract),
-    "remix.temperature": ("float", _D_TRAIN.remix_temperature),
-    "remix.ema_decay": ("float", _D_TRAIN.remix_ema_decay),
-    "remix.align": ("bool", _D_TRAIN.remix_align),
+    "dataset.classes": ("spec.classes", "int", _D_SPEC.classes),
+    "dataset.dim": ("spec.dim", "int", _D_SPEC.dim),
+    "dataset.n_max_labeled": ("spec.n_max_labeled", "int", _D_SPEC.n_max_labeled),
+    "dataset.n_max_unlabeled": (
+        "spec.n_max_unlabeled", "int", _D_SPEC.n_max_unlabeled
+    ),
+    "dataset.gamma_labeled": ("spec.gamma_labeled", "float", _D_SPEC.gamma_labeled),
+    "dataset.gamma_unlabeled": (
+        "spec.gamma_unlabeled", "float", _D_SPEC.gamma_unlabeled
+    ),
+    "dataset.reversed_unlabeled": (
+        "spec.reversed_unlabeled", "bool", _D_SPEC.reversed_unlabeled
+    ),
+    "dataset.class_separation": (
+        "spec.class_separation", "float", _D_SPEC.class_separation
+    ),
+    "dataset.noise_sigma": ("spec.noise_sigma", "float", _D_SPEC.noise_sigma),
+    "dataset.test_per_class": ("spec.test_per_class", "int", _D_SPEC.test_per_class),
+    "dataset.seed": ("spec.seed", "int", _D_SPEC.seed),
+    "augment.sigma_weak": ("aug.sigma_weak", "float", _D_AUG.sigma_weak),
+    "augment.sigma_strong": ("aug.sigma_strong", "float", _D_AUG.sigma_strong),
+    "augment.mask_fraction": ("aug.mask_fraction", "float", _D_AUG.mask_fraction),
+    "model.hidden": ("hidden", "int_list", (64,)),
+    "backbone": ("backbone", "choice", "fixmatch", ("fixmatch", "remix-lite")),
+    "method": ("method", "choice", "lcgc", tuple(_METHOD_PINS)),
+    "seeds": ("seeds", "int_list", (1, 2, 3, 4, 5)),
+    "output_dir": ("output_dir", "str", "runs"),
+    "train.steps": ("steps", "int", _D_TRAIN.steps),
+    "train.batch_size": ("batch_size", "int", _D_TRAIN.batch_size),
+    "train.mu": ("mu", "int", _D_TRAIN.mu),
+    "train.lr": ("lr", "float", _D_TRAIN.lr),
+    "train.tau": ("tau", "float", _D_TRAIN.tau),
+    "train.consistency_weight": (
+        "consistency_weight", "float", _D_TRAIN.consistency_weight
+    ),
+    "lcgc.lambda": ("lam", "float", _D_LCGC.lam),
+    "lcgc.baseline": ("baseline_color", "choice", _D_LCGC.baseline, BASELINE_COLORS),
+    "lcgc.refine_pseudo_labels": (
+        "refine_pseudo_labels", "bool", _D_LCGC.refine_pseudo_labels
+    ),
+    "lcgc.refine_at_test": ("refine_at_test", "bool", _D_LCGC.refine_at_test),
+    "lcgc.ig_steps": ("ig_steps", "int", _D_LCGC.ig_steps),
+    "lcgc.double_subtract": ("double_subtract", "bool", _D_LCGC.double_subtract),
+    "remix.temperature": ("remix_temperature", "float", _D_TRAIN.remix_temperature),
+    "remix.ema_decay": ("remix_ema_decay", "float", _D_TRAIN.remix_ema_decay),
+    "remix.align": ("remix_align", "bool", _D_TRAIN.remix_align),
 }
 
 
-def _convert(key: str, kind_spec: tuple, raw: str, lineno: int):
-    kind = kind_spec[0]
+def _convert(key: str, raw: str, lineno: int):
+    _, kind, _, *choices = _SCHEMA[key]
     try:
         if kind == "int":
             return int(raw)
@@ -118,8 +145,8 @@ def _convert(key: str, kind_spec: tuple, raw: str, lineno: int):
         if kind == "str":
             return raw
         if kind == "choice":
-            if raw not in kind_spec[2]:
-                raise ValueError(f"expected one of {', '.join(kind_spec[2])}")
+            if raw not in choices[0]:
+                raise ValueError(f"expected one of {', '.join(choices[0])}")
             return raw
         if kind == "int_list":
             items = [s.strip() for s in raw.split(",") if s.strip()]
@@ -162,32 +189,16 @@ class ExperimentConfig:
 
     def effective_lcgc(self) -> LCGCConfig:
         """Refinement switches after method resolution."""
-        if self.method == "baseline":
-            return LCGCConfig(
-                lam=0.0,
-                baseline=self.baseline_color,
-                refine_pseudo_labels=False,
-                refine_at_test=False,
-                ig_steps=self.ig_steps,
-                double_subtract=False,
-            )
-        if self.method == "cdmad":
-            return LCGCConfig(
-                lam=0.0,
-                baseline=self.baseline_color,
-                refine_pseudo_labels=True,
-                refine_at_test=True,
-                ig_steps=self.ig_steps,
-                double_subtract=self.double_subtract,
-            )
-        return LCGCConfig(
-            lam=self.lam,
-            baseline=self.baseline_color,
-            refine_pseudo_labels=self.refine_pseudo_labels,
-            refine_at_test=self.refine_at_test,
-            ig_steps=self.ig_steps,
-            double_subtract=self.double_subtract,
-        )
+        fields = {
+            "lam": self.lam,
+            "baseline": self.baseline_color,
+            "refine_pseudo_labels": self.refine_pseudo_labels,
+            "refine_at_test": self.refine_at_test,
+            "ig_steps": self.ig_steps,
+            "double_subtract": self.double_subtract,
+        }
+        fields.update(_METHOD_PINS[self.method])
+        return LCGCConfig(**fields)
 
     def train_settings(self) -> TrainSettings:
         return TrainSettings(
@@ -217,95 +228,26 @@ class ExperimentConfig:
 
     def resolved(self) -> dict:
         """Every config key with its effective value, for provenance."""
+        out = {}
+        for key, (attr, kind, *_) in _SCHEMA.items():
+            value = attrgetter(attr)(self)
+            out[key] = list(value) if kind == "int_list" else value
         eff = self.effective_lcgc()
-        return {
-            "dataset.classes": self.spec.classes,
-            "dataset.dim": self.spec.dim,
-            "dataset.n_max_labeled": self.spec.n_max_labeled,
-            "dataset.n_max_unlabeled": self.spec.n_max_unlabeled,
-            "dataset.gamma_labeled": self.spec.gamma_labeled,
-            "dataset.gamma_unlabeled": self.spec.gamma_unlabeled,
-            "dataset.reversed_unlabeled": self.spec.reversed_unlabeled,
-            "dataset.class_separation": self.spec.class_separation,
-            "dataset.noise_sigma": self.spec.noise_sigma,
-            "dataset.test_per_class": self.spec.test_per_class,
-            "dataset.seed": self.spec.seed,
-            "augment.sigma_weak": self.aug.sigma_weak,
-            "augment.sigma_strong": self.aug.sigma_strong,
-            "augment.mask_fraction": self.aug.mask_fraction,
-            "model.hidden": list(self.hidden),
-            "backbone": self.backbone,
-            "method": self.method,
-            "seeds": list(self.seeds),
-            "output_dir": self.output_dir,
-            "train.steps": self.steps,
-            "train.batch_size": self.batch_size,
-            "train.mu": self.mu,
-            "train.lr": self.lr,
-            "train.tau": self.tau,
-            "train.consistency_weight": self.consistency_weight,
-            "lcgc.lambda": self.lam,
-            "lcgc.baseline": self.baseline_color,
-            "lcgc.refine_pseudo_labels": self.refine_pseudo_labels,
-            "lcgc.refine_at_test": self.refine_at_test,
-            "lcgc.ig_steps": self.ig_steps,
-            "lcgc.double_subtract": self.double_subtract,
-            "remix.temperature": self.remix_temperature,
-            "remix.ema_decay": self.remix_ema_decay,
-            "remix.align": self.remix_align,
-            "effective.lambda": eff.lam,
-            "effective.refine_pseudo_labels": eff.refine_pseudo_labels,
-            "effective.refine_at_test": eff.refine_at_test,
-        }
+        out["effective.lambda"] = eff.lam
+        out["effective.refine_pseudo_labels"] = eff.refine_pseudo_labels
+        out["effective.refine_at_test"] = eff.refine_at_test
+        return out
 
 
 def _build(values: dict) -> ExperimentConfig:
-    def get(key):
-        return values.get(key, _SCHEMA[key][1])
-
+    fields: dict = {"spec": {}, "aug": {}}
+    for key, (attr, _, default, *_) in _SCHEMA.items():
+        section, _, name = attr.rpartition(".")
+        (fields[section] if section else fields)[name] = values.get(key, default)
     try:
-        spec = LongTailSpec(
-            classes=get("dataset.classes"),
-            dim=get("dataset.dim"),
-            n_max_labeled=get("dataset.n_max_labeled"),
-            n_max_unlabeled=get("dataset.n_max_unlabeled"),
-            gamma_labeled=get("dataset.gamma_labeled"),
-            gamma_unlabeled=get("dataset.gamma_unlabeled"),
-            reversed_unlabeled=get("dataset.reversed_unlabeled"),
-            class_separation=get("dataset.class_separation"),
-            noise_sigma=get("dataset.noise_sigma"),
-            test_per_class=get("dataset.test_per_class"),
-            seed=get("dataset.seed"),
-        )
-        aug = AugmentConfig(
-            sigma_weak=get("augment.sigma_weak"),
-            sigma_strong=get("augment.sigma_strong"),
-            mask_fraction=get("augment.mask_fraction"),
-        )
-        cfg = ExperimentConfig(
-            spec=spec,
-            aug=aug,
-            hidden=tuple(get("model.hidden")),
-            backbone=get("backbone"),
-            method=get("method"),
-            seeds=tuple(get("seeds")),
-            output_dir=get("output_dir"),
-            steps=get("train.steps"),
-            batch_size=get("train.batch_size"),
-            mu=get("train.mu"),
-            lr=get("train.lr"),
-            tau=get("train.tau"),
-            consistency_weight=get("train.consistency_weight"),
-            lam=get("lcgc.lambda"),
-            baseline_color=get("lcgc.baseline"),
-            refine_pseudo_labels=get("lcgc.refine_pseudo_labels"),
-            refine_at_test=get("lcgc.refine_at_test"),
-            ig_steps=get("lcgc.ig_steps"),
-            double_subtract=get("lcgc.double_subtract"),
-            remix_temperature=get("remix.temperature"),
-            remix_ema_decay=get("remix.ema_decay"),
-            remix_align=get("remix.align"),
-        )
+        spec = LongTailSpec(**fields.pop("spec"))
+        aug = AugmentConfig(**fields.pop("aug"))
+        cfg = ExperimentConfig(spec=spec, aug=aug, **fields)
         # Surface value errors (ranges, feasibility) at parse time.
         cfg.train_settings()
         return cfg
@@ -337,7 +279,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 f"(first set on line {seen_lines[key]})"
             )
         seen_lines[key] = lineno
-        values[key] = _convert(key, _SCHEMA[key], val, lineno)
+        values[key] = _convert(key, val, lineno)
     return _build(values)
 
 

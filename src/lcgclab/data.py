@@ -21,6 +21,7 @@ from .errors import (
     ContractError,
     DimensionError,
     InfeasibleSpecError,
+    LabelError,
     SamplingError,
 )
 from .fileio import atomic_write_bytes
@@ -299,11 +300,15 @@ def load_dataset(path: str | Path) -> SynthDataset:
     """Read a binary container written by ``save_dataset``.
 
     The container carries realized arrays, not the generating spec, so
-    the loaded dataset has ``spec=None``.
+    the loaded dataset has ``spec=None``. Malformed or truncated bytes
+    raise ContractError; a label that is not an integer in [1..C]
+    raises LabelError.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise ContractError(f"{path}: not a dataset container (bad magic)")
+    if len(raw) < 18:
+        raise ContractError(f"{path}: truncated container (header)")
     (version,) = struct.unpack_from("<H", raw, 4)
     if version != _FORMAT_VERSION:
         raise ContractError(f"{path}: unsupported container version {version}")
@@ -327,13 +332,19 @@ def load_dataset(path: str | Path) -> SynthDataset:
         off += 8 * count
         return np.ascontiguousarray(a.astype(np.float64).reshape(shape))
 
+    def labels(count):
+        y = block(count, (count,))
+        if not np.all((y >= 1) & (y <= C) & (y == np.floor(y))):
+            raise LabelError(f"{path}: labels must be integers in [1, {C}]")
+        return y.astype(np.int64)
+
     means = block(C * d, (C, d))
     lx = block(n_l * d, (n_l, d))
-    ly = block(n_l, (n_l,)).astype(np.int64)
+    ly = labels(n_l)
     ux = block(n_u * d, (n_u, d))
-    uy = block(n_u, (n_u,)).astype(np.int64)
+    uy = labels(n_u)
     tx = block(n_t * d, (n_t, d))
-    ty = block(n_t, (n_t,)).astype(np.int64)
+    ty = labels(n_t)
     if off != len(raw):
         raise ContractError(f"{path}: trailing bytes in container")
     return SynthDataset(

@@ -1,253 +1,60 @@
-"""Dense float64 kernels with a numba fast path and a pure-numpy fallback.
+"""Dense float64 kernels for the tape's hot operations.
 
-Every kernel exists twice: a jit-compiled loop version and a vectorized
-numpy version. The active backend is chosen once at import time from the
-``LCGCLAB_BACKEND`` environment variable:
-
-    numba   require the jit path (ImportError if numba is unavailable)
-    numpy   force the fallback
-    auto    numba when importable, numpy otherwise (default)
-
-The numba loops fix the summation order, so results are bit-stable from
-run to run on a given backend. The two backends agree to floating-point
-tolerance, not bit for bit: numpy reduces pairwise and its exp/log may
-round differently in the last ulp. ``benchmarks/bench_kernels.py``
-measures both paths on the shapes the training loop actually uses.
+Each kernel is a thin vectorized numpy expression. They live in one
+module so the tape, the losses and the debiasing loop share a single
+definition, and so a profiler can wrap them by name.
 
 All kernels take C-contiguous float64 arrays; callers are responsible
-for layout. fastmath stays off: reassociation would break run-to-run
-reproducibility of training trajectories.
+for layout. Results are bit-stable from run to run on a given platform
+and BLAS build.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FLAG = os.environ.get("LCGCLAB_BACKEND", "auto").strip().lower()
-if _FLAG not in ("auto", "numba", "numpy"):
-    raise ValueError(
-        f"LCGCLAB_BACKEND must be 'numba', 'numpy' or 'auto', got {_FLAG!r}"
-    )
 
-_HAVE_NUMBA = False
-if _FLAG in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _FLAG == "numba":
-            raise ImportError(
-                "LCGCLAB_BACKEND=numba but numba is not importable"
-            ) from None
+def backend_name() -> str:
+    """Name of the kernel implementation, recorded for provenance."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------- numpy path
-
-
-def _np_matmul(a, b):
+def matmul(a, b):
     return a @ b
 
 
-def _np_matmul_tn(a, g):
+def matmul_tn(a, g):
     return a.T @ g
 
 
-def _np_matmul_nt(g, b):
+def matmul_nt(g, b):
     return g @ b.T
 
 
-def _np_add_rowvec(a, v):
+def add_rowvec(a, v):
     return a + v
 
 
-def _np_sum_rows(g):
+def sum_rows(g):
     return g.sum(axis=0)
 
 
-def _np_relu(x):
+def relu(x):
     return np.maximum(x, 0.0)
 
 
-def _np_relu_vjp(g, x):
+def relu_vjp(g, x):
     return np.where(x > 0.0, g, 0.0)
 
 
-def _np_log_softmax_rows(z):
+def log_softmax_rows(z):
     m = z.max(axis=1, keepdims=True)
     shifted = z - m
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return shifted - lse
 
 
-def _np_softmax_rows(z):
+def softmax_rows(z):
     m = z.max(axis=1, keepdims=True)
     e = np.exp(z - m)
     return e / e.sum(axis=1, keepdims=True)
-
-
-# ---------------------------------------------------------------- numba path
-
-def _loop_matmul(a, b):
-    m, k = a.shape
-    n = b.shape[1]
-    out = np.zeros((m, n))
-    for i in range(m):
-        for p in range(k):
-            aip = a[i, p]
-            for j in range(n):
-                out[i, j] += aip * b[p, j]
-    return out
-
-
-def _loop_matmul_tn(a, g):
-    m, k = a.shape
-    n = g.shape[1]
-    out = np.zeros((k, n))
-    for i in range(m):
-        for p in range(k):
-            aip = a[i, p]
-            for j in range(n):
-                out[p, j] += aip * g[i, j]
-    return out
-
-
-def _loop_matmul_nt(g, b):
-    m, n = g.shape
-    k = b.shape[0]
-    out = np.empty((m, k))
-    for i in range(m):
-        for p in range(k):
-            s = 0.0
-            for j in range(n):
-                s += g[i, j] * b[p, j]
-            out[i, p] = s
-    return out
-
-
-def _loop_add_rowvec(a, v):
-    m, n = a.shape
-    out = np.empty((m, n))
-    for i in range(m):
-        for j in range(n):
-            out[i, j] = a[i, j] + v[j]
-    return out
-
-
-def _loop_sum_rows(g):
-    m, n = g.shape
-    out = np.zeros(n)
-    for i in range(m):
-        for j in range(n):
-            out[j] += g[i, j]
-    return out
-
-
-def _loop_relu(x):
-    m, n = x.shape
-    out = np.empty((m, n))
-    for i in range(m):
-        for j in range(n):
-            v = x[i, j]
-            out[i, j] = v if v > 0.0 else 0.0
-    return out
-
-
-def _loop_relu_vjp(g, x):
-    m, n = x.shape
-    out = np.empty((m, n))
-    for i in range(m):
-        for j in range(n):
-            out[i, j] = g[i, j] if x[i, j] > 0.0 else 0.0
-    return out
-
-
-def _loop_log_softmax_rows(z):
-    m, n = z.shape
-    out = np.empty((m, n))
-    for i in range(m):
-        hi = z[i, 0]
-        for j in range(1, n):
-            if z[i, j] > hi:
-                hi = z[i, j]
-        acc = 0.0
-        for j in range(n):
-            acc += np.exp(z[i, j] - hi)
-        lse = hi + np.log(acc)
-        for j in range(n):
-            out[i, j] = z[i, j] - lse
-    return out
-
-
-def _loop_softmax_rows(z):
-    m, n = z.shape
-    out = np.empty((m, n))
-    for i in range(m):
-        hi = z[i, 0]
-        for j in range(1, n):
-            if z[i, j] > hi:
-                hi = z[i, j]
-        acc = 0.0
-        for j in range(n):
-            e = np.exp(z[i, j] - hi)
-            out[i, j] = e
-            acc += e
-        for j in range(n):
-            out[i, j] /= acc
-    return out
-
-
-_KERNEL_NAMES = (
-    "matmul",
-    "matmul_tn",
-    "matmul_nt",
-    "add_rowvec",
-    "sum_rows",
-    "relu",
-    "relu_vjp",
-    "log_softmax_rows",
-    "softmax_rows",
-)
-
-_TABLES: dict[str, dict[str, object]] = {
-    "numpy": {name: globals()[f"_np_{name}"] for name in _KERNEL_NAMES}
-}
-
-if _HAVE_NUMBA:
-    _jit = njit(cache=True, fastmath=False)
-    _TABLES["numba"] = {
-        name: _jit(globals()[f"_loop_{name}"]) for name in _KERNEL_NAMES
-    }
-
-_BACKEND = "numba" if (_HAVE_NUMBA and _FLAG != "numpy") else "numpy"
-
-
-def backend_name() -> str:
-    """Name of the active backend, 'numba' or 'numpy'."""
-    return _BACKEND
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_TABLES))
-
-
-def set_backend(name: str) -> None:
-    """Re-bind all kernels to the named backend.
-
-    Exists for the fallback tests and the benchmark; normal code relies
-    on the import-time choice. Not thread-safe.
-    """
-    global _BACKEND
-    if name not in _TABLES:
-        raise ValueError(
-            f"backend {name!r} not available; have {available_backends()}"
-        )
-    _BACKEND = name
-    for kname, fn in _TABLES[name].items():
-        globals()[kname] = fn
-
-
-# Bind module-level kernel names once so call sites pay no dispatch cost.
-set_backend(_BACKEND)

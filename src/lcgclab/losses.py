@@ -18,7 +18,7 @@ from . import kernels as K
 from .data import AugmentConfig, strong_aug
 from .errors import ContractError, DimensionError
 from .model import ModelParams, forward_logits
-from .tensor import Tensor, add, cross_entropy, scale
+from .tensor import Tensor, cross_entropy
 
 
 @dataclass
@@ -92,27 +92,6 @@ def consistency_loss(
     return cross_entropy(
         logits, target, weights=pseudo.mask.astype(np.float64), denom=float(n)
     )
-
-
-def fixmatch_loss(
-    params: ModelParams,
-    x_labeled,
-    y_labeled,
-    x_unlabeled,
-    pseudo: PseudoLabelBatch,
-    aug: AugmentConfig,
-    rng,
-    weight: float = 1.0,
-) -> tuple[Tensor, Tensor, Tensor]:
-    """Total two-view objective: supervised + weight * consistency.
-
-    Returns (total, supervised, consistency); the total is built on the
-    tape, so one backward pass matches the sum of the parts' gradients.
-    """
-    sup = supervised_loss(params, x_labeled, y_labeled)
-    con = consistency_loss(params, x_unlabeled, pseudo, aug, rng)
-    total = add(sup, scale(con, weight)) if weight != 1.0 else add(sup, con)
-    return total, sup, con
 
 
 def distribution_alignment(

@@ -144,19 +144,39 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict | None]:
-    """Inverse of save_checkpoint; returns (params, extra)."""
+    """Inverse of save_checkpoint; returns (params, extra).
+
+    Malformed or truncated files raise ContractError.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise ContractError(f"{path}: not a checkpoint (bad magic)")
+    if len(raw) < 10:
+        raise ContractError(f"{path}: truncated checkpoint (header)")
     (version,) = struct.unpack_from("<H", raw, 4)
     if version != _CKPT_VERSION:
         raise ContractError(f"{path}: unsupported checkpoint version {version}")
     (mlen,) = struct.unpack_from("<I", raw, 6)
-    manifest = json.loads(raw[10 : 10 + mlen].decode("utf-8"))
-    if manifest.get("kind") != "mlp-checkpoint":
+    if len(raw) < 10 + mlen:
+        raise ContractError(f"{path}: truncated checkpoint (manifest)")
+    try:
+        manifest = json.loads(raw[10 : 10 + mlen].decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError, JSONDecodeError
+        raise ContractError(f"{path}: unreadable checkpoint manifest ({e})") from None
+    if not isinstance(manifest, dict) or manifest.get("kind") != "mlp-checkpoint":
         raise ContractError(f"{path}: wrong container kind")
-    dims = tuple(int(v) for v in manifest["dims"])
+    try:
+        dims = tuple(int(v) for v in manifest["dims"])
+    except (KeyError, TypeError, ValueError):
+        dims = ()
+    if len(dims) < 2 or min(dims) < 1:
+        raise ContractError(f"{path}: bad layer widths in manifest")
     off = 10 + mlen
+    payload = 8 * sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
+    if len(raw) < off + payload:
+        raise ContractError(f"{path}: truncated checkpoint (payload)")
+    if len(raw) > off + payload:
+        raise ContractError(f"{path}: trailing bytes in checkpoint")
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         w = np.frombuffer(raw, dtype="<f8", count=fan_in * fan_out, offset=off)
@@ -167,8 +187,6 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict | None]:
             Tensor(w.astype(np.float64).reshape(fan_in, fan_out), True)
         )
         biases.append(Tensor(b.astype(np.float64), True))
-    if off != len(raw):
-        raise ContractError(f"{path}: trailing bytes in checkpoint")
     return ModelParams(dims=dims, weights=weights, biases=biases), manifest.get(
         "extra"
     )

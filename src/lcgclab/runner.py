@@ -32,6 +32,9 @@ _STEP_COLUMNS = (
     "mask_rate",
 )
 
+# Aggregate fields copied into every sweep and ablation table row.
+_TABLE_STATS = ("bacc_mean", "bacc_se", "gm_mean", "gm_se", "n_completed")
+
 # Table row order for the lambda sweep: 0.0 to 1.4 in steps of 0.2.
 DEFAULT_LAMBDAS = tuple(round(0.2 * i, 1) for i in range(8))
 
@@ -135,6 +138,31 @@ def _table_csv(rows: list[dict], columns: tuple[str, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _sweep(
+    config: ExperimentConfig,
+    variants: list[tuple[object, str, ExperimentConfig]],
+    column: str,
+    table_name: str,
+    out_dir: str | Path | None,
+) -> list[dict]:
+    """Run each (label, subdirectory, config) variant on one shared dataset.
+
+    Writes one row per variant, keyed by ``column``, to
+    ``table_name``.csv and ``table_name``.json.
+    """
+    out = Path(out_dir) if out_dir is not None else config.output_root()
+    ds = synthesize(config.spec)
+    rows = []
+    for label, subdir, sub in variants:
+        agg = run(sub, out_dir=out / subdir, dataset=ds)
+        rows.append({column: label, **{k: agg[k] for k in _TABLE_STATS}})
+    atomic_write_text(
+        out / f"{table_name}.csv", _table_csv(rows, (column, *_TABLE_STATS))
+    )
+    dump_json(out / f"{table_name}.json", rows)
+    return rows
+
+
 def sweep_lambda(
     config: ExperimentConfig,
     values: tuple[float, ...] | None = None,
@@ -148,31 +176,11 @@ def sweep_lambda(
     values = DEFAULT_LAMBDAS if values is None else tuple(values)
     if any(v < 0.0 for v in values):
         raise ConfigError("lambda values must be nonnegative")
-    out = Path(out_dir) if out_dir is not None else config.output_root()
-    ds = synthesize(config.spec)
-    rows = []
-    for lam in values:
-        sub = config.override(method="lcgc", lam=float(lam))
-        agg = run(sub, out_dir=out / f"lambda_{lam:g}", dataset=ds)
-        rows.append(
-            {
-                "lambda": float(lam),
-                "bacc_mean": agg["bacc_mean"],
-                "bacc_se": agg["bacc_se"],
-                "gm_mean": agg["gm_mean"],
-                "gm_se": agg["gm_se"],
-                "n_completed": agg["n_completed"],
-            }
-        )
-    atomic_write_text(
-        out / "lambda_sweep.csv",
-        _table_csv(
-            rows,
-            ("lambda", "bacc_mean", "bacc_se", "gm_mean", "gm_se", "n_completed"),
-        ),
-    )
-    dump_json(out / "lambda_sweep.json", rows)
-    return rows
+    variants = [
+        (lam, f"lambda_{lam:g}", config.override(method="lcgc", lam=lam))
+        for lam in map(float, values)
+    ]
+    return _sweep(config, variants, "lambda", "lambda_sweep", out_dir)
 
 
 def ablate_baseline_colors(
@@ -197,31 +205,11 @@ def ablate_baseline_colors(
             raise ConfigError(
                 f"unknown baseline color {c!r}; choose from {BASELINE_COLORS}"
             )
-    out = Path(out_dir) if out_dir is not None else config.output_root()
-    ds = synthesize(config.spec)
-    rows = []
-    for color in colors:
-        sub = config.override(baseline_color=color)
-        agg = run(sub, out_dir=out / f"baseline_{color}", dataset=ds)
-        rows.append(
-            {
-                "color": color,
-                "bacc_mean": agg["bacc_mean"],
-                "bacc_se": agg["bacc_se"],
-                "gm_mean": agg["gm_mean"],
-                "gm_se": agg["gm_se"],
-                "n_completed": agg["n_completed"],
-            }
-        )
-    atomic_write_text(
-        out / "baseline_colors.csv",
-        _table_csv(
-            rows,
-            ("color", "bacc_mean", "bacc_se", "gm_mean", "gm_se", "n_completed"),
-        ),
-    )
-    dump_json(out / "baseline_colors.json", rows)
-    return rows
+    variants = [
+        (color, f"baseline_{color}", config.override(baseline_color=color))
+        for color in colors
+    ]
+    return _sweep(config, variants, "color", "baseline_colors", out_dir)
 
 
 def ablate_components(
@@ -235,36 +223,16 @@ def ablate_components(
     """
     if config.method != "lcgc":
         raise ConfigError("component ablation requires method = lcgc")
-    out = Path(out_dir) if out_dir is not None else config.output_root()
-    ds = synthesize(config.spec)
     variants = (
         ("full", config),
-        (
-            "no_pseudo_label_refinement",
-            config.override(refine_pseudo_labels=False),
-        ),
+        ("no_pseudo_label_refinement", config.override(refine_pseudo_labels=False)),
         ("no_test_refinement", config.override(refine_at_test=False)),
         ("tau_0.95", config.override(tau=0.95)),
     )
-    rows = []
-    for name, sub in variants:
-        agg = run(sub, out_dir=out / f"component_{name}", dataset=ds)
-        rows.append(
-            {
-                "variant": name,
-                "bacc_mean": agg["bacc_mean"],
-                "bacc_se": agg["bacc_se"],
-                "gm_mean": agg["gm_mean"],
-                "gm_se": agg["gm_se"],
-                "n_completed": agg["n_completed"],
-            }
-        )
-    atomic_write_text(
-        out / "components.csv",
-        _table_csv(
-            rows,
-            ("variant", "bacc_mean", "bacc_se", "gm_mean", "gm_se", "n_completed"),
-        ),
+    return _sweep(
+        config,
+        [(name, f"component_{name}", sub) for name, sub in variants],
+        "variant",
+        "components",
+        out_dir,
     )
-    dump_json(out / "components.json", rows)
-    return rows

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from lcgclab import config as config_module
 from lcgclab.config import (
+    _SCHEMA,
     ExperimentConfig,
     default_config,
     parse_config,
@@ -41,6 +43,45 @@ class TestDefaults:
         assert r["lcgc.lambda"] == cfg.lam
         assert r["dataset.gamma_unlabeled"] == cfg.spec.gamma_unlabeled
         assert "effective.lam" in r or "effective.lambda" in r
+
+
+def _documented_keys() -> dict[str, tuple[str, str]]:
+    """key -> (kind, default) from the module docstring's key table."""
+    doc = config_module.__doc__
+    table = doc.split("Keys and defaults:\n\n", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        key, kind, default = line.split()[:3]
+        rows[key] = (kind, default)
+    return rows
+
+
+class TestKeyTable:
+    """The docstring, the schema and resolved() describe one key set."""
+
+    def test_docstring_names_exactly_the_schema_keys(self):
+        assert list(_documented_keys()) == list(_SCHEMA)
+
+    def test_docstring_kinds_match_schema(self):
+        doc_kind = {"ints": "int_list"}
+        for key, (kind, _) in _documented_keys().items():
+            assert doc_kind.get(kind, kind) == _SCHEMA[key][1], key
+
+    def test_documented_defaults_parse_to_default_config(self):
+        text = "\n".join(
+            f"{key} = {default}" for key, (_, default) in _documented_keys().items()
+        )
+        assert parse_config_text(text) == default_config()
+
+    def test_resolved_keys_are_schema_plus_effective(self):
+        effective = {
+            "effective.lambda",
+            "effective.refine_pseudo_labels",
+            "effective.refine_at_test",
+        }
+        for method in ("baseline", "cdmad", "lcgc"):
+            cfg = default_config().override(method=method)
+            assert set(cfg.resolved()) == set(_SCHEMA) | effective
 
 
 class TestParsing:

@@ -17,7 +17,12 @@ from lcgclab.data import (
     synthesize,
     weak_aug,
 )
-from lcgclab.errors import ContractError, InfeasibleSpecError, SamplingError
+from lcgclab.errors import (
+    ContractError,
+    InfeasibleSpecError,
+    LabelError,
+    SamplingError,
+)
 
 
 class TestLongtailCounts:
@@ -230,6 +235,18 @@ class TestMinibatch:
             sample_minibatch(ds, 4, 0, rng)
 
 
+TINY_SPEC = LongTailSpec(
+    classes=3,
+    dim=2,
+    n_max_labeled=4,
+    n_max_unlabeled=4,
+    gamma_labeled=2.0,
+    gamma_unlabeled=2.0,
+    test_per_class=2,
+    seed=5,
+)
+
+
 class TestRoundTrips:
     def test_binary_roundtrip_is_bitwise(self, tmp_path):
         ds = synthesize(LongTailSpec(seed=11))
@@ -258,6 +275,31 @@ class TestRoundTrips:
         blob = path.read_bytes()
         path.write_bytes(blob[:-16])
         with pytest.raises(ContractError):
+            load_dataset(path)
+
+    def test_every_truncation_raises_contract_error(self, tmp_path):
+        ds = synthesize(TINY_SPEC)
+        path = tmp_path / "pool.bin"
+        save_dataset(ds, path)
+        blob = path.read_bytes()
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(ContractError):
+                load_dataset(path)
+
+    @pytest.mark.parametrize("bad", [99.0, -4.0, 2.5])
+    def test_out_of_range_or_fractional_label_rejected(self, tmp_path, bad):
+        ds = synthesize(TINY_SPEC)
+        path = tmp_path / "pool.bin"
+        save_dataset(ds, path)
+        C, d = ds.classes, ds.dim
+        n_l = ds.labeled_x.shape[0]
+        # Header, both count tables, class means, labeled_x; then labeled_y.
+        label_off = 18 + 8 * C + 8 * C * d + 8 * n_l * d
+        blob = bytearray(path.read_bytes())
+        blob[label_off : label_off + 8] = np.float64(bad).astype("<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(LabelError):
             load_dataset(path)
 
     def test_csv_shape_and_privacy(self, tmp_path):

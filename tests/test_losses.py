@@ -12,18 +12,11 @@ from lcgclab.losses import (
     consistency_loss,
     distribution_alignment,
     ema_update,
-    fixmatch_loss,
     pseudo_label,
     sharpen,
     supervised_loss,
 )
 from lcgclab.model import init_mlp
-from lcgclab.tensor import (
-    Tape,
-    backward,
-    flatten_grads,
-    zero_grads,
-)
 
 IDENTITY_AUG = AugmentConfig(sigma_weak=0.0, sigma_strong=0.0, mask_fraction=0.0)
 
@@ -135,57 +128,6 @@ class TestConsistencyLoss:
         pseudo = pseudo_label(np.zeros((3, 4)), tau=0.0)
         with pytest.raises(ContractError):
             consistency_loss(p, np.zeros((5, 3)), pseudo, IDENTITY_AUG, rng)
-
-
-class TestFixmatchLoss:
-    def test_total_gradient_is_sum_of_parts(self):
-        """Backward through the total equals grad(sup) + w * grad(con)."""
-        p = init_mlp((4, 8, 3), seed=9)
-        rng = np.random.default_rng(10)
-        xl = rng.normal(size=(6, 4))
-        yl = rng.integers(1, 4, size=6)
-        xu = rng.normal(size=(12, 4))
-        pseudo = pseudo_label(rng.normal(size=(12, 3)), tau=0.0)
-        weight = 0.7
-
-        zero_grads(p.tensors())
-        with Tape():
-            total, _, _ = fixmatch_loss(
-                p, xl, yl, xu, pseudo, IDENTITY_AUG,
-                np.random.default_rng(0), weight=weight,
-            )
-        backward(total)
-        g_total = flatten_grads(p.tensors())
-
-        zero_grads(p.tensors())
-        with Tape():
-            sup = supervised_loss(p, xl, yl)
-        backward(sup)
-        g_sup = flatten_grads(p.tensors())
-
-        zero_grads(p.tensors())
-        with Tape():
-            con = consistency_loss(
-                p, xu, pseudo, IDENTITY_AUG, np.random.default_rng(0)
-            )
-        backward(con)
-        g_con = flatten_grads(p.tensors())
-
-        np.testing.assert_allclose(g_total, g_sup + weight * g_con, atol=1e-10)
-
-    def test_parts_are_reported(self):
-        p = init_mlp((4, 8, 3), seed=11)
-        rng = np.random.default_rng(12)
-        xl = rng.normal(size=(4, 4))
-        yl = np.array([1, 2, 3, 1])
-        xu = rng.normal(size=(8, 4))
-        pseudo = pseudo_label(rng.normal(size=(8, 3)), tau=0.0)
-        total, sup, con = fixmatch_loss(
-            p, xl, yl, xu, pseudo, IDENTITY_AUG, rng, weight=2.0
-        )
-        np.testing.assert_allclose(
-            total.item(), sup.item() + 2.0 * con.item(), rtol=1e-12
-        )
 
 
 class TestDistributionAlignment:

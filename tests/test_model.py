@@ -138,6 +138,15 @@ class TestCheckpoint:
         with pytest.raises(ContractError):
             load_checkpoint(path)
 
+    def test_every_truncation_raises_contract_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_mlp((4, 8, 3), seed=2), path, extra={"seed": 2})
+        blob = path.read_bytes()
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(ContractError):
+                load_checkpoint(path)
+
 
 class TestApplyUpdate:
     def test_gradient_step_moves_parameters(self):
