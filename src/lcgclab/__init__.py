@@ -41,9 +41,7 @@ from .debias import (
     kl_consistency_loss,
     lcgc_combine,
     make_baseline,
-    refine_logits,
     run_training,
-    test_refine,
     train_step,
     verify_theorem1,
 )

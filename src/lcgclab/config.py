@@ -131,7 +131,7 @@ _SCHEMA: dict[str, tuple] = {
 
 
 def _convert(key: str, raw: str, lineno: int):
-    _, kind, _, *choices = _SCHEMA[key]
+    kind = _SCHEMA[key][1]
     try:
         if kind == "int":
             return int(raw)
@@ -142,17 +142,10 @@ def _convert(key: str, raw: str, lineno: int):
             if low not in ("true", "false"):
                 raise ValueError("expected true or false")
             return low == "true"
-        if kind == "str":
-            return raw
-        if kind == "choice":
-            if raw not in choices[0]:
-                raise ValueError(f"expected one of {', '.join(choices[0])}")
-            return raw
+        if kind in ("str", "choice"):
+            return raw  # choices are checked with the other values
         if kind == "int_list":
-            items = [s.strip() for s in raw.split(",") if s.strip()]
-            if not items:
-                raise ValueError("expected a comma-separated list of ints")
-            return tuple(int(s) for s in items)
+            return tuple(int(s) for s in raw.split(",") if s.strip())
     except ValueError as e:
         raise ConfigError(
             f"line {lineno}: bad value for {key!r}: {raw!r} ({e})"
@@ -186,6 +179,22 @@ class ExperimentConfig:
     remix_temperature: float
     remix_ema_decay: float
     remix_align: bool
+
+    def __post_init__(self):
+        # One validation path for parsed configs and overrides alike.
+        for key, (attr, kind, _, *choices) in _SCHEMA.items():
+            value = attrgetter(attr)(self)
+            if kind == "choice" and value not in choices[0]:
+                raise ConfigError(
+                    f"bad value for {key!r}: {value!r} "
+                    f"(expected one of {', '.join(choices[0])})"
+                )
+            if kind == "int_list" and not value:
+                raise ConfigError(f"{key!r} must be a non-empty list of ints")
+        try:
+            self.train_settings()
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
 
     def effective_lcgc(self) -> LCGCConfig:
         """Refinement switches after method resolution."""
@@ -223,7 +232,8 @@ class ExperimentConfig:
         return Path(self.output_dir)
 
     def override(self, **kw) -> "ExperimentConfig":
-        """Copy with replaced fields (sweeps and ablations use this)."""
+        """Copy with replaced fields (sweeps and ablations use this),
+        validated like a parsed config."""
         return replace(self, **kw)
 
     def resolved(self) -> dict:
@@ -247,14 +257,9 @@ def _build(values: dict) -> ExperimentConfig:
     try:
         spec = LongTailSpec(**fields.pop("spec"))
         aug = AugmentConfig(**fields.pop("aug"))
-        cfg = ExperimentConfig(spec=spec, aug=aug, **fields)
-        # Surface value errors (ranges, feasibility) at parse time.
-        cfg.train_settings()
-        return cfg
-    except ConfigError:
-        raise
     except ValueError as e:
         raise ConfigError(str(e)) from None
+    return ExperimentConfig(spec=spec, aug=aug, **fields)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

@@ -300,9 +300,9 @@ def load_dataset(path: str | Path) -> SynthDataset:
     """Read a binary container written by ``save_dataset``.
 
     The container carries realized arrays, not the generating spec, so
-    the loaded dataset has ``spec=None``. Malformed or truncated bytes
-    raise ContractError; a label that is not an integer in [1..C]
-    raises LabelError.
+    the loaded dataset has ``spec=None``. Malformed, truncated or
+    non-finite values raise ContractError; a finite label that is not
+    an integer in [1..C] raises LabelError.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
@@ -330,6 +330,8 @@ def load_dataset(path: str | Path) -> SynthDataset:
         nonlocal off
         a = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
         off += 8 * count
+        if not np.isfinite(a).all():
+            raise ContractError(f"{path}: non-finite value in container")
         return np.ascontiguousarray(a.astype(np.float64).reshape(shape))
 
     def labels(count):

@@ -108,38 +108,6 @@ def baseline_logits(params: ModelParams, baseline: BaselineInput) -> np.ndarray:
     return logits_array(params, baseline.vector[None, :])[0]
 
 
-def refine_logits(logits, base: np.ndarray) -> np.ndarray:
-    """Subtract baseline logits from raw logits ((n, C) or (C,))."""
-    z = np.asarray(
-        logits.data if isinstance(logits, Tensor) else logits, dtype=np.float64
-    )
-    base = np.asarray(base, dtype=np.float64).reshape(-1)
-    if z.shape[-1] != base.shape[0]:
-        raise DimensionError(
-            f"logit width {z.shape[-1]} != baseline width {base.shape[0]}"
-        )
-    return z - base
-
-
-def test_refine(
-    params: ModelParams,
-    x: np.ndarray,
-    baseline: BaselineInput,
-    double_subtract: bool = False,
-) -> tuple[np.ndarray, int]:
-    """Refined logits and prediction for one sample.
-
-    ``double_subtract`` applies the correction twice; it exists to
-    expose the stronger variant for study and is off by default.
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    base = baseline_logits(params, baseline)
-    refined = logits_array(params, x)[0] - base
-    if double_subtract:
-        refined = refined - base
-    return refined, int(np.argmax(refined)) + 1
-
-
 def kl_consistency_loss(logits, refined) -> Tensor:
     """Mean row-wise KL(softmax(logits) || softmax(refined)), on the tape.
 
@@ -376,11 +344,13 @@ def grad_d(
     grows; the loss it differentiates is the one whose trajectory the
     step records expose.
     """
-    g, _ = _grad_d_with_loss(params, x_weak, baseline)
+    g, *_ = _grad_d_with_loss(params, x_weak, baseline)
     return g
 
 
 def _grad_d_with_loss(params, x_weak, baseline):
+    """grad_d plus the KL value and the recorded raw and refined logits,
+    so the caller can build pseudo-labels without a second forward."""
     zero_grads(params.tensors())
     with Tape():
         logits = forward_logits(params, np.asarray(x_weak, dtype=np.float64))
@@ -388,7 +358,8 @@ def _grad_d_with_loss(params, x_weak, baseline):
         refined = add_rowvec(logits, scale(base_row, -1.0))
         loss = kl_consistency_loss(logits, refined)
     backward(loss)
-    return GradientVector(flatten_grads(params.tensors())), loss.item()
+    g = GradientVector(flatten_grads(params.tensors()))
+    return g, loss.item(), logits.data, refined.data
 
 
 def train_step(
@@ -410,16 +381,17 @@ def train_step(
     xlw = weak_aug(xl, settings.aug, rng)
     xuw = weak_aug(xu, settings.aug, rng)
 
-    # Pseudo-labels from weak views, debiased by the current baseline
-    # response when refinement is on.
-    xuw_logits = logits_array(params, xuw)
-    pseudo_src = xuw_logits
-    if cfg.refine_pseudo_labels:
-        pseudo_src = xuw_logits - baseline_logits(params, state.baseline)
+    # One forward of the weak views and the probe serves both the bias
+    # gradient and the pseudo-labels, which are debiased by the current
+    # baseline response when refinement is on.
+    g_d, loss_kl, logits, refined = _grad_d_with_loss(
+        params, xuw, state.baseline
+    )
+    pseudo_src = refined if cfg.refine_pseudo_labels else logits
     pseudo = pseudo_label(pseudo_src, settings.tau)
 
     if settings.backbone == "remix-lite":
-        probs = K.softmax_rows(np.ascontiguousarray(pseudo_src))
+        probs = K.softmax_rows(pseudo_src)
         state.ema_avg = ema_update(
             state.ema_avg, probs.mean(axis=0), settings.remix_ema_decay
         )
@@ -428,7 +400,6 @@ def train_step(
             q = distribution_alignment(probs, state.ema_avg, state.target_dist)
         pseudo.soft_labels = sharpen(q, settings.remix_temperature)
 
-    g_d, loss_kl = _grad_d_with_loss(params, xuw, state.baseline)
     g_b, loss_con = _grad_b_with_loss(
         params, xu, pseudo, settings.aug, rng, settings.consistency_weight
     )

@@ -146,7 +146,8 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict | None]:
     """Inverse of save_checkpoint; returns (params, extra).
 
-    Malformed or truncated files raise ContractError.
+    Malformed or truncated files and non-finite parameters raise
+    ContractError.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
@@ -177,6 +178,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict | None]:
         raise ContractError(f"{path}: truncated checkpoint (payload)")
     if len(raw) > off + payload:
         raise ContractError(f"{path}: trailing bytes in checkpoint")
+    if not np.isfinite(np.frombuffer(raw, dtype="<f8", offset=off)).all():
+        raise ContractError(f"{path}: non-finite parameter in checkpoint")
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         w = np.frombuffer(raw, dtype="<f8", count=fan_in * fan_out, offset=off)

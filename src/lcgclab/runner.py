@@ -12,25 +12,18 @@ from __future__ import annotations
 
 import time
 import traceback
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .data import SynthDataset, synthesize
-from .debias import BASELINE_COLORS, RunRecord, run_training
+from .debias import BASELINE_COLORS, RunRecord, StepRecord, run_training
 from .errors import ConfigError
 from .fileio import atomic_write_text, dump_json
 
-_STEP_COLUMNS = (
-    "step",
-    "loss_sup",
-    "loss_con",
-    "loss_kl",
-    "conflict",
-    "cos_angle",
-    "mask_rate",
-)
+_STEP_COLUMNS = tuple(f.name for f in fields(StepRecord))
 
 # Aggregate fields copied into every sweep and ablation table row.
 _TABLE_STATS = ("bacc_mean", "bacc_se", "gm_mean", "gm_se", "n_completed")
@@ -40,22 +33,7 @@ DEFAULT_LAMBDAS = tuple(round(0.2 * i, 1) for i in range(8))
 
 
 def _steps_csv(run: RunRecord) -> str:
-    lines = [",".join(_STEP_COLUMNS)]
-    for r in run.steps:
-        lines.append(
-            ",".join(
-                (
-                    str(r.step),
-                    repr(r.loss_sup),
-                    repr(r.loss_con),
-                    repr(r.loss_kl),
-                    str(int(r.conflict)),
-                    repr(r.cos_angle),
-                    repr(r.mask_rate),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _table_csv([vars(r) for r in run.steps], _STEP_COLUMNS)
 
 
 def _mean_se(vals) -> tuple[float, float]:
@@ -127,14 +105,16 @@ def run(
     return aggregate
 
 
+def _cell(v) -> str:
+    if isinstance(v, float):
+        return repr(v)  # round-trips exactly
+    return str(int(v) if isinstance(v, bool) else v)
+
+
 def _table_csv(rows: list[dict], columns: tuple[str, ...]) -> str:
+    """One CSV line per row dict: floats as repr, bools as 0/1."""
     lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for c in columns:
-            v = row[c]
-            cells.append(repr(v) if isinstance(v, float) else str(v))
-        lines.append(",".join(cells))
+    lines += [",".join(_cell(row[c]) for c in columns) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -174,8 +154,6 @@ def sweep_lambda(
     reference point. Writes lambda_sweep.csv / lambda_sweep.json.
     """
     values = DEFAULT_LAMBDAS if values is None else tuple(values)
-    if any(v < 0.0 for v in values):
-        raise ConfigError("lambda values must be nonnegative")
     variants = [
         (lam, f"lambda_{lam:g}", config.override(method="lcgc", lam=lam))
         for lam in map(float, values)
@@ -200,11 +178,6 @@ def ablate_baseline_colors(
             "set method = cdmad or method = lcgc"
         )
     colors = BASELINE_COLORS if colors is None else tuple(colors)
-    for c in colors:
-        if c not in BASELINE_COLORS:
-            raise ConfigError(
-                f"unknown baseline color {c!r}; choose from {BASELINE_COLORS}"
-            )
     variants = [
         (color, f"baseline_{color}", config.override(baseline_color=color))
         for color in colors

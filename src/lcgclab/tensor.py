@@ -383,14 +383,12 @@ def cross_entropy(
     pred,
     target,
     *,
-    from_logits: bool = True,
     weights: np.ndarray | None = None,
     denom: float | None = None,
 ) -> Tensor:
-    """Cross entropy between predictions and targets, reduced to a scalar.
+    """Cross entropy between logits and targets, reduced to a scalar.
 
-    pred: (n, C) tensor of logits, or of probabilities when
-        ``from_logits=False``; a single (C,) row is accepted.
+    pred: (n, C) tensor of logits; a single (C,) row is accepted.
     target: hard int labels in [1..C] (shape (n,)) or soft rows (n, C).
     weights: optional per-row factors (a confidence mask, typically).
     denom: reduction denominator; defaults to n (mean over the batch).
@@ -411,27 +409,14 @@ def cross_entropy(
     if d <= 0.0:
         raise ContractError(f"denominator must be positive, got {d}")
 
-    if from_logits:
-        lsm = K.log_softmax_rows(p2)
-        loss = -float((w * (t * lsm).sum(axis=1)).sum()) / d
-        sm = np.exp(lsm)
-        t_mass = t.sum(axis=1, keepdims=True)
+    lsm = K.log_softmax_rows(p2)
+    loss = -float((w * (t * lsm).sum(axis=1)).sum()) / d
+    sm = np.exp(lsm)
+    t_mass = t.sum(axis=1, keepdims=True)
 
-        def vjp(g):
-            gz = (sm * t_mass - t) * (w[:, None] * (float(g) / d))
-            return (gz.reshape(pred.shape),)
-
-    else:
-        if p2.min() < 0.0:
-            raise ContractError("probabilities must be nonnegative")
-        logp = np.log(np.maximum(p2, 1e-300))
-        loss = -float((w * (t * logp).sum(axis=1)).sum()) / d
-
-        def vjp(g):
-            gp = -(t / np.maximum(p2, 1e-300)) * (
-                w[:, None] * (float(g) / d)
-            )
-            return (gp.reshape(pred.shape),)
+    def vjp(g):
+        gz = (sm * t_mass - t) * (w[:, None] * (float(g) / d))
+        return (gz.reshape(pred.shape),)
 
     return apply_op(np.asarray(loss), (pred,), vjp)
 

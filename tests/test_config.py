@@ -235,6 +235,24 @@ class TestOverrideAndOutput:
         assert out.method == "baseline" and out.steps == 1
         assert cfg.method == "lcgc"  # original untouched
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"method": "bogus"},
+            {"backbone": "resnet"},
+            {"baseline_color": "mauve"},
+            {"seeds": ()},
+            {"hidden": ()},
+            {"lam": -0.5},
+            {"tau": 1.5},
+            {"batch_size": 0},
+            {"ig_steps": 0},
+        ],
+    )
+    def test_override_validates_like_the_parser(self, bad):
+        with pytest.raises(ConfigError):
+            default_config().override(**bad)
+
     def test_output_root_env(self, monkeypatch, tmp_path):
         cfg = default_config()
         monkeypatch.setenv("LCGCLAB_OUTPUT_ROOT", str(tmp_path))

@@ -302,6 +302,36 @@ class TestRoundTrips:
         with pytest.raises(LabelError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, tmp_path, bad):
+        ds = synthesize(TINY_SPEC)
+        path = tmp_path / "pool.bin"
+        save_dataset(ds, path)
+        C, d = ds.classes, ds.dim
+        x_off = 18 + 8 * C + 8 * C * d  # labeled_x[0, 0]
+        blob = bytearray(path.read_bytes())
+        blob[x_off : x_off + 8] = np.float64(bad).astype("<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ContractError):
+            load_dataset(path)
+
+    def test_every_single_bit_flip_loads_finite_or_is_rejected(self, tmp_path):
+        ds = synthesize(TINY_SPEC)
+        path = tmp_path / "pool.bin"
+        save_dataset(ds, path)
+        blob = path.read_bytes()
+        for bit in range(8 * len(blob)):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                back = load_dataset(path)
+            except (ContractError, LabelError):
+                continue
+            for a in (back.class_means, back.labeled_x, back.unlabeled_x,
+                      back.test_x):
+                assert np.isfinite(a).all(), f"bit {bit}"
+
     def test_csv_shape_and_privacy(self, tmp_path):
         ds = synthesize(LongTailSpec(seed=13))
         path = tmp_path / "pool.csv"

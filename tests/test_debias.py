@@ -20,12 +20,10 @@ from lcgclab.debias import (
     kl_consistency_loss,
     lcgc_combine,
     make_baseline,
-    refine_logits,
     run_training,
     train_step,
     verify_theorem1,
 )
-from lcgclab.debias import test_refine as refine_single
 from lcgclab.errors import (
     ContractError,
     DimensionError,
@@ -130,43 +128,41 @@ class TestBaselines:
 
 
 class TestRefinement:
-    def test_refine_subtracts_rowwise(self):
-        logits = np.array([[3.0, 1.0, 0.0], [0.0, 2.0, 2.0]])
-        base = np.array([2.0, 1.0, 1.0])
-        np.testing.assert_array_equal(
-            refine_logits(logits, base), [[1.0, 0.0, -1.0], [-2.0, 1.0, 1.0]]
-        )
+    """Test-time refinement, through its one path: ``evaluate``."""
 
     def test_refine_can_flip_the_argmax(self):
         """A head-biased logit row flips to the tail after subtraction."""
-        logits = np.array([2.0, 1.9])
-        base = np.array([1.0, 0.0])
-        raw_pred = int(np.argmax(logits)) + 1
-        refined = refine_logits(logits, base)
-        assert raw_pred == 1
-        assert int(np.argmax(refined)) + 1 == 2
+        p = ModelParams(
+            dims=(2, 2),
+            weights=[Tensor(np.eye(2), requires_grad=True)],
+            biases=[Tensor(np.array([1.0, 0.0]), requires_grad=True)],
+        )
+        b = make_baseline("black", 2, 1.0)  # probe logits = biases
+        x, y = np.array([[0.9, 1.0], [2.0, 0.0]]), np.array([2, 1])
+        raw = evaluate(p, x, y)
+        refined = evaluate(p, x, y, baseline=b)
+        np.testing.assert_array_equal(raw.confusion, [[1, 0], [1, 0]])
+        np.testing.assert_array_equal(refined.confusion, [[1, 0], [0, 1]])
 
     def test_width_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            refine_logits(np.zeros((2, 3)), np.zeros(4))
-
-    def test_single_sample_refine_matches_manual(self):
         p = generic_net((8, 10, 4), seed=3)
-        b = make_baseline("gray", 8, 2.0)
-        x = np.random.default_rng(4).normal(size=8)
-        refined, label = refine_single(p, x, b)
-        manual = logits_array(p, x[None, :])[0] - baseline_logits(p, b)
-        np.testing.assert_allclose(refined, manual, atol=1e-12)
-        assert label == int(np.argmax(manual)) + 1
+        narrow = make_baseline("gray", 5, 1.0)
+        with pytest.raises(DimensionError):
+            evaluate(p, np.zeros((2, 8)), np.array([1, 2]), baseline=narrow)
 
     def test_double_subtract_applies_twice(self):
+        ds = synthesize(small_spec())
         p = generic_net((8, 10, 4), seed=5)
         b = make_baseline("white", 8, 1.0)
-        x = np.random.default_rng(6).normal(size=8)
-        once, _ = refine_single(p, x, b)
-        twice, _ = refine_single(p, x, b, double_subtract=True)
-        np.testing.assert_allclose(
-            twice, once - baseline_logits(p, b), atol=1e-12
+        rep = evaluate(
+            p, ds.test_x, ds.test_y, baseline=b, double_subtract=True
+        )
+        base = baseline_logits(p, b)
+        pred = np.argmax(logits_array(p, ds.test_x) - base - base, axis=1) + 1
+        from lcgclab.metrics import confusion
+
+        np.testing.assert_array_equal(
+            rep.confusion, confusion(ds.test_y, pred, 4)
         )
 
 
@@ -285,8 +281,6 @@ class TestGradComponents:
         g = grad_d(p, x, b)
 
         def f():
-            from lcgclab.debias import _grad_d_with_loss
-            # value only; cheaper to recompute loss directly
             logits = logits_array(p, x)
             base = baseline_logits(p, b)
             return kl_consistency_loss(logits, logits - base).item()
@@ -377,6 +371,92 @@ class TestTrainStep:
         np.testing.assert_array_equal(p.weights[1].data, before)
 
 
+# (backbone, refine_pseudo_labels) pairs covering both pseudo-label paths.
+_PSEUDO_PATHS = [
+    ("fixmatch", True),
+    ("fixmatch", False),
+    ("remix-lite", True),
+    ("remix-lite", False),
+]
+
+
+def _default_state(ds, seed):
+    return TrainState(
+        rng=np.random.default_rng(np.random.SeedSequence([seed, 1])),
+        baseline=make_baseline("gray", ds.dim, ds.value_range()),
+        target_dist=ds.labeled_distribution(),
+        ema_avg=np.full(ds.classes, 1.0 / ds.classes),
+    )
+
+
+class TestOneForwardPerView:
+    """Each view goes through the network once per step: labeled weak,
+    unlabeled weak, probe and unlabeled strong."""
+
+    @pytest.mark.parametrize("backbone,refine", _PSEUDO_PATHS)
+    def test_rows_forwarded_per_step(self, monkeypatch, backbone, refine):
+        import lcgclab.debias
+        import lcgclab.losses
+        import lcgclab.model
+
+        rows = []
+        inner = lcgclab.model.forward_logits
+
+        def counting(params, x):
+            rows.append((x.data if isinstance(x, Tensor) else x).shape[0])
+            return inner(params, x)
+
+        for mod in (lcgclab.model, lcgclab.losses, lcgclab.debias):
+            monkeypatch.setattr(mod, "forward_logits", counting)
+        ds = synthesize(small_spec())
+        settings = TrainSettings(
+            backbone=backbone, lcgc=LCGCConfig(refine_pseudo_labels=refine)
+        )
+        p = init_mlp((8, 12, 4), seed=8)
+        train_step(p, ds, settings, _default_state(ds, 8))
+        B, mu = settings.batch_size, settings.mu
+        assert sum(rows) == B + 2 * mu * B + 1 == 321
+        assert len(rows) == 4
+
+    @pytest.mark.parametrize("backbone,refine", _PSEUDO_PATHS)
+    def test_pseudo_labels_from_recorded_logits(
+        self, monkeypatch, backbone, refine
+    ):
+        """The pseudo-label input is bitwise what separate inference
+        forwards of the weak views and the probe would give."""
+        import lcgclab.debias
+
+        weak_views, seen = [], []
+        inner_aug = lcgclab.debias.weak_aug
+        inner_pl = lcgclab.debias.pseudo_label
+
+        def spy_aug(x, cfg, rng):
+            weak_views.append(inner_aug(x, cfg, rng))
+            return weak_views[-1]
+
+        def spy_pl(logits, tau):
+            seen.append(np.array(logits, copy=True))
+            return inner_pl(logits, tau)
+
+        monkeypatch.setattr(lcgclab.debias, "weak_aug", spy_aug)
+        monkeypatch.setattr(lcgclab.debias, "pseudo_label", spy_pl)
+        ds = synthesize(small_spec())
+        settings = small_settings(
+            backbone=backbone, lcgc=LCGCConfig(refine_pseudo_labels=refine)
+        )
+        p = generic_net((8, 12, 4), seed=9)
+        before = p.copy()
+        state = _default_state(ds, 9)
+        train_step(p, ds, settings, state)
+
+        xuw = weak_views[1]
+        expected = logits_array(before, xuw)
+        if refine:
+            expected = expected - baseline_logits(before, state.baseline)
+        assert len(seen) == 1
+        assert seen[0].tobytes() == expected.tobytes()
+
+
 class TestRunTraining:
     def test_zero_steps_still_evaluates(self):
         ds = synthesize(small_spec())
@@ -458,22 +538,27 @@ class TestEvaluate:
         )
         assert raw.confusion.sum() == ref.confusion.sum()
 
+
     def test_double_subtract_parity_with_test_refine(self):
+        """Refining each sample on its own, with the baseline taken off
+        twice, gives the batch path's predictions."""
+        from lcgclab.metrics import confusion
+
         ds = synthesize(small_spec())
         p = generic_net((8, 12, 4), seed=15)
         b = make_baseline("gray", 8, 1.0)
         rep = evaluate(
             p, ds.test_x, ds.test_y, baseline=b, double_subtract=True
         )
-        _, label0 = refine_single(p, ds.test_x[0], b, double_subtract=True)
-        pred0 = int(
-            np.argmax(
-                logits_array(p, ds.test_x[:1])[0] - 2 * baseline_logits(p, b)
-            )
-        ) + 1
-        assert label0 == pred0
+        base = baseline_logits(p, b)
+        pred = np.array([
+            int(np.argmax(logits_array(p, x[None, :])[0] - 2 * base)) + 1
+            for x in ds.test_x
+        ])
+        np.testing.assert_array_equal(
+            rep.confusion, confusion(ds.test_y, pred, 4)
+        )
         assert rep.confusion.sum() == ds.test_x.shape[0]
-
 
 class TestIntegratedGradients:
     def test_linear_model_exact_at_one_step(self):

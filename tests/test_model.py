@@ -147,6 +147,30 @@ class TestCheckpoint:
             with pytest.raises(ContractError):
                 load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, bad):
+        p = init_mlp((4, 8, 3), seed=2)
+        p.biases[-1].data[0] = bad  # the last value of the payload
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(p, path)
+        with pytest.raises(ContractError):
+            load_checkpoint(path)
+
+    def test_every_single_bit_flip_loads_finite_or_is_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_mlp((4, 8, 3), seed=2), path, extra={"seed": 2})
+        blob = path.read_bytes()
+        for bit in range(8 * len(blob)):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                back, _ = load_checkpoint(path)
+            except ContractError:
+                continue
+            for t in back.tensors():
+                assert np.isfinite(t.data).all(), f"bit {bit}"
+
 
 class TestApplyUpdate:
     def test_gradient_step_moves_parameters(self):
