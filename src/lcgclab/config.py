@@ -57,7 +57,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .data import AugmentConfig, LongTailSpec
-from .debias import BASELINE_COLORS, LCGCConfig, TrainSettings
+from .debias import BACKBONES, BASELINE_COLORS, LCGCConfig, TrainSettings
 from .errors import ConfigError
 
 _D_SPEC = LongTailSpec()
@@ -104,7 +104,7 @@ _SCHEMA: dict[str, tuple] = {
     "augment.sigma_strong": ("aug.sigma_strong", "float", _D_AUG.sigma_strong),
     "augment.mask_fraction": ("aug.mask_fraction", "float", _D_AUG.mask_fraction),
     "model.hidden": ("hidden", "int_list", (64,)),
-    "backbone": ("backbone", "choice", "fixmatch", ("fixmatch", "remix-lite")),
+    "backbone": ("backbone", "choice", "fixmatch", BACKBONES),
     "method": ("method", "choice", "lcgc", tuple(_METHOD_PINS)),
     "seeds": ("seeds", "int_list", (1, 2, 3, 4, 5)),
     "output_dir": ("output_dir", "str", "runs"),
@@ -191,6 +191,10 @@ class ExperimentConfig:
                 )
             if kind == "int_list" and not value:
                 raise ConfigError(f"{key!r} must be a non-empty list of ints")
+        if min(self.hidden) < 1:
+            raise ConfigError(f"'model.hidden' widths must be >= 1: {self.hidden}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"'seeds' must be distinct: {self.seeds}")
         try:
             self.train_settings()
         except ValueError as e:

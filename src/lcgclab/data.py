@@ -11,7 +11,6 @@ evaluation only; the training path never reads them.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,10 +23,7 @@ from .errors import (
     LabelError,
     SamplingError,
 )
-from .fileio import atomic_write_bytes
-
-_MAGIC = b"LCGC"
-_FORMAT_VERSION = 1
+from .fileio import atomic_write_bytes, read_container, write_container
 
 
 @dataclass(frozen=True)
@@ -259,107 +255,49 @@ def sample_minibatch(
 # ------------------------------------------------------------------ export
 
 
-def save_dataset(ds: SynthDataset, path: str | Path) -> None:
-    """Write the dataset to the package's binary container.
+_POOLS = (
+    ("labeled_x", "labeled_y"),
+    ("unlabeled_x", "hidden_labels"),
+    ("test_x", "test_y"),
+)
+_ARRAYS = ("class_means", *(name for pool in _POOLS for name in pool))
 
-    Layout (all little-endian):
-      magic b"LCGC" | u16 version | u32 C | u32 d | u32 test_per_class
-      u32 labeled_counts[C] | u32 unlabeled_counts[C]
-      f64 class_means (C*d) | f64 labeled_x | f64 labeled_y
-      f64 unlabeled_x | f64 hidden_labels | f64 test_x | f64 test_y
-    Labels are stored as f64 for payload uniformity; they are small
-    integers, so the round trip is exact.
-    """
-    C, d = ds.classes, ds.dim
-    n_t = ds.test_x.shape[0]
-    if n_t % C != 0:
-        raise ContractError("test split must be balanced across classes")
-    head = [
-        _MAGIC,
-        struct.pack("<H", _FORMAT_VERSION),
-        struct.pack("<III", C, d, n_t // C),
-        np.asarray(ds.labeled_counts, dtype="<u4").tobytes(),
-        np.asarray(ds.unlabeled_counts, dtype="<u4").tobytes(),
-    ]
-    payload = [
-        np.ascontiguousarray(a, dtype=np.float64).astype("<f8").tobytes()
-        for a in (
-            ds.class_means,
-            ds.labeled_x,
-            ds.labeled_y,
-            ds.unlabeled_x,
-            ds.hidden_labels,
-            ds.test_x,
-            ds.test_y,
-        )
-    ]
-    atomic_write_bytes(path, b"".join(head + payload))
+
+def save_dataset(ds: SynthDataset, path: str | Path) -> None:
+    """Write the class means and the three pools as a "dataset" container
+    (layout in ``lcgclab.fileio``). Labels are small integers, so their
+    f64 round trip is exact; class counts are not stored."""
+    write_container(path, "dataset", {}, {n: getattr(ds, n) for n in _ARRAYS})
 
 
 def load_dataset(path: str | Path) -> SynthDataset:
-    """Read a binary container written by ``save_dataset``.
+    """Read a container written by ``save_dataset``.
 
-    The container carries realized arrays, not the generating spec, so
-    the loaded dataset has ``spec=None``. Malformed, truncated or
-    non-finite values raise ContractError; a finite label that is not
-    an integer in [1..C] raises LabelError.
+    It carries realized arrays, not the generating spec, so the loaded
+    dataset has ``spec=None``; class counts are recounted from the
+    labels. Malformed bytes and pools that disagree with the class
+    means raise ContractError; a label that is not an integer in
+    [1..C] raises LabelError.
     """
-    raw = Path(path).read_bytes()
-    if raw[:4] != _MAGIC:
-        raise ContractError(f"{path}: not a dataset container (bad magic)")
-    if len(raw) < 18:
-        raise ContractError(f"{path}: truncated container (header)")
-    (version,) = struct.unpack_from("<H", raw, 4)
-    if version != _FORMAT_VERSION:
-        raise ContractError(f"{path}: unsupported container version {version}")
-    C, d, test_per_class = struct.unpack_from("<III", raw, 6)
-    off = 18
-    if len(raw) < off + 8 * C:
-        raise ContractError(f"{path}: truncated container (count tables)")
-    lab_counts = np.frombuffer(raw, dtype="<u4", count=C, offset=off)
-    off += 4 * C
-    unlab_counts = np.frombuffer(raw, dtype="<u4", count=C, offset=off)
-    off += 4 * C
-    n_l, n_u = int(lab_counts.sum()), int(unlab_counts.sum())
-    n_t = test_per_class * C
-    values = C * d + n_l * (d + 1) + n_u * (d + 1) + n_t * (d + 1)
-    if len(raw) < off + 8 * values:
-        raise ContractError(f"{path}: truncated container (payload)")
-
-    def block(count, shape):
-        nonlocal off
-        a = np.frombuffer(raw, dtype="<f8", count=count, offset=off)
-        off += 8 * count
-        if not np.isfinite(a).all():
-            raise ContractError(f"{path}: non-finite value in container")
-        return np.ascontiguousarray(a.astype(np.float64).reshape(shape))
-
-    def labels(count):
-        y = block(count, (count,))
+    _, arrays = read_container(path, "dataset")
+    if tuple(arrays) != _ARRAYS or arrays["class_means"].ndim != 2:
+        raise ContractError(f"{path}: dataset must hold (C, d) {_ARRAYS}")
+    C, d = arrays["class_means"].shape
+    for x_name, y_name in _POOLS:
+        x, y = arrays[x_name], arrays[y_name]
+        if x.ndim != 2 or x.shape[1] != d or y.shape != x.shape[:1]:
+            raise ContractError(
+                f"{path}: {x_name} {x.shape} and {y_name} {y.shape} "
+                f"do not fit {C} classes in {d} dims"
+            )
         if not np.all((y >= 1) & (y <= C) & (y == np.floor(y))):
             raise LabelError(f"{path}: labels must be integers in [1, {C}]")
-        return y.astype(np.int64)
-
-    means = block(C * d, (C, d))
-    lx = block(n_l * d, (n_l, d))
-    ly = labels(n_l)
-    ux = block(n_u * d, (n_u, d))
-    uy = labels(n_u)
-    tx = block(n_t * d, (n_t, d))
-    ty = labels(n_t)
-    if off != len(raw):
-        raise ContractError(f"{path}: trailing bytes in container")
+        arrays[y_name] = y.astype(np.int64)
     return SynthDataset(
         spec=None,
-        class_means=means,
-        labeled_x=lx,
-        labeled_y=ly,
-        unlabeled_x=ux,
-        hidden_labels=uy,
-        test_x=tx,
-        test_y=ty,
-        labeled_counts=lab_counts.astype(np.int64),
-        unlabeled_counts=unlab_counts.astype(np.int64),
+        **arrays,
+        labeled_counts=np.bincount(arrays["labeled_y"] - 1, minlength=C),
+        unlabeled_counts=np.bincount(arrays["hidden_labels"] - 1, minlength=C),
     )
 
 

@@ -34,8 +34,9 @@ class ConfigError(ValueError):
 class TrainingDiverged(RuntimeError):
     """Training produced non-finite losses or parameters.
 
-    Carries the step index and the offending record so callers can
-    persist a diagnostic before abandoning the run.
+    Carries the step index (``step``) and a description of what went
+    non-finite (``detail``); the step's losses and gradients are not
+    attached.
     """
 
     def __init__(self, step: int, detail: str):

@@ -2,19 +2,14 @@
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .fileio import atomic_write_bytes
+from .fileio import read_container, write_container
 from .tensor import Tensor, add_rowvec, matmul, no_tape, relu
-
-_MAGIC = b"LCGC"
-_CKPT_VERSION = 1
 
 
 @dataclass
@@ -122,74 +117,29 @@ def predict_batch(params: ModelParams, x: np.ndarray) -> np.ndarray:
 def save_checkpoint(
     params: ModelParams, path: str | Path, extra: dict | None = None
 ) -> None:
-    """Binary checkpoint: manifest JSON plus f64 parameter payload.
-
-    Layout: magic | u16 version | u32 manifest_len | manifest utf-8 |
-    f64 little-endian tensors in ``tensors()`` order. ``extra`` must be
-    JSON-serializable; it rides along in the manifest.
-    """
-    manifest = json.dumps(
-        {"kind": "mlp-checkpoint", "dims": list(params.dims), "extra": extra},
-        sort_keys=True,
-    ).encode("utf-8")
-    blob = [
-        _MAGIC,
-        struct.pack("<H", _CKPT_VERSION),
-        struct.pack("<I", len(manifest)),
-        manifest,
-    ]
-    for t in params.tensors():
-        blob.append(t.data.astype("<f8").tobytes())
-    atomic_write_bytes(path, b"".join(blob))
+    """Write params as an "mlp-checkpoint" container (layout in
+    ``lcgclab.fileio``). ``extra`` must be JSON-serializable."""
+    arrays = {}
+    for i, (w, b) in enumerate(zip(params.weights, params.biases), start=1):
+        arrays[f"W{i}"], arrays[f"b{i}"] = w.data, b.data
+    meta = {"dims": list(params.dims), "extra": extra}
+    write_container(path, "mlp-checkpoint", meta, arrays)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict | None]:
     """Inverse of save_checkpoint; returns (params, extra).
 
-    Malformed or truncated files and non-finite parameters raise
-    ContractError.
+    Malformed files, layer widths that disagree with the stored tensors
+    and non-finite parameters raise ContractError.
     """
-    raw = Path(path).read_bytes()
-    if raw[:4] != _MAGIC:
-        raise ContractError(f"{path}: not a checkpoint (bad magic)")
-    if len(raw) < 10:
-        raise ContractError(f"{path}: truncated checkpoint (header)")
-    (version,) = struct.unpack_from("<H", raw, 4)
-    if version != _CKPT_VERSION:
-        raise ContractError(f"{path}: unsupported checkpoint version {version}")
-    (mlen,) = struct.unpack_from("<I", raw, 6)
-    if len(raw) < 10 + mlen:
-        raise ContractError(f"{path}: truncated checkpoint (manifest)")
+    meta, arrays = read_container(path, "mlp-checkpoint")
     try:
-        manifest = json.loads(raw[10 : 10 + mlen].decode("utf-8"))
-    except ValueError as e:  # UnicodeDecodeError, JSONDecodeError
-        raise ContractError(f"{path}: unreadable checkpoint manifest ({e})") from None
-    if not isinstance(manifest, dict) or manifest.get("kind") != "mlp-checkpoint":
-        raise ContractError(f"{path}: wrong container kind")
-    try:
-        dims = tuple(int(v) for v in manifest["dims"])
+        dims, extra = tuple(int(v) for v in meta["dims"]), meta["extra"]
     except (KeyError, TypeError, ValueError):
-        dims = ()
-    if len(dims) < 2 or min(dims) < 1:
-        raise ContractError(f"{path}: bad layer widths in manifest")
-    off = 10 + mlen
-    payload = 8 * sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
-    if len(raw) < off + payload:
-        raise ContractError(f"{path}: truncated checkpoint (payload)")
-    if len(raw) > off + payload:
-        raise ContractError(f"{path}: trailing bytes in checkpoint")
-    if not np.isfinite(np.frombuffer(raw, dtype="<f8", offset=off)).all():
-        raise ContractError(f"{path}: non-finite parameter in checkpoint")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        w = np.frombuffer(raw, dtype="<f8", count=fan_in * fan_out, offset=off)
-        off += 8 * fan_in * fan_out
-        b = np.frombuffer(raw, dtype="<f8", count=fan_out, offset=off)
-        off += 8 * fan_out
-        weights.append(
-            Tensor(w.astype(np.float64).reshape(fan_in, fan_out), True)
-        )
-        biases.append(Tensor(b.astype(np.float64), True))
-    return ModelParams(dims=dims, weights=weights, biases=biases), manifest.get(
-        "extra"
-    )
+        dims, extra = (), None
+    shapes = [s for i, o in zip(dims, dims[1:]) for s in ((i, o), (o,))]
+    stored = [a.shape for a in arrays.values()]
+    if len(dims) < 2 or min(dims) < 1 or stored != shapes:
+        raise ContractError(f"{path}: layer widths {dims} do not fit the tensors")
+    t = [Tensor(a, requires_grad=True) for a in arrays.values()]
+    return ModelParams(dims=dims, weights=t[0::2], biases=t[1::2]), extra

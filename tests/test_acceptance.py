@@ -215,6 +215,7 @@ class TestCriterion2ProjectionAlgebra:
 
 
 class TestCriterion3LambdaZeroEquivalence:
+    @pytest.mark.slow
     def test_lambda_zero_equals_projection_removed(self):
         """Two full 2000-step runs on the default synthetic setting
         (C=10, d=32, N1=300, M1=600, gamma_l=gamma_u=100), one with
@@ -367,6 +368,7 @@ def _medians(grid, method, gu):
 
 
 class TestCriterion5RefinementShrinksBias:
+    @pytest.mark.slow
     def test_kl_trajectory_trends_down(self, grid):
         """With pseudo-label refinement active (cdmad path, gamma_l =
         gamma_u = 100), the KL trajectory's final-10% median sits below
@@ -392,6 +394,7 @@ class TestCriterion5RefinementShrinksBias:
         )
         assert n_down >= 4
 
+    @pytest.mark.slow
     def test_divergence_free_grid(self, grid):
         diverged = [
             key for key, v in grid.items()
@@ -401,6 +404,7 @@ class TestCriterion5RefinementShrinksBias:
 
 
 class TestCriterion6DirectionalDebiasing:
+    @pytest.mark.slow
     def test_method_ordering_on_medians(self, grid):
         """Median final bACC over 5 seeds: LCGC >= CDMAD-path >=
         baseline at every unlabeled imbalance (ties within 0.3 points
@@ -467,6 +471,7 @@ class TestCriterion7MetricCorrectness:
 
 
 class TestCriterion8TestRefinementAblation:
+    @pytest.mark.slow
     def test_removing_test_refinement_hurts(self, grid):
         """Evaluating the trained LCGC models (gamma_u = 150) without
         the test-time correction strictly decreases the median bACC."""

@@ -247,6 +247,13 @@ class TestOverrideAndOutput:
             {"tau": 1.5},
             {"batch_size": 0},
             {"ig_steps": 0},
+            {"hidden": (0,)},
+            {"hidden": (64, -3)},
+            {"seeds": (1, 1)},
+            {"remix_temperature": 0.0},
+            {"remix_temperature": -0.5},
+            {"remix_ema_decay": 1.0},
+            {"remix_ema_decay": -0.1},
         ],
     )
     def test_override_validates_like_the_parser(self, bad):

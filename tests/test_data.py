@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lcgclab.data import (
     AugmentConfig,
     LongTailSpec,
+    SynthDataset,
     export_csv,
     load_dataset,
     longtail_counts,
@@ -247,6 +250,12 @@ TINY_SPEC = LongTailSpec(
 )
 
 
+def _payload_offset(blob) -> int:
+    """First payload byte of a container: magic, version, manifest length
+    (u32 at bytes 6-10), then the manifest itself."""
+    return 10 + int.from_bytes(blob[6:10], "little")
+
+
 class TestRoundTrips:
     def test_binary_roundtrip_is_bitwise(self, tmp_path):
         ds = synthesize(LongTailSpec(seed=11))
@@ -261,6 +270,34 @@ class TestRoundTrips:
         np.testing.assert_array_equal(back.test_x, ds.test_x)
         np.testing.assert_array_equal(back.test_y, ds.test_y)
         np.testing.assert_array_equal(back.labeled_counts, ds.labeled_counts)
+
+    def test_reversed_unlabeled_roundtrip_keeps_every_field(self, tmp_path):
+        ds = synthesize(LongTailSpec(reversed_unlabeled=True, seed=11))
+        path = tmp_path / "pool.bin"
+        save_dataset(ds, path)
+        back = load_dataset(path)
+        assert back.spec is None
+        for f in dataclasses.fields(SynthDataset):
+            if f.name == "spec":
+                continue
+            a, b = getattr(back, f.name), getattr(ds, f.name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            assert a.tobytes() == b.tobytes(), f.name
+
+    def test_counts_follow_the_stored_labels(self, tmp_path):
+        ds = synthesize(TINY_SPEC)
+        path = tmp_path / "pool.bin"
+        save_dataset(ds, path)
+        assert list(ds.labeled_counts) == [4, 3, 2]
+        C, d = ds.classes, ds.dim
+        n_l = ds.labeled_x.shape[0]
+        blob = bytearray(path.read_bytes())
+        label_off = _payload_offset(blob) + 8 * C * d + 8 * n_l * d
+        blob[label_off : label_off + 8] = np.float64(3.0).astype("<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        back = load_dataset(path)
+        assert back.labeled_y[0] == 3
+        assert list(back.labeled_counts) == [3, 3, 3]
 
     def test_load_rejects_corrupt_header(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -294,9 +331,9 @@ class TestRoundTrips:
         save_dataset(ds, path)
         C, d = ds.classes, ds.dim
         n_l = ds.labeled_x.shape[0]
-        # Header, both count tables, class means, labeled_x; then labeled_y.
-        label_off = 18 + 8 * C + 8 * C * d + 8 * n_l * d
         blob = bytearray(path.read_bytes())
+        # Class means and labeled_x precede labeled_y in the payload.
+        label_off = _payload_offset(blob) + 8 * C * d + 8 * n_l * d
         blob[label_off : label_off + 8] = np.float64(bad).astype("<f8").tobytes()
         path.write_bytes(bytes(blob))
         with pytest.raises(LabelError):
@@ -308,8 +345,8 @@ class TestRoundTrips:
         path = tmp_path / "pool.bin"
         save_dataset(ds, path)
         C, d = ds.classes, ds.dim
-        x_off = 18 + 8 * C + 8 * C * d  # labeled_x[0, 0]
         blob = bytearray(path.read_bytes())
+        x_off = _payload_offset(blob) + 8 * C * d  # labeled_x[0, 0]
         blob[x_off : x_off + 8] = np.float64(bad).astype("<f8").tobytes()
         path.write_bytes(bytes(blob))
         with pytest.raises(ContractError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lcgclab.errors import ContractError, DimensionError
+from lcgclab.fileio import write_container
 from lcgclab.model import (
     ModelParams,
     forward_logits,
@@ -131,6 +132,22 @@ class TestCheckpoint:
         for ta, tb in zip(back.tensors(), p.tensors()):
             np.testing.assert_array_equal(ta.data, tb.data)
         assert manifest["note"] == "unit"
+
+    def test_same_params_give_same_bytes(self, tmp_path):
+        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(init_mlp((4, 8, 3), seed=2), a, extra={"seed": 2})
+        save_checkpoint(init_mlp((4, 8, 3), seed=2), b, extra={"seed": 2})
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_dims_must_match_the_tensors(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        p = init_mlp((4, 8, 3), seed=2)
+        arrays = {str(i): t.data for i, t in enumerate(p.tensors())}
+        for dims in ([4, 8, 2], [4, 3], [4], [4, 0, 3]):
+            meta = {"dims": dims, "extra": None}
+            write_container(path, "mlp-checkpoint", meta, arrays)
+            with pytest.raises(ContractError, match="layer widths"):
+                load_checkpoint(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -210,6 +210,24 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "model.hidden = 0",
+            "model.hidden = -3",
+            "seeds = 1,1",
+            "remix.temperature = 0",
+            "remix.ema_decay = 1.0",
+        ],
+    )
+    def test_out_of_range_value_exits_two(self, tmp_path, capsys, line):
+        p = tmp_path / "exp.cfg"
+        p.write_text(f"backbone = remix-lite\n{line}\n")
+        code = main(["train", str(p), "--output", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_exits_two(self, tmp_path, capsys):
         code = main(["train", str(tmp_path / "none.cfg")])
         assert code == 2
