@@ -71,8 +71,6 @@ from .model import (
     init_mlp,
     load_checkpoint,
     logits_array,
-    predict,
-    predict_batch,
     save_checkpoint,
 )
 from .runner import ablate_baseline_colors, ablate_components, run, sweep_lambda

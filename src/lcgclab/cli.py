@@ -22,6 +22,19 @@ from .errors import ConfigError
 from .runner import ablate_baseline_colors, ablate_components, run, sweep_lambda
 
 
+def _comma_list(item):
+    """argparse type: a non-empty comma list, each entry through ``item``."""
+
+    def parse(text: str) -> tuple:
+        values = tuple(item(s.strip()) for s in text.split(",") if s.strip())
+        if not values:
+            raise argparse.ArgumentTypeError("expected a non-empty comma list")
+        return values
+
+    parse.__name__ = f"comma-separated {item.__name__}"  # named in errors
+    return parse
+
+
 def _add_config(p: argparse.ArgumentParser) -> None:
     p.add_argument("config", help="path to a key = value config file")
     p.add_argument(
@@ -47,6 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config(p_sweep)
     p_sweep.add_argument(
         "--values",
+        type=_comma_list(float),
         default=None,
         help="comma-separated lambda values (default 0.0..1.4 step 0.2)",
     )
@@ -55,7 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_config(p_colors)
     p_colors.add_argument(
-        "--colors", default=None, help="comma-separated subset of colors"
+        "--colors",
+        type=_comma_list(str),
+        default=None,
+        help="comma-separated subset of colors",
     )
     _add_config(
         sub.add_parser(
@@ -110,23 +127,15 @@ def main(argv=None) -> int:
             return 0 if agg["n_completed"] > 0 else 1
 
         if args.command == "sweep-lambda":
-            values = None
-            if args.values is not None:
-                values = tuple(
-                    float(s) for s in args.values.split(",") if s.strip()
-                )
-            rows = sweep_lambda(config, values=values, out_dir=args.output)
+            rows = sweep_lambda(config, values=args.values, out_dir=args.output)
             for row in rows:
                 print(_fmt_row(row, "lambda"))
             return 0
 
         if args.command == "ablate-baseline":
-            colors = None
-            if args.colors is not None:
-                colors = tuple(
-                    s.strip() for s in args.colors.split(",") if s.strip()
-                )
-            rows = ablate_baseline_colors(config, colors=colors, out_dir=args.output)
+            rows = ablate_baseline_colors(
+                config, colors=args.colors, out_dir=args.output
+            )
             for row in rows:
                 print(_fmt_row(row, "color"))
             return 0

@@ -193,8 +193,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{key!r} must be a non-empty list of ints")
         if min(self.hidden) < 1:
             raise ConfigError(f"'model.hidden' widths must be >= 1: {self.hidden}")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"'seeds' must be distinct: {self.seeds}")
+        if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"'seeds' must be distinct and >= 0: {self.seeds}")
         try:
             self.train_settings()
         except ValueError as e:

@@ -5,13 +5,14 @@ per-class counts, an unlabeled pool whose class profile may match,
 invert, or flatten the labeled one, and a balanced test split. Class
 labels are 1-based everywhere in the public interface. The unlabeled
 pool's true labels travel with the dataset under ``hidden_labels`` for
-evaluation only; the training path never reads them.
+evaluation only; the training path never reads them. Per-class counts
+are derived from the labels, never stored beside them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,8 @@ class LongTailSpec:
             raise ContractError("noise_sigma must be positive")
         if self.test_per_class < 1:
             raise ContractError("test_per_class must be >= 1")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
         # Fail early if either pool would round a tail class to zero.
         longtail_counts(self.classes, self.n_max_labeled, self.gamma_labeled)
         longtail_counts(
@@ -77,14 +80,12 @@ def longtail_counts(classes: int, n_max: int, gamma: float) -> np.ndarray:
     Rounding is half-up. The head class gets n_max, the tail class
     n_max / gamma; intermediate classes interpolate geometrically.
     """
-    if classes < 1:
-        raise ContractError(f"classes must be >= 1, got {classes}")
+    if classes < 2:
+        raise ContractError(f"classes must be >= 2, got {classes}")
     if n_max < 1:
         raise ContractError(f"n_max must be >= 1, got {n_max}")
     if gamma < 1.0:
         raise ContractError(f"gamma must be >= 1.0, got {gamma}")
-    if classes == 1:
-        return np.array([n_max], dtype=np.int64)
     c = np.arange(classes, dtype=np.float64)
     raw = n_max * gamma ** (-c / (classes - 1))
     counts = np.floor(raw + 0.5).astype(np.int64)
@@ -112,9 +113,9 @@ class AugmentConfig:
 
 @dataclass
 class SynthDataset:
-    """One realized dataset: pools, their class counts, and the means."""
+    """One realized dataset: the class means and the three pools. Class
+    counts are properties, recounted from the labels on each read."""
 
-    spec: LongTailSpec | None
     class_means: np.ndarray  # (C, d)
     labeled_x: np.ndarray  # (n_l, d)
     labeled_y: np.ndarray  # (n_l,) int64 in [1..C]
@@ -122,12 +123,20 @@ class SynthDataset:
     hidden_labels: np.ndarray  # (n_u,) int64; evaluation only
     test_x: np.ndarray  # (n_t, d)
     test_y: np.ndarray  # (n_t,) int64
-    labeled_counts: np.ndarray = field(repr=False, default=None)
-    unlabeled_counts: np.ndarray = field(repr=False, default=None)
 
     @property
     def classes(self) -> int:
         return self.class_means.shape[0]
+
+    @property
+    def labeled_counts(self) -> np.ndarray:
+        """Per-class size of the labeled pool, shape (C,) int64."""
+        return np.bincount(self.labeled_y - 1, minlength=self.classes)
+
+    @property
+    def unlabeled_counts(self) -> np.ndarray:
+        """Per-class size of the unlabeled pool, from its hidden labels."""
+        return np.bincount(self.hidden_labels - 1, minlength=self.classes)
 
     @property
     def dim(self) -> int:
@@ -135,7 +144,7 @@ class SynthDataset:
 
     def labeled_distribution(self) -> np.ndarray:
         """Empirical class distribution of the labeled pool, shape (C,)."""
-        return self.labeled_counts / self.labeled_counts.sum()
+        return self.labeled_counts / len(self.labeled_y)
 
     def value_range(self) -> float:
         """Largest absolute coordinate over both training pools."""
@@ -153,7 +162,7 @@ def _class_means(classes: int, dim: int, separation: float, rng) -> np.ndarray:
     radius.
     """
     radius = separation / math.sqrt(2.0)
-    g = rng.normal(size=(dim, max(classes, 1)))
+    g = rng.normal(size=(dim, classes))
     if classes <= dim:
         q, r = np.linalg.qr(g[:, :classes])
         # Fix signs so the decomposition is unique and seed-stable.
@@ -179,7 +188,7 @@ def synthesize(spec: LongTailSpec) -> SynthDataset:
         C, spec.n_max_unlabeled, spec.gamma_unlabeled
     )
     if spec.reversed_unlabeled:
-        unlab_counts = unlab_counts[::-1].copy()
+        unlab_counts = unlab_counts[::-1]
 
     def draw(counts, rng):
         xs, ys = [], []
@@ -194,7 +203,6 @@ def synthesize(spec: LongTailSpec) -> SynthDataset:
     tx, ty = draw(np.full(C, spec.test_per_class, dtype=np.int64), rng_test)
 
     return SynthDataset(
-        spec=spec,
         class_means=means,
         labeled_x=lx,
         labeled_y=ly,
@@ -202,8 +210,6 @@ def synthesize(spec: LongTailSpec) -> SynthDataset:
         hidden_labels=uy,
         test_x=tx,
         test_y=ty,
-        labeled_counts=lab_counts,
-        unlabeled_counts=unlab_counts,
     )
 
 
@@ -221,16 +227,14 @@ def strong_aug(x: np.ndarray, cfg: AugmentConfig, rng) -> np.ndarray:
     then mask positions) so streams replay identically.
     """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    batch = x.reshape(1, -1) if single else x
-    n, d = batch.shape
-    out = batch + cfg.sigma_strong * rng.normal(size=(n, d))
+    n, d = x.shape
+    out = x + cfg.sigma_strong * rng.normal(size=(n, d))
     k = int(cfg.mask_fraction * d + 0.5)
     if k > 0:
         # Rank unit uniforms per row; the k smallest mark masked coords.
         order = np.argsort(rng.random(size=(n, d)), axis=1)[:, :k]
         out[np.arange(n)[:, None], order] = 0.0
-    return out[0] if single else out
+    return out
 
 
 def sample_minibatch(
@@ -266,18 +270,17 @@ _ARRAYS = ("class_means", *(name for pool in _POOLS for name in pool))
 def save_dataset(ds: SynthDataset, path: str | Path) -> None:
     """Write the class means and the three pools as a "dataset" container
     (layout in ``lcgclab.fileio``). Labels are small integers, so their
-    f64 round trip is exact; class counts are not stored."""
+    f64 round trip is exact."""
     write_container(path, "dataset", {}, {n: getattr(ds, n) for n in _ARRAYS})
 
 
 def load_dataset(path: str | Path) -> SynthDataset:
     """Read a container written by ``save_dataset``.
 
-    It carries realized arrays, not the generating spec, so the loaded
-    dataset has ``spec=None``; class counts are recounted from the
-    labels. Malformed bytes and pools that disagree with the class
-    means raise ContractError; a label that is not an integer in
-    [1..C] raises LabelError.
+    It carries the realized arrays, which are all a ``SynthDataset``
+    holds. Malformed bytes and pools that disagree with the class means
+    raise ContractError; a label that is not an integer in [1..C]
+    raises LabelError.
     """
     _, arrays = read_container(path, "dataset")
     if tuple(arrays) != _ARRAYS or arrays["class_means"].ndim != 2:
@@ -293,12 +296,7 @@ def load_dataset(path: str | Path) -> SynthDataset:
         if not np.all((y >= 1) & (y <= C) & (y == np.floor(y))):
             raise LabelError(f"{path}: labels must be integers in [1, {C}]")
         arrays[y_name] = y.astype(np.int64)
-    return SynthDataset(
-        spec=None,
-        **arrays,
-        labeled_counts=np.bincount(arrays["labeled_y"] - 1, minlength=C),
-        unlabeled_counts=np.bincount(arrays["hidden_labels"] - 1, minlength=C),
-    )
+    return SynthDataset(**arrays)
 
 
 def export_csv(ds: SynthDataset, path: str | Path) -> None:

@@ -4,11 +4,11 @@ The class-imbalance bias of a classifier shows up as nonzero logits on
 an uninformative solid-color input. Subtracting those baseline logits
 (refinement) debiases both the pseudo-labels used during training and
 the predictions at test time. The projection step goes further: the
-gradient of a KL divergence between raw and refined predictions points
-along the bias, and whenever the consistency gradient agrees with that
-direction (negative inner product with the correction), a scaled
-component of the bias gradient is added back in, amplifying the
-debiasing pressure exactly when the two objectives fight.
+gradient g_d of a KL divergence between raw and refined predictions
+points along the bias. Under conflict (g_b . g_d < 0, where g_b is the
+consistency gradient) a scaled component along g_d is added back in,
+amplifying the debiasing pressure exactly when the two objectives
+fight; otherwise g_b passes through unchanged.
 
 Integrated gradients on the same baseline provide the audit: their sum
 must reproduce the logit gap between a sample and the baseline, which
@@ -168,9 +168,9 @@ def lcgc_combine(
 ) -> GradientVector:
     """Conflict-aware combination of consistency and bias gradients.
 
-    Returns g_b unchanged when the two directions agree (g_d . g_b >= 0)
-    or when g_d is numerically zero. Under conflict the projection of
-    g_b onto g_d is added back, scaled by lam:
+    Returns g_b unchanged when there is no conflict (g_b . g_d >= 0) or
+    when g_d is numerically zero. Under conflict (g_b . g_d < 0) the
+    projection of g_b onto g_d is added back, scaled by lam:
 
         g_b + lam * (g_d . g_b / ||g_d||^2) * g_d
 

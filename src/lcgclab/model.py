@@ -97,23 +97,6 @@ def logits_array(params: ModelParams, x: np.ndarray) -> np.ndarray:
         return forward_logits(params, np.asarray(x, dtype=np.float64)).data
 
 
-def predict(params: ModelParams, x) -> int:
-    """Predicted label in [1..C] for one sample; ties pick the smallest."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(1, -1)
-    if x.shape[0] != 1:
-        raise DimensionError("predict takes a single sample; use predict_batch")
-    logits = logits_array(params, x)
-    return int(np.argmax(logits[0])) + 1
-
-
-def predict_batch(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Predicted labels in [1..C] for a (n, d) batch, shape (n,) int64."""
-    logits = logits_array(params, x)
-    return np.argmax(logits, axis=1).astype(np.int64) + 1
-
-
 def save_checkpoint(
     params: ModelParams, path: str | Path, extra: dict | None = None
 ) -> None:

@@ -82,7 +82,7 @@ class Tensor:
 
 
 class _TapeNode:
-    __slots__ = ("inputs", "out", "vjp", "tape", "index")
+    __slots__ = ("inputs", "out", "vjp", "tape")
 
 
 class Tape:
@@ -139,7 +139,6 @@ def apply_op(
         node.out = out
         node.vjp = vjp
         node.tape = tape
-        node.index = len(tape.nodes)
         tape.nodes.append(node)
         out.node = node
     return out
@@ -161,8 +160,7 @@ def backward(loss: Tensor) -> None:
         raise ContractError("loss is not on a tape; no gradients to compute")
 
     adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    tape = loss.node.tape
-    for node in reversed(tape.nodes[: loss.node.index + 1]):
+    for node in reversed(loss.node.tape.nodes):
         g_out = adjoints.pop(id(node.out), None)
         if g_out is None:
             continue
@@ -308,53 +306,42 @@ def sum_all(a) -> Tensor:
     return apply_op(np.asarray(a.data.sum()), (a,), vjp)
 
 
-def _lift_rows(t: Tensor, op: str) -> tuple[np.ndarray, bool]:
-    """View a (C,) or (n, C) tensor as rows; reject C < 2."""
-    d = t.data
-    if d.ndim == 1:
-        d2, was_1d = d.reshape(1, -1), True
-    elif d.ndim == 2:
-        d2, was_1d = d, False
-    else:
-        raise DimensionError(f"{op} expects 1-D or 2-D input, got {t.shape}")
-    if d2.shape[1] < 2:
-        raise DimensionError(f"{op} needs at least 2 classes, got {d2.shape[1]}")
-    return np.ascontiguousarray(d2), was_1d
+def _class_rows(t: Tensor, op: str) -> np.ndarray:
+    """The (n, C) data of a logit tensor; reject other ranks and C < 2."""
+    _require_2d(t, op)
+    if t.shape[1] < 2:
+        raise DimensionError(f"{op} needs at least 2 classes, got {t.shape[1]}")
+    return np.ascontiguousarray(t.data)
 
 
 def softmax(z) -> Tensor:
-    """Row-wise softmax of logits (last axis indexes classes)."""
+    """Row-wise softmax of (n, C) logits."""
     z = _as_tensor(z)
-    z2, was_1d = _lift_rows(z, "softmax")
-    p = K.softmax_rows(z2)
+    p = K.softmax_rows(_class_rows(z, "softmax"))
 
     def vjp(g):
-        g2 = g.reshape(p.shape)
-        dot = (g2 * p).sum(axis=1, keepdims=True)
-        return ((p * (g2 - dot)).reshape(z.shape),)
+        dot = (g * p).sum(axis=1, keepdims=True)
+        return (p * (g - dot),)
 
-    return apply_op(p[0] if was_1d else p, (z,), vjp)
+    return apply_op(p, (z,), vjp)
 
 
 def log_softmax(z) -> Tensor:
-    """Row-wise log-softmax of logits."""
+    """Row-wise log-softmax of (n, C) logits."""
     z = _as_tensor(z)
-    z2, was_1d = _lift_rows(z, "log_softmax")
-    lsm = K.log_softmax_rows(z2)
+    lsm = K.log_softmax_rows(_class_rows(z, "log_softmax"))
     p = np.exp(lsm)
 
     def vjp(g):
-        g2 = g.reshape(p.shape)
-        return ((g2 - p * g2.sum(axis=1, keepdims=True)).reshape(z.shape),)
+        return (g - p * g.sum(axis=1, keepdims=True),)
 
-    return apply_op(lsm[0] if was_1d else lsm, (z,), vjp)
+    return apply_op(lsm, (z,), vjp)
 
 
 def _target_matrix(target, n: int, C: int) -> np.ndarray:
-    """Hard labels in [1..C] or soft rows, as a dense (n, C) float array."""
-    arr = np.asarray(target)
-    if arr.ndim <= 1 and np.issubdtype(arr.dtype, np.integer):
-        labels = np.atleast_1d(arr)
+    """Hard (n,) int labels in [1..C] or soft (n, C) rows, as (n, C)."""
+    labels = np.asarray(target)
+    if labels.ndim == 1 and np.issubdtype(labels.dtype, np.integer):
         if labels.shape[0] != n:
             raise DimensionError(
                 f"expected {n} labels, got {labels.shape[0]}"
@@ -367,9 +354,7 @@ def _target_matrix(target, n: int, C: int) -> np.ndarray:
         t = np.zeros((n, C))
         t[np.arange(n), labels - 1] = 1.0
         return t
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
+    arr = np.asarray(target, dtype=np.float64)
     if arr.shape != (n, C):
         raise DimensionError(
             f"soft targets must have shape {(n, C)}, got {arr.shape}"
@@ -388,13 +373,13 @@ def cross_entropy(
 ) -> Tensor:
     """Cross entropy between logits and targets, reduced to a scalar.
 
-    pred: (n, C) tensor of logits; a single (C,) row is accepted.
+    pred: (n, C) tensor of logits, C >= 2.
     target: hard int labels in [1..C] (shape (n,)) or soft rows (n, C).
     weights: optional per-row factors (a confidence mask, typically).
     denom: reduction denominator; defaults to n (mean over the batch).
     """
     pred = _as_tensor(pred)
-    p2, _ = _lift_rows(pred, "cross_entropy")
+    p2 = _class_rows(pred, "cross_entropy")
     n, C = p2.shape
     if n == 0:
         raise ContractError("cross_entropy on an empty batch")
@@ -416,7 +401,7 @@ def cross_entropy(
 
     def vjp(g):
         gz = (sm * t_mass - t) * (w[:, None] * (float(g) / d))
-        return (gz.reshape(pred.shape),)
+        return (gz,)
 
     return apply_op(np.asarray(loss), (pred,), vjp)
 

@@ -7,7 +7,6 @@ import pytest
 from lcgclab import config as config_module
 from lcgclab.config import (
     _SCHEMA,
-    ExperimentConfig,
     default_config,
     parse_config,
     parse_config_text,
@@ -250,6 +249,7 @@ class TestOverrideAndOutput:
             {"hidden": (0,)},
             {"hidden": (64, -3)},
             {"seeds": (1, 1)},
+            {"seeds": (-1,)},
             {"remix_temperature": 0.0},
             {"remix_temperature": -0.5},
             {"remix_ema_decay": 1.0},

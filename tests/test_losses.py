@@ -8,7 +8,6 @@ import pytest
 from lcgclab.data import AugmentConfig
 from lcgclab.errors import ContractError, DimensionError
 from lcgclab.losses import (
-    PseudoLabelBatch,
     consistency_loss,
     distribution_alignment,
     ema_update,

@@ -1,4 +1,4 @@
-"""MLP parameters: initialization, forward pass, prediction, checkpoints."""
+"""MLP parameters: initialization, forward pass, checkpoints."""
 
 from __future__ import annotations
 
@@ -8,13 +8,10 @@ import pytest
 from lcgclab.errors import ContractError, DimensionError
 from lcgclab.fileio import write_container
 from lcgclab.model import (
-    ModelParams,
     forward_logits,
     init_mlp,
     load_checkpoint,
     logits_array,
-    predict,
-    predict_batch,
     save_checkpoint,
 )
 from lcgclab.tensor import Tensor
@@ -90,33 +87,6 @@ class TestForward:
         out = forward_logits(p, np.zeros((1, 4)))
         assert isinstance(out, Tensor)
         assert out.data.shape == (1, 3)
-
-
-class TestPredict:
-    def test_labels_are_one_based(self):
-        p = ModelParams(
-            dims=(2, 3),
-            weights=[Tensor(np.eye(2, 3) * 0.0, requires_grad=True)],
-            biases=[Tensor(np.array([0.0, 5.0, 1.0]), requires_grad=True)],
-        )
-        assert predict(p, np.zeros(2)) == 2
-
-    def test_tie_breaks_to_smallest_label(self):
-        p = ModelParams(
-            dims=(2, 3),
-            weights=[Tensor(np.zeros((2, 3)), requires_grad=True)],
-            biases=[Tensor(np.array([1.0, 7.0, 7.0]), requires_grad=True)],
-        )
-        assert predict(p, np.zeros(2)) == 2
-
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(10)
-        p = init_mlp((6, 9, 4), seed=11)
-        x = rng.normal(size=(20, 6))
-        batch = predict_batch(p, x)
-        singles = np.array([predict(p, row) for row in x])
-        np.testing.assert_array_equal(batch, singles)
-        assert batch.min() >= 1 and batch.max() <= 4
 
 
 class TestCheckpoint:

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lcgclab.cli import main
-from lcgclab.config import default_config, parse_config_text
+from lcgclab.config import parse_config_text
 from lcgclab.data import load_dataset, synthesize
 from lcgclab.errors import ConfigError
 from lcgclab.runner import (
@@ -216,6 +215,8 @@ class TestCli:
             "model.hidden = 0",
             "model.hidden = -3",
             "seeds = 1,1",
+            "seeds = -1",
+            "dataset.seed = -1",
             "remix.temperature = 0",
             "remix.ema_decay = 1.0",
         ],
@@ -250,6 +251,23 @@ class TestCli:
         assert code == 0
         rows = json.loads((out / "lambda_sweep.json").read_text())
         assert [r["lambda"] for r in rows] == [0.0, 0.4]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["sweep-lambda", "--values", "0,abc"],
+            ["sweep-lambda", "--values", ""],
+            ["ablate-baseline", "--colors", ""],
+        ],
+    )
+    def test_bad_list_flag_exits_two(self, tmp_path, capsys, flags):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([flags[0], str(cfg), *flags[1:], "--output", str(out)])
+        assert exc.value.code == 2
+        assert flags[1] in capsys.readouterr().err
+        assert not out.exists()
 
     def test_export_binary_roundtrip(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path)

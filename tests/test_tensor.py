@@ -65,11 +65,11 @@ class TestOpValues:
             matmul([1.0, 2.0], [[1.0], [2.0]])
 
     def test_softmax_oracle(self):
-        """Direct exp-normalization of [1, 2, 3]."""
-        z = np.array([1.0, 2.0, 3.0])
+        """Direct exp-normalization of the one row [1, 2, 3]."""
+        z = np.array([[1.0, 2.0, 3.0]])
         expected = np.exp(z) / np.exp(z).sum()
         np.testing.assert_allclose(softmax(z).data, expected, rtol=1e-14)
-        assert softmax(z).data.shape == (3,)
+        assert softmax(z).data.shape == (1, 3)
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
@@ -86,6 +86,9 @@ class TestOpValues:
     def test_softmax_needs_two_classes(self):
         with pytest.raises(DimensionError):
             softmax(np.array([[1.0]]))
+        for op in (softmax, log_softmax):  # logits are (n, C), never 1-D
+            with pytest.raises(DimensionError):
+                op(np.array([1.0, 2.0, 3.0]))
 
     def test_log_softmax_matches_log_of_softmax(self):
         rng = np.random.default_rng(8)
@@ -98,7 +101,7 @@ class TestOpValues:
 class TestCrossEntropy:
     def test_logit_oracle(self):
         """-log_softmax([1,2,3])[2] = 0.4076059644443806."""
-        out = cross_entropy(np.array([1.0, 2.0, 3.0]), 3)
+        out = cross_entropy(np.array([[1.0, 2.0, 3.0]]), np.array([3]))
         np.testing.assert_allclose(out.item(), 0.4076059644443806, rtol=1e-13)
 
     def test_uniform_logits_give_log_c(self):
@@ -136,6 +139,8 @@ class TestCrossEntropy:
             cross_entropy(np.zeros((0, 3)), np.array([], dtype=np.int64))
         with pytest.raises(DimensionError):
             cross_entropy(np.zeros((2, 3)), np.array([1, 2]), weights=np.ones(3))
+        with pytest.raises(DimensionError):
+            cross_entropy(np.array([1.0, 2.0, 3.0]), np.array([3]))
 
 
 class TestTapeSemantics:
