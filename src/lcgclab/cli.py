@@ -13,6 +13,7 @@ view, anything else the binary container.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -29,6 +30,8 @@ def _comma_list(item):
         values = tuple(item(s.strip()) for s in text.split(",") if s.strip())
         if not values:
             raise argparse.ArgumentTypeError("expected a non-empty comma list")
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise argparse.ArgumentTypeError("values must be finite")
         return values
 
     parse.__name__ = f"comma-separated {item.__name__}"  # named in errors

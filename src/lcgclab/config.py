@@ -58,7 +58,7 @@ from pathlib import Path
 
 from .data import AugmentConfig, LongTailSpec
 from .debias import BACKBONES, BASELINE_COLORS, LCGCConfig, TrainSettings
-from .errors import ConfigError
+from .errors import ConfigError, require_finite_fields
 
 _D_SPEC = LongTailSpec()
 _D_AUG = AugmentConfig()
@@ -196,6 +196,8 @@ class ExperimentConfig:
         if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"'seeds' must be distinct and >= 0: {self.seeds}")
         try:
+            # Own floats first: a method pin can hide lam from LCGCConfig.
+            require_finite_fields(self)
             self.train_settings()
         except ValueError as e:
             raise ConfigError(str(e)) from None

@@ -23,6 +23,7 @@ from .errors import (
     InfeasibleSpecError,
     LabelError,
     SamplingError,
+    require_finite_fields,
 )
 from .fileio import atomic_write_bytes, read_container, write_container
 
@@ -49,6 +50,7 @@ class LongTailSpec:
     seed: int = 7
 
     def __post_init__(self):
+        require_finite_fields(self)
         if self.classes < 2:
             raise ContractError(f"need at least 2 classes, got {self.classes}")
         if self.dim < 1:
@@ -105,6 +107,7 @@ class AugmentConfig:
     mask_fraction: float = 0.25
 
     def __post_init__(self):
+        require_finite_fields(self)
         if self.sigma_weak < 0.0 or self.sigma_strong < 0.0:
             raise ContractError("augmentation sigmas must be nonnegative")
         if not 0.0 <= self.mask_fraction < 1.0:

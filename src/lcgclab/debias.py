@@ -35,27 +35,33 @@ from .errors import (
     DimensionError,
     LabelError,
     TrainingDiverged,
+    require_finite_fields,
 )
 from .losses import (
     PseudoLabelBatch,
-    consistency_loss,
+    consistency_inputs,
     distribution_alignment,
     ema_update,
     pseudo_label,
     sharpen,
-    supervised_loss,
 )
 from .metrics import bacc, confusion, gm
-from .model import ModelParams, forward_logits, init_mlp, logits_array
+from .model import (
+    ModelParams,
+    backward_rows,
+    check_batch,
+    forward_cached,
+    forward_logits,
+    init_mlp,
+    logits_array,
+)
 from .tensor import (
     Tape,
     Tensor,
-    add_rowvec,
     apply_op,
     backward,
-    flatten_grads,
+    cross_entropy_terms,
     mul,
-    scale,
     sum_all,
     zero_grads,
 )
@@ -120,15 +126,22 @@ def kl_consistency_loss(logits, refined) -> Tensor:
     """
     a = logits if isinstance(logits, Tensor) else Tensor(logits)
     b = refined if isinstance(refined, Tensor) else Tensor(refined)
-    if a.data.ndim != 2 or b.data.ndim != 2:
+    value, vjp = kl_consistency_terms(a.data, b.data)
+    return apply_op(np.asarray(value), (a, b), vjp)
+
+
+def kl_consistency_terms(a: np.ndarray, b: np.ndarray):
+    """Value of ``kl_consistency_loss`` on plain (n, C) arrays and its
+    VJP, which maps the loss adjoint to the adjoints of ``a`` and ``b``."""
+    if a.ndim != 2 or b.ndim != 2:
         raise DimensionError("kl_consistency_loss expects (n, C) tensors")
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
     n = a.shape[0]
     if n == 0:
         raise ContractError("kl_consistency_loss on an empty batch")
-    lp = K.log_softmax_rows(a.data)
-    lq = K.log_softmax_rows(b.data)
+    lp = K.log_softmax_rows(a)
+    lq = K.log_softmax_rows(b)
     p, q = np.exp(lp), np.exp(lq)
     diff = lp - lq
     row = np.einsum("ij,ij->i", p, diff)
@@ -140,7 +153,7 @@ def kl_consistency_loss(logits, refined) -> Tensor:
         gb = (q - p) * s
         return ga, gb
 
-    return apply_op(np.asarray(value), (a, b), vjp)
+    return value, vjp
 
 
 class GradientVector:
@@ -212,6 +225,7 @@ class LCGCConfig:
     disable_projection: bool = False
 
     def __post_init__(self):
+        require_finite_fields(self)
         if self.lam < 0.0:
             raise ContractError(f"lam must be nonnegative, got {self.lam}")
         if self.baseline not in BASELINE_COLORS:
@@ -240,6 +254,7 @@ class TrainSettings:
     lcgc: LCGCConfig = field(default_factory=LCGCConfig)
 
     def __post_init__(self):
+        require_finite_fields(self)
         if self.steps < 0:
             raise ContractError("steps must be nonnegative")
         if self.batch_size < 1 or self.mu < 1:
@@ -332,12 +347,15 @@ def grad_b(
 
 
 def _grad_b_with_loss(params, x_unlabeled, pseudo, aug, rng, weight):
-    zero_grads(params.tensors())
-    with Tape():
-        raw = consistency_loss(params, x_unlabeled, pseudo, aug, rng)
-        loss = scale(raw, weight) if weight != 1.0 else raw
-    backward(loss)
-    return GradientVector(flatten_grads(params.tensors())), raw.item()
+    """grad_b plus the unweighted consistency loss: one forward of the
+    strong views drawn from ``rng``."""
+    strong, target, weights = consistency_inputs(x_unlabeled, pseudo, aug, rng)
+    logits, inputs = forward_cached(params, strong)
+    loss, vjp = cross_entropy_terms(
+        logits, target, weights=weights, denom=float(weights.shape[0])
+    )
+    g = backward_rows(params, inputs, vjp(weight))
+    return GradientVector(g), loss
 
 
 def grad_d(
@@ -349,22 +367,53 @@ def grad_d(
     grows; the loss it differentiates is the one whose trajectory the
     step records expose.
     """
-    g, *_ = _grad_d_with_loss(params, x_weak, baseline)
+    g, *_ = _kl_grad(params, x_weak, baseline)
     return g
 
 
-def _grad_d_with_loss(params, x_weak, baseline):
-    """grad_d plus the KL value and the recorded raw and refined logits,
-    so the caller can build pseudo-labels without a second forward."""
-    zero_grads(params.tensors())
-    with Tape():
-        logits = forward_logits(params, np.asarray(x_weak, dtype=np.float64))
-        base_row = forward_logits(params, baseline.vector[None, :])
-        refined = add_rowvec(logits, scale(base_row, -1.0))
-        loss = kl_consistency_loss(logits, refined)
-    backward(loss)
-    g = GradientVector(flatten_grads(params.tensors()))
-    return g, loss.item(), logits.data, refined.data
+def _kl_grad(params, x_weak, baseline, *more_rows):
+    """One forward of ``[x_weak; probe; *more_rows]`` and the KL gradient,
+    whose adjoint lives on the weak and probe rows only.
+
+    Returns (grad_d, KL value, raw and refined logits of the weak views,
+    the forward's logits, its cached layer inputs), so a caller that
+    stacked more rows can backprop their block from the same forward.
+    """
+    x_weak = np.asarray(x_weak, dtype=np.float64)
+    check_batch(params, x_weak)  # before concatenate, for a DimensionError
+    z, inputs = forward_cached(
+        params, np.concatenate([x_weak, baseline.vector[None, :], *more_rows])
+    )
+    n = x_weak.shape[0]
+    logits = z[:n]
+    refined = logits - z[n]
+    loss_kl, vjp = kl_consistency_terms(logits, refined)
+    ga, gb = vjp(1.0)
+    g_rows = np.empty((n + 1, z.shape[1]))
+    g_rows[:n] = ga + gb
+    g_rows[n] = -K.sum_rows(gb)
+    g_d = GradientVector(backward_rows(params, inputs, g_rows))
+    return g_d, loss_kl, logits, refined, z, inputs
+
+
+def _grad_d_with_loss(params, x_weak, baseline, x_labeled, y_labeled):
+    """grad_d and the KL value, the raw and refined logits of the weak
+    views (so the caller builds pseudo-labels without a second forward),
+    and the supervised gradient and loss of the labeled batch.
+
+    One forward of ``[x_weak; probe; x_labeled]`` serves everything; the
+    supervised cross entropy's adjoint lives on the labeled rows, so
+    their block's backward gives its own gradient.
+    """
+    g_d, loss_kl, logits, refined, z, inputs = _kl_grad(
+        params, x_weak, baseline, np.asarray(x_labeled, dtype=np.float64)
+    )
+    start = logits.shape[0] + 1
+    loss_sup, vjp = cross_entropy_terms(
+        z[start:], np.asarray(y_labeled, dtype=np.int64)
+    )
+    g_sup = GradientVector(backward_rows(params, inputs, vjp(1.0), start))
+    return g_d, loss_kl, logits, refined, g_sup, loss_sup
 
 
 def train_step(
@@ -386,11 +435,12 @@ def train_step(
     xlw = weak_aug(xl, settings.aug, rng)
     xuw = weak_aug(xu, settings.aug, rng)
 
-    # One forward of the weak views and the probe serves both the bias
-    # gradient and the pseudo-labels, which are debiased by the current
-    # baseline response when refinement is on.
-    g_d, loss_kl, logits, refined = _grad_d_with_loss(
-        params, xuw, state.baseline
+    # One forward of the weak views, the probe and the labeled views
+    # serves the bias gradient, the supervised gradient and the
+    # pseudo-labels, which are debiased by the current baseline
+    # response when refinement is on.
+    g_d, loss_kl, logits, refined, g_sup, loss_sup = _grad_d_with_loss(
+        params, xuw, state.baseline, xlw, yl
     )
     pseudo_src = refined if cfg.refine_pseudo_labels else logits
     pseudo = pseudo_label(pseudo_src, settings.tau)
@@ -419,14 +469,7 @@ def train_step(
     else:
         g = lcgc_combine(g_b, g_d, cfg.lam)
 
-    zero_grads(params.tensors())
-    with Tape():
-        sup = supervised_loss(params, xlw, yl)
-    backward(sup)
-    g_sup = flatten_grads(params.tensors())
-    loss_sup = sup.item()
-
-    update = g.values + g_sup
+    update = g.values + g_sup.values
     if not (
         np.isfinite(update).all()
         and np.isfinite(loss_sup)

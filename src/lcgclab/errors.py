@@ -1,6 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-float
+check every config dataclass runs on itself."""
 
 from __future__ import annotations
+
+import math
+from dataclasses import fields
 
 
 class DimensionError(ValueError):
@@ -43,3 +47,12 @@ class TrainingDiverged(RuntimeError):
         super().__init__(f"training diverged at step {step}: {detail}")
         self.step = step
         self.detail = detail
+
+
+def require_finite_fields(obj) -> None:
+    """Raise ContractError if any float field of a dataclass is NaN or
+    infinite (range checks alone let NaN through)."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ContractError(f"{f.name} must be finite, got {value}")

@@ -1,8 +1,11 @@
-"""Dense float64 kernels for the tape's hot operations.
+"""Dense float64 kernels for the network's hot operations.
 
 Each kernel is a thin vectorized numpy expression. They live in one
-module so the tape, the losses and the debiasing loop share a single
-definition, and so a profiler can wrap them by name.
+module so that both gradient paths share a single definition: the
+plain-array forward and row-block backward in ``model`` that every
+training step runs, and the autodiff tape in ``tensor`` that serves as
+the gradient reference and computes input gradients for integrated
+gradients. A profiler can wrap them by name.
 
 All kernels take C-contiguous float64 arrays; callers are responsible
 for layout. Results are bit-stable from run to run on a given platform
@@ -44,7 +47,9 @@ def relu(x):
 
 
 def relu_vjp(g, x):
-    return np.where(x > 0.0, g, 0.0)
+    # Mask as a multiply: cheaper than np.where, and x may be the ReLU's
+    # input or its output (both are > 0 at the same entries).
+    return g * (x > 0.0)
 
 
 def log_softmax_rows(z):

@@ -75,6 +75,24 @@ def consistency_loss(
     batch size, so rows the mask removes still dilute the loss. ``pseudo``
     must come from weak views of this same batch, in the same row order.
     """
+    strong, target, weights = consistency_inputs(x_unlabeled, pseudo, aug, rng)
+    return cross_entropy(
+        forward_logits(params, strong),
+        target,
+        weights=weights,
+        denom=float(weights.shape[0]),
+    )
+
+
+def consistency_inputs(
+    x_unlabeled: np.ndarray,
+    pseudo: PseudoLabelBatch,
+    aug: AugmentConfig,
+    rng,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The strong views, targets and row weights of ``consistency_loss``
+    (whose checks and rng draw these are); the denominator is the row
+    count."""
     x_unlabeled = np.asarray(x_unlabeled, dtype=np.float64)
     n = x_unlabeled.shape[0]
     if n == 0:
@@ -84,11 +102,8 @@ def consistency_loss(
             f"pseudo labels cover {pseudo.labels.shape[0]} rows, batch has {n}"
         )
     strong = strong_aug(x_unlabeled, aug, rng)
-    logits = forward_logits(params, strong)
     target = pseudo.soft_labels if pseudo.soft_labels is not None else pseudo.labels
-    return cross_entropy(
-        logits, target, weights=pseudo.mask.astype(np.float64), denom=float(n)
-    )
+    return strong, target, pseudo.mask.astype(np.float64)
 
 
 def distribution_alignment(

@@ -1,4 +1,11 @@
-"""Fully connected ReLU classifier over the tape, plus checkpointing."""
+"""Fully connected ReLU classifier, plus checkpointing.
+
+Training runs on plain arrays: ``forward_cached`` keeps each layer's
+input and ``backward_rows`` turns the logit adjoint of a row range into
+the flat parameter gradient. ``forward_logits`` records the same network
+on the autodiff tape, which stays the gradient reference and computes
+input gradients for integrated gradients.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from . import kernels as K
+from .errors import ContractError, DimensionError, EvaluationError
 from .fileio import read_container, write_container
-from .tensor import Tensor, add_rowvec, matmul, no_tape, relu
+from .tensor import Tensor, add_rowvec, matmul, relu
 
 
 @dataclass
@@ -73,15 +81,20 @@ def init_mlp(dims, seed: int) -> ModelParams:
     return ModelParams(dims=dims, weights=weights, biases=biases)
 
 
+def check_batch(params: ModelParams, x: np.ndarray) -> None:
+    """Raise DimensionError unless x is a (n, d) batch for this model."""
+    if x.ndim != 2:
+        raise DimensionError(f"expected a (n, d) batch, got shape {x.shape}")
+    if x.shape[1] != params.dims[0]:
+        raise DimensionError(
+            f"input width {x.shape[1]} != model input dim {params.dims[0]}"
+        )
+
+
 def forward_logits(params: ModelParams, x) -> Tensor:
     """Logits for a (n, d) batch; records on the active tape if any."""
     t = x if isinstance(x, Tensor) else Tensor(x)
-    if t.data.ndim != 2:
-        raise DimensionError(f"expected a (n, d) batch, got shape {t.shape}")
-    if t.shape[1] != params.dims[0]:
-        raise DimensionError(
-            f"input width {t.shape[1]} != model input dim {params.dims[0]}"
-        )
+    check_batch(params, t.data)
     h = t
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -91,10 +104,54 @@ def forward_logits(params: ModelParams, x) -> Tensor:
     return h
 
 
+def forward_cached(
+    params: ModelParams, x: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Plain-array logits of a (n, d) batch and each layer's input.
+
+    Runs the kernels ``forward_logits`` runs, in the same order, so the
+    logits are bitwise the tape's. The inputs are what ``backward_rows``
+    needs; a hidden layer's input is its predecessor's ReLU output,
+    which also carries the ReLU mask. Non-finite inputs raise
+    EvaluationError, as a tape leaf does.
+    """
+    h = np.ascontiguousarray(x, dtype=np.float64)
+    check_batch(params, h)
+    if not np.isfinite(h).all():
+        raise EvaluationError("input batch contains non-finite values")
+    inputs = []
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        inputs.append(h)
+        h = K.add_rowvec(K.matmul(h, w.data), b.data)
+        if i != last:
+            h = K.relu(h)
+    return h, inputs
+
+
+def backward_rows(
+    params: ModelParams,
+    inputs: list[np.ndarray],
+    g: np.ndarray,
+    start: int = 0,
+) -> np.ndarray:
+    """Flat parameter gradient, in ``tensors()`` order, of the rows
+    ``start .. start + len(g)`` of a ``forward_cached`` call whose
+    logits have adjoint ``g`` on those rows (and none elsewhere)."""
+    rows = slice(start, start + g.shape[0])
+    parts = []
+    for i in range(len(params.weights) - 1, -1, -1):
+        h = inputs[i][rows]
+        parts.append(K.sum_rows(g))
+        parts.append(K.matmul_tn(h, g))
+        if i:
+            g = K.relu_vjp(K.matmul_nt(g, params.weights[i].data), h)
+    return np.concatenate([p.reshape(-1) for p in reversed(parts)])
+
+
 def logits_array(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Plain-array logits with recording suspended (inference path)."""
-    with no_tape():
-        return forward_logits(params, np.asarray(x, dtype=np.float64)).data
+    """Plain-array logits (inference path)."""
+    return forward_cached(params, x)[0]
 
 
 def save_checkpoint(

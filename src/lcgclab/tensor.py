@@ -31,6 +31,7 @@ __all__ = [
     "softmax",
     "log_softmax",
     "cross_entropy",
+    "cross_entropy_terms",
     "finite_diff_grad",
     "zero_grads",
     "flatten_values",
@@ -306,18 +307,20 @@ def sum_all(a) -> Tensor:
     return apply_op(np.asarray(a.data.sum()), (a,), vjp)
 
 
-def _class_rows(t: Tensor, op: str) -> np.ndarray:
-    """The (n, C) data of a logit tensor; reject other ranks and C < 2."""
-    _require_2d(t, op)
-    if t.shape[1] < 2:
-        raise DimensionError(f"{op} needs at least 2 classes, got {t.shape[1]}")
-    return np.ascontiguousarray(t.data)
+def _class_rows(data: np.ndarray, op: str) -> np.ndarray:
+    """(n, C) logit data as a C-contiguous array; reject other ranks and
+    C < 2."""
+    if data.ndim != 2:
+        raise DimensionError(f"{op} expects a 2-D tensor, got shape {data.shape}")
+    if data.shape[1] < 2:
+        raise DimensionError(f"{op} needs at least 2 classes, got {data.shape[1]}")
+    return np.ascontiguousarray(data)
 
 
 def softmax(z) -> Tensor:
     """Row-wise softmax of (n, C) logits."""
     z = _as_tensor(z)
-    p = K.softmax_rows(_class_rows(z, "softmax"))
+    p = K.softmax_rows(_class_rows(z.data, "softmax"))
 
     def vjp(g):
         dot = (g * p).sum(axis=1, keepdims=True)
@@ -329,7 +332,7 @@ def softmax(z) -> Tensor:
 def log_softmax(z) -> Tensor:
     """Row-wise log-softmax of (n, C) logits."""
     z = _as_tensor(z)
-    lsm = K.log_softmax_rows(_class_rows(z, "log_softmax"))
+    lsm = K.log_softmax_rows(_class_rows(z.data, "log_softmax"))
     p = np.exp(lsm)
 
     def vjp(g):
@@ -379,7 +382,23 @@ def cross_entropy(
     denom: reduction denominator; defaults to n (mean over the batch).
     """
     pred = _as_tensor(pred)
-    p2 = _class_rows(pred, "cross_entropy")
+    loss, vjp = cross_entropy_terms(
+        pred.data, target, weights=weights, denom=denom
+    )
+    return apply_op(np.asarray(loss), (pred,), lambda g: (vjp(g),))
+
+
+def cross_entropy_terms(
+    logits: np.ndarray,
+    target,
+    *,
+    weights: np.ndarray | None = None,
+    denom: float | None = None,
+) -> tuple[float, Callable[[float], np.ndarray]]:
+    """Value of ``cross_entropy`` on plain (n, C) logits and its VJP,
+    which maps the loss adjoint to the (n, C) logit adjoint. Arguments
+    and checks are those of ``cross_entropy``."""
+    p2 = _class_rows(logits, "cross_entropy")
     n, C = p2.shape
     if n == 0:
         raise ContractError("cross_entropy on an empty batch")
@@ -400,10 +419,9 @@ def cross_entropy(
     t_mass = t.sum(axis=1, keepdims=True)
 
     def vjp(g):
-        gz = (sm * t_mass - t) * (w[:, None] * (float(g) / d))
-        return (gz,)
+        return (sm * t_mass - t) * (w[:, None] * (float(g) / d))
 
-    return apply_op(np.asarray(loss), (pred,), vjp)
+    return loss, vjp
 
 
 def finite_diff_grad(

@@ -254,6 +254,14 @@ class TestOverrideAndOutput:
             {"remix_temperature": -0.5},
             {"remix_ema_decay": 1.0},
             {"remix_ema_decay": -0.1},
+            {"lam": float("nan")},
+            {"lam": float("inf")},
+            {"lr": float("inf")},
+            {"lr": float("nan")},
+            {"consistency_weight": float("nan")},
+            {"remix_temperature": float("inf")},
+            {"method": "baseline", "lam": float("nan")},
+            {"method": "cdmad", "lam": float("inf")},
         ],
     )
     def test_override_validates_like_the_parser(self, bad):

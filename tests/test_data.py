@@ -99,6 +99,10 @@ class TestSpecValidation:
             LongTailSpec(noise_sigma=-1.0)
         with pytest.raises(ContractError):
             LongTailSpec(test_per_class=0)
+        with pytest.raises(ContractError):
+            LongTailSpec(noise_sigma=float("inf"))
+        with pytest.raises(ContractError):
+            LongTailSpec(gamma_labeled=float("nan"))
 
     def test_infeasible_spec_caught_at_construction(self):
         with pytest.raises(InfeasibleSpecError):
@@ -209,6 +213,8 @@ class TestAugmentation:
             AugmentConfig(sigma_weak=-0.1)
         with pytest.raises(ContractError):
             AugmentConfig(mask_fraction=1.5)
+        with pytest.raises(ContractError):
+            AugmentConfig(sigma_weak=float("nan"))
 
 
 class TestMinibatch:

@@ -390,24 +390,24 @@ def _default_state(ds, seed):
 
 
 class TestOneForwardPerView:
-    """Each view goes through the network once per step: labeled weak,
-    unlabeled weak, probe and unlabeled strong."""
+    """Each view goes through the network once per step, in two plain
+    forwards: unlabeled weak, probe and labeled weak stacked, then
+    unlabeled strong."""
 
     @pytest.mark.parametrize("backbone,refine", _PSEUDO_PATHS)
     def test_rows_forwarded_per_step(self, monkeypatch, backbone, refine):
         import lcgclab.debias
-        import lcgclab.losses
         import lcgclab.model
 
         rows = []
-        inner = lcgclab.model.forward_logits
+        inner = lcgclab.model.forward_cached
 
         def counting(params, x):
-            rows.append((x.data if isinstance(x, Tensor) else x).shape[0])
+            rows.append(x.shape[0])
             return inner(params, x)
 
-        for mod in (lcgclab.model, lcgclab.losses, lcgclab.debias):
-            monkeypatch.setattr(mod, "forward_logits", counting)
+        for mod in (lcgclab.model, lcgclab.debias):
+            monkeypatch.setattr(mod, "forward_cached", counting)
         ds = synthesize(small_spec())
         settings = TrainSettings(
             backbone=backbone, lcgc=LCGCConfig(refine_pseudo_labels=refine)
@@ -416,14 +416,15 @@ class TestOneForwardPerView:
         train_step(p, ds, settings, _default_state(ds, 8))
         B, mu = settings.batch_size, settings.mu
         assert sum(rows) == B + 2 * mu * B + 1 == 321
-        assert len(rows) == 4
+        assert len(rows) == 2
 
     @pytest.mark.parametrize("backbone,refine", _PSEUDO_PATHS)
     def test_pseudo_labels_from_recorded_logits(
         self, monkeypatch, backbone, refine
     ):
-        """The pseudo-label input is bitwise what separate inference
-        forwards of the weak views and the probe would give."""
+        """The pseudo-label input is bitwise the weak rows (minus the
+        probe row when refining) of one inference forward of the stacked
+        weak, probe and labeled rows."""
         import lcgclab.debias
 
         weak_views, seen = [], []
@@ -449,12 +450,135 @@ class TestOneForwardPerView:
         state = _default_state(ds, 9)
         train_step(p, ds, settings, state)
 
-        xuw = weak_views[1]
-        expected = logits_array(before, xuw)
-        if refine:
-            expected = expected - baseline_logits(before, state.baseline)
+        xlw, xuw = weak_views
+        n = xuw.shape[0]
+        z = logits_array(
+            before, np.vstack([xuw, state.baseline.vector[None, :], xlw])
+        )
+        expected = z[:n] - z[n] if refine else z[:n]
         assert len(seen) == 1
         assert seen[0].tobytes() == expected.tobytes()
+
+
+# Training branches for the parity and no-tape tests: (label, config
+# overrides). Hard and soft targets, a confidence mask, a consistency
+# weight, refinement on and off, and the three methods.
+_BRANCHES = [
+    ("lcgc-fixmatch", {}),
+    ("lcgc-remix", {"backbone": "remix-lite"}),
+    ("tau", {"tau": 0.7}),
+    ("weight", {"consistency_weight": 0.7}),
+    ("no-refine", {"refine_pseudo_labels": False}),
+    ("baseline", {"method": "baseline"}),
+    ("cdmad-remix-tau", {"method": "cdmad", "backbone": "remix-lite", "tau": 0.7}),
+]
+
+
+def _branch_settings(overrides):
+    from lcgclab.config import default_config
+
+    cfg = default_config().override(steps=3, batch_size=8, mu=2, lr=0.05)
+    return cfg.override(**overrides).train_settings()
+
+
+def _tape_grad(params, loss_fn):
+    zero_grads(params.tensors())
+    with Tape():
+        loss = loss_fn()
+    backward(loss)
+    g = flatten_grads(params.tensors())
+    zero_grads(params.tensors())
+    return g, loss.item()
+
+
+def _rel_err(g, ref):
+    diff = np.linalg.norm(np.subtract(g, ref))
+    return float(diff / max(np.linalg.norm(ref), 1e-300))
+
+
+class TestRowBlockParity:
+    """The row-block gradients a training step takes match the tape's
+    (``forward_logits`` under ``kl_consistency_loss``,
+    ``consistency_loss`` and ``supervised_loss``) on the same inputs."""
+
+    @pytest.mark.parametrize("hidden", [(12,), (12, 10)], ids=["h1", "h2"])
+    @pytest.mark.parametrize(
+        "overrides", [b for _, b in _BRANCHES], ids=[n for n, _ in _BRANCHES]
+    )
+    def test_blocks_match_the_tape(self, monkeypatch, hidden, overrides):
+        import copy
+
+        import lcgclab.debias as D
+        from lcgclab.losses import consistency_loss, supervised_loss
+        from lcgclab.model import forward_logits
+        from lcgclab.tensor import add_rowvec, scale
+
+        errors = []
+        real_d, real_b = D._grad_d_with_loss, D._grad_b_with_loss
+
+        def check_d(params, x_weak, baseline, x_labeled, y_labeled):
+            out = real_d(params, x_weak, baseline, x_labeled, y_labeled)
+            g_d, loss_kl, _, _, g_sup, loss_sup = out
+
+            def kl():
+                logits = forward_logits(params, x_weak)
+                base = forward_logits(params, baseline.vector[None, :])
+                return kl_consistency_loss(
+                    logits, add_rowvec(logits, scale(base, -1.0))
+                )
+
+            ref, ref_loss = _tape_grad(params, kl)
+            errors.append(("g_d", _rel_err(g_d.values, ref)))
+            errors.append(("loss_kl", _rel_err(loss_kl, ref_loss)))
+            ref, ref_loss = _tape_grad(
+                params, lambda: supervised_loss(params, x_labeled, y_labeled)
+            )
+            errors.append(("g_sup", _rel_err(g_sup.values, ref)))
+            errors.append(("loss_sup", _rel_err(loss_sup, ref_loss)))
+            return out
+
+        def check_b(params, x_unlabeled, pseudo, aug, rng, weight):
+            rng_copy = copy.deepcopy(rng)
+            g_b, loss_con = real_b(params, x_unlabeled, pseudo, aug, rng, weight)
+            ref, ref_loss = _tape_grad(
+                params,
+                lambda: scale(
+                    consistency_loss(params, x_unlabeled, pseudo, aug, rng_copy),
+                    weight,
+                ),
+            )
+            assert rng_copy.bit_generator.state == rng.bit_generator.state
+            errors.append(("g_b", _rel_err(g_b.values, ref)))
+            errors.append(("loss_con", _rel_err(loss_con * weight, ref_loss)))
+            return g_b, loss_con
+
+        monkeypatch.setattr(D, "_grad_d_with_loss", check_d)
+        monkeypatch.setattr(D, "_grad_b_with_loss", check_b)
+        ds = synthesize(small_spec())
+        settings = _branch_settings(overrides)
+        p = generic_net((8, *hidden, 4), seed=31)
+        state = _default_state(ds, 31)
+        recs = [train_step(p, ds, settings, state) for _ in range(3)]
+        assert len(errors) == 3 * 6
+        worst = max(errors, key=lambda e: e[1])
+        assert worst[1] <= 1e-12, worst
+        if settings.tau > 0.0:
+            assert min(r.mask_rate for r in recs) < 1.0
+
+    @pytest.mark.parametrize(
+        "overrides", [b for _, b in _BRANCHES], ids=[n for n, _ in _BRANCHES]
+    )
+    def test_train_step_records_no_tape_node(self, monkeypatch, overrides):
+        def refuse(self):
+            raise AssertionError("train_step opened an autodiff tape")
+
+        monkeypatch.setattr(Tape, "__enter__", refuse)
+        ds = synthesize(small_spec())
+        p = generic_net((8, 12, 10, 4), seed=32)
+        state = _default_state(ds, 32)
+        for _ in range(2):
+            train_step(p, ds, _branch_settings(overrides), state)
+        assert state.step == 2
 
 
 class TestRunTraining:

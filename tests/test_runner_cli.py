@@ -219,6 +219,11 @@ class TestCli:
             "dataset.seed = -1",
             "remix.temperature = 0",
             "remix.ema_decay = 1.0",
+            "lcgc.lambda = nan",
+            "train.lr = inf",
+            "augment.sigma_weak = nan",
+            "dataset.noise_sigma = inf",
+            "remix.temperature = inf",
         ],
     )
     def test_out_of_range_value_exits_two(self, tmp_path, capsys, line):
@@ -258,6 +263,8 @@ class TestCli:
             ["sweep-lambda", "--values", "0,abc"],
             ["sweep-lambda", "--values", ""],
             ["ablate-baseline", "--colors", ""],
+            ["sweep-lambda", "--values", "0,nan"],
+            ["sweep-lambda", "--values", "inf"],
         ],
     )
     def test_bad_list_flag_exits_two(self, tmp_path, capsys, flags):
