@@ -51,20 +51,10 @@ from .model import (
     backward_rows,
     check_batch,
     forward_cached,
-    forward_logits,
     init_mlp,
     logits_array,
 )
-from .tensor import (
-    Tape,
-    Tensor,
-    apply_op,
-    backward,
-    cross_entropy_terms,
-    mul,
-    sum_all,
-    zero_grads,
-)
+from .tensor import Tensor, apply_op, cross_entropy_terms
 
 # Ablation palette: solid-color probe inputs, scaled to the data range.
 BASELINE_COLORS = ("red", "green", "blue", "gray", "white", "black")
@@ -74,6 +64,14 @@ BACKBONES = ("fixmatch", "remix-lite")
 
 # Below this norm the correction direction is numerically meaningless.
 _NORM_FLOOR = 1e-12
+
+# Path points per batched forward and input backward of the attribution
+# audit. Bounds its memory whatever the batch size and step count; at 256
+# rows a 64-wide layer's temporaries are 128 KiB, which stay in cache and
+# are reused by the allocator, where the 512 KiB ones of 1024-row blocks
+# went back to the OS and page-faulted in again on every call (twice the
+# time per 8-sample, 128-step audit call on a 2-vCPU x86 host).
+_IG_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,13 +308,14 @@ class RunRecord:
     confusion: np.ndarray
     diverged: bool = False
     divergence_step: int | None = None
+    divergence: dict | None = None  # TrainingDiverged.diagnostics
     wall_time_s: float = 0.0
 
     def kl_trajectory(self) -> np.ndarray:
         return np.array([r.loss_kl for r in self.steps])
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "seed": self.seed,
             "n_steps": len(self.steps),
             "final_bacc": self.final_bacc,
@@ -331,6 +330,9 @@ class RunRecord:
             ),
             "wall_time_s": self.wall_time_s,
         }
+        if self.diverged:
+            out["divergence"] = self.divergence
+        return out
 
 
 def grad_b(
@@ -416,6 +418,28 @@ def _grad_d_with_loss(params, x_weak, baseline, x_labeled, y_labeled):
     return g_d, loss_kl, logits, refined, g_sup, loss_sup
 
 
+def _divergence_diagnostics(losses: dict, grads: dict, update) -> dict:
+    """What a diverged step leaves behind: its losses and gradient norms
+    (None where not finite, so the artifact stays strict JSON) and the
+    names of the values that went non-finite, the combined update
+    included."""
+    values = {k: float(v) for k, v in losses.items()}
+    norms = {k: g.norm for k, g in grads.items()}
+    both = {**values, **norms}
+    non_finite = [k for k, v in both.items() if not np.isfinite(v)]
+    if not np.isfinite(update).all():
+        non_finite.append("update")
+
+    def finite(d):
+        return {k: (v if np.isfinite(v) else None) for k, v in d.items()}
+
+    return {
+        "losses": finite(values),
+        "grad_norms": finite(norms),
+        "non_finite": non_finite,
+    }
+
+
 def train_step(
     params: ModelParams,
     ds: SynthDataset,
@@ -476,7 +500,15 @@ def train_step(
         and np.isfinite(loss_con)
         and np.isfinite(loss_kl)
     ):
-        raise TrainingDiverged(state.step, "non-finite loss or gradient")
+        raise TrainingDiverged(
+            state.step,
+            "non-finite loss or gradient",
+            _divergence_diagnostics(
+                dict(loss_sup=loss_sup, loss_con=loss_con, loss_kl=loss_kl),
+                dict(g_b=g_b, g_d=g_d, g_sup=g_sup),
+                update,
+            ),
+        )
     params.apply_update(update, settings.lr)
 
     rec = StepRecord(
@@ -551,7 +583,7 @@ def run_training(
     )
     records: list[StepRecord] = []
     diverged = False
-    divergence_step = None
+    divergence_step = divergence = None
     try:
         for _ in range(settings.steps):
             rec = train_step(params, ds, settings, state)
@@ -561,6 +593,7 @@ def run_training(
     except TrainingDiverged as e:
         diverged = True
         divergence_step = e.step
+        divergence = e.diagnostics
 
     report = evaluate(
         params,
@@ -577,6 +610,7 @@ def run_training(
         confusion=report.confusion,
         diverged=diverged,
         divergence_step=divergence_step,
+        divergence=divergence,
         wall_time_s=time.perf_counter() - t0,
     )
     return params, run
@@ -605,22 +639,45 @@ def integrated_gradients(
     C = params.dims[-1]
     if not 1 <= target_class <= C:
         raise LabelError(f"target_class must lie in [1..{C}], got {target_class}")
+    return _path_attributions(
+        params, x[None, :], baseline, np.array([target_class]), steps
+    )[0]
+
+
+def _path_attributions(
+    params: ModelParams,
+    x: np.ndarray,
+    baseline: BaselineInput,
+    labels: np.ndarray,
+    steps: int,
+) -> np.ndarray:
+    """``integrated_gradients`` of every row of a (n, d) batch, row i
+    attributing logit ``labels[i]``; shape (n, d).
+
+    Samples go through in blocks of ``_IG_BLOCK_ROWS // steps`` (at
+    least one): one plain forward of the block's stacked path points,
+    then one backward of their one-hot logit adjoints to the input.
+    """
     if steps < 1:
         raise ContractError(f"steps must be >= 1, got {steps}")
-
+    n, d = x.shape
+    base = baseline.vector
     ks = (np.arange(1, steps + 1, dtype=np.float64) / steps)[:, None]
-    pts = base[None, :] + ks * (x - base)[None, :]
-    select = np.zeros((steps, C))
-    select[:, target_class - 1] = 1.0
-
-    zero_grads(params.tensors())
-    with Tape():
-        leaf = Tensor(pts, requires_grad=True)
-        total = sum_all(mul(forward_logits(params, leaf), Tensor(select)))
-    backward(total)
-    avg_grad = leaf.grad.mean(axis=0)
-    zero_grads(params.tensors())
-    return (x - base) * avg_grad
+    per = max(1, _IG_BLOCK_ROWS // steps)
+    out = np.empty((n, d))
+    for start in range(0, n, per):
+        delta = x[start : start + per] - base
+        m = delta.shape[0]
+        pts = base + ks * delta[:, None, :]
+        _, inputs = forward_cached(params, pts.reshape(m * steps, d))
+        cls = np.repeat(labels[start : start + m] - 1, steps)
+        g = np.zeros((cls.size, params.dims[-1]))
+        g[np.arange(cls.size), cls] = 1.0
+        for i in range(len(params.weights) - 1, 0, -1):
+            g = K.relu_vjp(K.matmul_nt(g, params.weights[i].data), inputs[i])
+        g = K.matmul_nt(g, params.weights[0].data)
+        out[start : start + m] = delta * g.reshape(m, steps, d).mean(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -654,14 +711,9 @@ def verify_theorem1(
     logits = logits_array(params, x)
     labels = np.argmax(logits - base_row, axis=1).astype(np.int64) + 1
 
-    n = x.shape[0]
-    ig_sums = np.empty(n)
-    gaps = np.empty(n)
-    for i in range(n):
-        c = int(labels[i])
-        ig = integrated_gradients(params, x[i], baseline, c, steps)
-        ig_sums[i] = ig.sum()
-        gaps[i] = logits[i, c - 1] - base_row[c - 1]
+    ig = _path_attributions(params, x, baseline, labels, steps)
+    ig_sums = ig.sum(axis=1)
+    gaps = logits[np.arange(x.shape[0]), labels - 1] - base_row[labels - 1]
     residuals = np.abs(ig_sums - gaps)
     mr = float(residuals.max())
     return TheoremReport(

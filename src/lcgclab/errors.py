@@ -38,15 +38,17 @@ class ConfigError(ValueError):
 class TrainingDiverged(RuntimeError):
     """Training produced non-finite losses or parameters.
 
-    Carries the step index (``step``) and a description of what went
-    non-finite (``detail``); the step's losses and gradients are not
-    attached.
+    Carries the step index (``step``), a description of what went
+    non-finite (``detail``) and ``diagnostics``: a JSON-ready dict of
+    the step's losses and gradient norms (non-finite values as None)
+    and the names of those that went non-finite.
     """
 
-    def __init__(self, step: int, detail: str):
+    def __init__(self, step: int, detail: str, diagnostics: dict):
         super().__init__(f"training diverged at step {step}: {detail}")
         self.step = step
         self.detail = detail
+        self.diagnostics = diagnostics
 
 
 def require_finite_fields(obj) -> None:

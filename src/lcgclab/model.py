@@ -2,9 +2,10 @@
 
 Training runs on plain arrays: ``forward_cached`` keeps each layer's
 input and ``backward_rows`` turns the logit adjoint of a row range into
-the flat parameter gradient. ``forward_logits`` records the same network
-on the autodiff tape, which stays the gradient reference and computes
-input gradients for integrated gradients.
+the flat parameter gradient. The integrated-gradients audit in
+``debias`` runs ``forward_cached`` too, then backprops to the input.
+``forward_logits`` records the same network on the autodiff tape, which
+is only the gradient reference of criterion 1 and the parity tests.
 """
 
 from __future__ import annotations

@@ -5,6 +5,10 @@ some input requires gradients, so forward evaluation outside a tape (or
 under ``no_tape()``) is plain numpy with zero bookkeeping. ``backward``
 walks the tape once in reverse and accumulates into the ``grad`` buffer
 of every reachable leaf.
+
+Training and the integrated-gradients audit do not record on it: they
+run ``model.forward_cached`` and hand-written backwards. The tape is the
+gradient reference of criterion 1 and the parity tests.
 """
 
 from __future__ import annotations

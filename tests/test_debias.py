@@ -7,6 +7,7 @@ import pytest
 
 from lcgclab.data import AugmentConfig, LongTailSpec, synthesize
 from lcgclab.debias import (
+    _IG_BLOCK_ROWS,
     BASELINE_COLORS,
     GradientVector,
     LCGCConfig,
@@ -27,17 +28,20 @@ from lcgclab.debias import (
 from lcgclab.errors import (
     ContractError,
     DimensionError,
+    EvaluationError,
     LabelError,
     TrainingDiverged,
 )
 from lcgclab.losses import pseudo_label
-from lcgclab.model import ModelParams, init_mlp, logits_array
+from lcgclab.model import ModelParams, forward_logits, init_mlp, logits_array
 from lcgclab.tensor import (
     Tape,
     Tensor,
     backward,
     finite_diff_grad,
     flatten_grads,
+    mul,
+    sum_all,
     zero_grads,
 )
 
@@ -366,9 +370,13 @@ class TestTrainStep:
         )
         before = p.weights[1].data.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDiverged):
+            with pytest.raises(TrainingDiverged) as exc:
                 train_step(p, ds, small_settings(), state)
         np.testing.assert_array_equal(p.weights[1].data, before)
+        diag = exc.value.diagnostics
+        assert set(diag["losses"]) == {"loss_sup", "loss_con", "loss_kl"}
+        assert set(diag["grad_norms"]) == {"g_b", "g_d", "g_sup"}
+        assert "update" in diag["non_finite"]
 
 
 # (backbone, refine_pseudo_labels) pairs covering both pseudo-label paths.
@@ -738,7 +746,93 @@ class TestIntegratedGradients:
             assert t.grad is None or not t.grad.any()
 
 
+def _tape_audit(params, x, baseline, steps):
+    """verify_theorem1's (labels, ig_sums, logit_gaps) from one autodiff
+    tape per sample: the input gradient of the refined label's logit at
+    each path point, averaged and scaled by (x - I)."""
+    base = baseline.vector
+    base_row = baseline_logits(params, baseline)
+    logits = logits_array(params, x)
+    labels = np.argmax(logits - base_row, axis=1) + 1
+    ks = (np.arange(1, steps + 1, dtype=np.float64) / steps)[:, None]
+    sums, gaps = [], []
+    for xi, zi, c in zip(x, logits, labels):
+        select = np.zeros((steps, params.dims[-1]))
+        select[:, c - 1] = 1.0
+        zero_grads(params.tensors())
+        with Tape():
+            leaf = Tensor(base + ks * (xi - base), requires_grad=True)
+            total = sum_all(mul(forward_logits(params, leaf), Tensor(select)))
+        backward(total)
+        sums.append(((xi - base) * leaf.grad.mean(axis=0)).sum())
+        gaps.append(zi[c - 1] - base_row[c - 1])
+    zero_grads(params.tensors())
+    return labels, np.array(sums), np.array(gaps)
+
+
+def _linear_net(seed):
+    rng = np.random.default_rng(seed)
+    return ModelParams(
+        dims=(5, 3),
+        weights=[Tensor(rng.normal(size=(5, 3)), requires_grad=True)],
+        biases=[Tensor(rng.normal(size=3), requires_grad=True)],
+    )
+
+
+# (net, baseline, batch size, path steps): a 3-layer net; a linear one
+# at a single step; and a batch of three row blocks, the last partial.
+_BLOCK_STEPS = 48
+_PER_BLOCK = _IG_BLOCK_ROWS // _BLOCK_STEPS
+_AUDIT_CASES = {
+    "three-layer": (
+        lambda: generic_net((8, 12, 10, 4), seed=41),
+        make_baseline("black", 8, 1.0), 12, 48,
+    ),
+    "linear-one-step": (
+        lambda: _linear_net(42), make_baseline("white", 5, 0.5), 9, 1,
+    ),
+    "block-boundary": (
+        lambda: generic_net((8, 12, 4), seed=43),
+        make_baseline("gray", 8, 1.0), 2 * _PER_BLOCK + 3, _BLOCK_STEPS,
+    ),
+}
+
+
 class TestVerifyTheorem1:
+    @pytest.mark.parametrize("case", list(_AUDIT_CASES))
+    def test_matches_per_sample_tape(self, case):
+        make_net, b, n, steps = _AUDIT_CASES[case]
+        p = make_net()
+        x = np.random.default_rng(44).normal(size=(n, p.dims[0]))
+        labels, ref_sums, ref_gaps = _tape_audit(p, x, b, steps)
+        report = verify_theorem1(p, x, b, steps=steps)
+        np.testing.assert_allclose(report.ig_sums, ref_sums, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            report.logit_gaps, ref_gaps, rtol=0, atol=1e-12
+        )
+        if case == "block-boundary":
+            assert n * steps > _IG_BLOCK_ROWS and n % _PER_BLOCK
+            assert len(set(labels[:_PER_BLOCK])) > 1
+
+    def test_contracts(self):
+        p = generic_net((4, 6, 3), seed=24)
+        b = make_baseline("black", 4, 1.0)
+        x = np.random.default_rng(25).normal(size=(3, 4))
+        with pytest.raises(ContractError):
+            verify_theorem1(p, x, b, steps=0)
+        with pytest.raises(DimensionError):
+            verify_theorem1(p, np.zeros((3, 5)), b, steps=4)
+        x_bad = x.copy()
+        x_bad[1, 2] = np.nan
+        with pytest.raises(EvaluationError):
+            verify_theorem1(p, x_bad, b, steps=4)
+
+    def test_leaves_parameter_grads_clean(self):
+        p = generic_net((4, 6, 3), seed=26)
+        b = make_baseline("black", 4, 1.0)
+        verify_theorem1(p, np.ones((5, 4)), b, steps=8)
+        assert all(t.grad is None for t in p.tensors())
+
     def test_passes_on_generic_nets(self):
         p = generic_net((8, 12, 12, 4), seed=21, wscale=0.2, bscale=0.1)
         b = make_baseline("black", 8, 1.0)

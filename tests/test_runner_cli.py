@@ -71,8 +71,27 @@ class TestRun:
         entry = json.loads((tmp_path / "run_seed1.json").read_text())
         assert entry["n_steps"] == 3
         assert not entry["diverged"]
+        assert "divergence" not in entry
         assert len(entry["confusion"]) == 3
         assert "steps" not in entry
+
+    def test_divergence_diagnostics_in_seed_json(self, tmp_path):
+        text = TINY.replace("train.steps = 3", "train.steps = 40")
+        cfg = parse_config_text(text + "train.lr = 1e6\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            agg = run(cfg, out_dir=tmp_path)
+        assert agg["n_diverged"] == 2
+        for seed in (1, 2):
+            entry = json.loads((tmp_path / f"run_seed{seed}.json").read_text())
+            assert entry["diverged"]
+            diag = entry["divergence"]
+            values = {**diag["losses"], **diag["grad_norms"]}
+            assert set(values) == {
+                "loss_sup", "loss_con", "loss_kl", "g_b", "g_d", "g_sup"
+            }
+            assert diag["non_finite"]
+            for name, value in values.items():
+                assert (value is None) == (name in diag["non_finite"])
 
     def test_shared_dataset_reused(self, tmp_path):
         cfg = tiny_config()
