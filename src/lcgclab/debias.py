@@ -48,6 +48,7 @@ from .losses import (
 from .metrics import bacc, confusion, gm
 from .model import (
     ModelParams,
+    StepBuffers,
     backward_rows,
     check_batch,
     forward_cached,
@@ -282,6 +283,8 @@ class TrainState:
     target_dist: np.ndarray  # labeled class profile, for alignment
     ema_avg: np.ndarray  # running mean of predicted distributions
     step: int = 0
+    # Filled by the first train_step; scratch only, never an artifact.
+    buffers: StepBuffers | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -344,19 +347,25 @@ def grad_b(
     weight: float = 1.0,
 ) -> GradientVector:
     """Parameter gradient of the (weighted) consistency loss."""
-    g, _ = _grad_b_with_loss(params, x_unlabeled, pseudo, aug, rng, weight)
+    g, _ = _grad_b_with_loss(params, x_unlabeled, pseudo, aug, rng, weight, None)
     return g
 
 
-def _grad_b_with_loss(params, x_unlabeled, pseudo, aug, rng, weight):
+def _grad_b_with_loss(params, x_unlabeled, pseudo, aug, rng, weight, bufs):
     """grad_b plus the unweighted consistency loss: one forward of the
-    strong views drawn from ``rng``."""
+    strong views drawn from ``rng``, into ``bufs`` (a ``StepBuffers``,
+    or None to allocate one); the gradient is written into its third
+    flat gradient."""
     strong, target, weights = consistency_inputs(x_unlabeled, pseudo, aug, rng)
-    logits, inputs = forward_cached(params, strong)
+    if bufs is None:
+        bufs = StepBuffers(params, strong.shape[0])
+    logits, inputs = forward_cached(params, strong, out=bufs.acts)
     loss, vjp = cross_entropy_terms(
         logits, target, weights=weights, denom=float(weights.shape[0])
     )
-    g = backward_rows(params, inputs, vjp(weight))
+    g = backward_rows(
+        params, inputs, vjp(weight), out=bufs.grads[2], adjoints=bufs.adjoints
+    )
     return GradientVector(g), loss
 
 
@@ -369,53 +378,64 @@ def grad_d(
     grows; the loss it differentiates is the one whose trajectory the
     step records expose.
     """
-    g, *_ = _kl_grad(params, x_weak, baseline)
+    g, *_ = _kl_grad(params, x_weak, baseline, None)
     return g
 
 
-def _kl_grad(params, x_weak, baseline, *more_rows):
-    """One forward of ``[x_weak; probe; *more_rows]`` and the KL gradient,
-    whose adjoint lives on the weak and probe rows only.
+def _kl_grad(params, x_weak, baseline, bufs, *more_rows):
+    """One forward of ``[x_weak; probe; *more_rows]`` into ``bufs`` (a
+    ``StepBuffers``, or None to allocate one) and the KL gradient, whose
+    adjoint lives on the weak and probe rows only; it is written into
+    the buffers' first flat gradient.
 
     Returns (grad_d, KL value, raw and refined logits of the weak views,
-    the forward's logits, its cached layer inputs), so a caller that
-    stacked more rows can backprop their block from the same forward.
+    the forward's logits, its cached layer inputs, the buffers), so a
+    caller that stacked more rows can backprop their block from the same
+    forward. The raw and refined logits are fresh arrays; the forward's
+    logits and inputs live in the buffers.
     """
     x_weak = np.asarray(x_weak, dtype=np.float64)
     check_batch(params, x_weak)  # before concatenate, for a DimensionError
-    z, inputs = forward_cached(
-        params, np.concatenate([x_weak, baseline.vector[None, :], *more_rows])
-    )
+    x = np.concatenate([x_weak, baseline.vector[None, :], *more_rows])
+    if bufs is None:
+        bufs = StepBuffers(params, x.shape[0])
+    z, inputs = forward_cached(params, x, out=bufs.acts)
     n = x_weak.shape[0]
-    logits = z[:n]
+    logits = z[:n].copy()  # outlives the buffers' next forward
     refined = logits - z[n]
     loss_kl, vjp = kl_consistency_terms(logits, refined)
     ga, gb = vjp(1.0)
     g_rows = np.empty((n + 1, z.shape[1]))
     g_rows[:n] = ga + gb
     g_rows[n] = -K.sum_rows(gb)
-    g_d = GradientVector(backward_rows(params, inputs, g_rows))
-    return g_d, loss_kl, logits, refined, z, inputs
+    g_d = backward_rows(
+        params, inputs, g_rows, out=bufs.grads[0], adjoints=bufs.adjoints
+    )
+    return GradientVector(g_d), loss_kl, logits, refined, z, inputs, bufs
 
 
-def _grad_d_with_loss(params, x_weak, baseline, x_labeled, y_labeled):
+def _grad_d_with_loss(params, x_weak, baseline, x_labeled, y_labeled, bufs):
     """grad_d and the KL value, the raw and refined logits of the weak
     views (so the caller builds pseudo-labels without a second forward),
     and the supervised gradient and loss of the labeled batch.
 
-    One forward of ``[x_weak; probe; x_labeled]`` serves everything; the
+    One forward of ``[x_weak; probe; x_labeled]`` into ``bufs`` (a
+    ``StepBuffers``, or None to allocate one) serves everything; the
     supervised cross entropy's adjoint lives on the labeled rows, so
-    their block's backward gives its own gradient.
+    their block's backward gives its own gradient, written into the
+    buffers' second flat gradient.
     """
-    g_d, loss_kl, logits, refined, z, inputs = _kl_grad(
-        params, x_weak, baseline, np.asarray(x_labeled, dtype=np.float64)
+    g_d, loss_kl, logits, refined, z, inputs, bufs = _kl_grad(
+        params, x_weak, baseline, bufs, np.asarray(x_labeled, dtype=np.float64)
     )
     start = logits.shape[0] + 1
     loss_sup, vjp = cross_entropy_terms(
         z[start:], np.asarray(y_labeled, dtype=np.int64)
     )
-    g_sup = GradientVector(backward_rows(params, inputs, vjp(1.0), start))
-    return g_d, loss_kl, logits, refined, g_sup, loss_sup
+    g_sup = backward_rows(
+        params, inputs, vjp(1.0), start, out=bufs.grads[1], adjoints=bufs.adjoints
+    )
+    return g_d, loss_kl, logits, refined, GradientVector(g_sup), loss_sup
 
 
 def _divergence_diagnostics(losses: dict, grads: dict, update) -> dict:
@@ -458,13 +478,18 @@ def train_step(
     xl, yl, xu = sample_minibatch(ds, settings.batch_size, settings.mu, rng)
     xlw = weak_aug(xl, settings.aug, rng)
     xuw = weak_aug(xu, settings.aug, rng)
+    if state.buffers is None:
+        # Sized to the larger forward: weak views, probe, labeled views.
+        rows = xuw.shape[0] + 1 + xlw.shape[0]
+        state.buffers = StepBuffers(params, rows)
+    bufs = state.buffers
 
     # One forward of the weak views, the probe and the labeled views
     # serves the bias gradient, the supervised gradient and the
     # pseudo-labels, which are debiased by the current baseline
     # response when refinement is on.
     g_d, loss_kl, logits, refined, g_sup, loss_sup = _grad_d_with_loss(
-        params, xuw, state.baseline, xlw, yl
+        params, xuw, state.baseline, xlw, yl, bufs
     )
     pseudo_src = refined if cfg.refine_pseudo_labels else logits
     pseudo = pseudo_label(pseudo_src, settings.tau)
@@ -480,7 +505,7 @@ def train_step(
         pseudo.soft_labels = sharpen(q, settings.remix_temperature)
 
     g_b, loss_con = _grad_b_with_loss(
-        params, xu, pseudo, settings.aug, rng, settings.consistency_weight
+        params, xu, pseudo, settings.aug, rng, settings.consistency_weight, bufs
     )
 
     dot = g_b.dot(g_d)
@@ -493,7 +518,8 @@ def train_step(
     else:
         g = lcgc_combine(g_b, g_d, cfg.lam)
 
-    update = g.values + g_sup.values
+    # Accumulated in g_sup's buffer; its norm was taken before.
+    update = np.add(g.values, g_sup.values, out=g_sup.values)
     if not (
         np.isfinite(update).all()
         and np.isfinite(loss_sup)
@@ -594,6 +620,7 @@ def run_training(
         diverged = True
         divergence_step = e.step
         divergence = e.diagnostics
+    state.buffers = None  # evaluate's test split needs the memory more
 
     report = evaluate(
         params,
@@ -674,7 +701,8 @@ def _path_attributions(
         g = np.zeros((cls.size, params.dims[-1]))
         g[np.arange(cls.size), cls] = 1.0
         for i in range(len(params.weights) - 1, 0, -1):
-            g = K.relu_vjp(K.matmul_nt(g, params.weights[i].data), inputs[i])
+            g = K.matmul_nt(g, params.weights[i].data)
+            K.relu_vjp(g, inputs[i], out=g)
         g = K.matmul_nt(g, params.weights[0].data)
         out[start : start + m] = delta * g.reshape(m, steps, d).mean(axis=1)
     return out

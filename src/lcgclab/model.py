@@ -6,6 +6,22 @@ the flat parameter gradient. The integrated-gradients audit in
 ``debias`` runs ``forward_cached`` too, then backprops to the input.
 ``forward_logits`` records the same network on the autodiff tape, which
 is only the gradient reference of criterion 1 and the parity tests.
+
+A training run allocates its large per-step arrays once, as a
+``StepBuffers``, and every step writes into them: on a wide network
+(385 rows x 256 units is about 770 KiB per layer) the allocator would
+otherwise hand such temporaries back to the OS when a step frees them
+and page-fault them in again on the next one. The buffers hold
+
+- one activation array per layer, ``(rows, width)``, which
+  ``forward_cached`` fills through row-prefix views; a later forward
+  overwrites them, so whatever must outlive it is copied out;
+- one adjoint array per hidden layer, the scratch of ``backward_rows``;
+- three flat parameter gradients, each with views shaped like the
+  tensors of ``ModelParams.tensors()``, into which ``backward_rows``
+  writes every weight and bias gradient directly.
+
+Without buffers both functions allocate, with the same bits.
 """
 
 from __future__ import annotations
@@ -105,28 +121,54 @@ def forward_logits(params: ModelParams, x) -> Tensor:
     return h
 
 
+class StepBuffers:
+    """The arrays of one training step of ``params``' network, for
+    ``rows`` rows at most (see the module docstring)."""
+
+    def __init__(self, params: ModelParams, rows: int):
+        self.acts = [np.empty((rows, w)) for w in params.dims[1:]]
+        self.adjoints = [np.empty((rows, w)) for w in params.dims[1:-1]]
+        self.grads = [grad_buffer(params) for _ in range(3)]
+
+
+def grad_buffer(params: ModelParams) -> tuple[np.ndarray, list[np.ndarray]]:
+    """An uninitialized flat parameter gradient and its views, one per
+    tensor of ``tensors()``, in that order and shaped like it."""
+    flat = np.empty(params.n_params)
+    views, off = [], 0
+    for t in params.tensors():
+        views.append(flat[off : off + t.data.size].reshape(t.data.shape))
+        off += t.data.size
+    return flat, views
+
+
 def forward_cached(
-    params: ModelParams, x: np.ndarray
+    params: ModelParams, x: np.ndarray, *, out: list[np.ndarray] | None = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Plain-array logits of a (n, d) batch and each layer's input.
 
     Runs the kernels ``forward_logits`` runs, in the same order, so the
-    logits are bitwise the tape's. The inputs are what ``backward_rows``
-    needs; a hidden layer's input is its predecessor's ReLU output,
-    which also carries the ReLU mask. Non-finite inputs raise
-    EvaluationError, as a tape leaf does.
+    logits are bitwise the tape's; the bias and the ReLU are applied in
+    place in each matmul's result. With ``out`` (a ``StepBuffers``'
+    ``acts``), layer i is written into ``out[i][:n]``, so the logits and
+    the cached inputs past the first are views of the buffers. The
+    inputs are what ``backward_rows`` needs; a hidden layer's input is
+    its predecessor's ReLU output, which also carries the ReLU mask.
+    Non-finite inputs raise EvaluationError, as a tape leaf does.
     """
     h = np.ascontiguousarray(x, dtype=np.float64)
     check_batch(params, h)
     if not np.isfinite(h).all():
         raise EvaluationError("input batch contains non-finite values")
+    n = h.shape[0]
     inputs = []
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(h)
-        h = K.add_rowvec(K.matmul(h, w.data), b.data)
+        h = K.matmul(h, w.data, out=None if out is None else out[i][:n])
+        K.add_rowvec(h, b.data, out=h)
         if i != last:
-            h = K.relu(h)
+            K.relu(h, out=h)
     return h, inputs
 
 
@@ -135,19 +177,31 @@ def backward_rows(
     inputs: list[np.ndarray],
     g: np.ndarray,
     start: int = 0,
+    *,
+    out: tuple[np.ndarray, list[np.ndarray]] | None = None,
+    adjoints: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Flat parameter gradient, in ``tensors()`` order, of the rows
     ``start .. start + len(g)`` of a ``forward_cached`` call whose
-    logits have adjoint ``g`` on those rows (and none elsewhere)."""
-    rows = slice(start, start + g.shape[0])
-    parts = []
+    logits have adjoint ``g`` on those rows (and none elsewhere).
+
+    ``out`` is a ``grad_buffer`` pair to write the gradient into, whose
+    flat array is returned; ``adjoints`` (a ``StepBuffers``' adjoints)
+    holds the hidden layers' adjoints. Either may be None, which
+    allocates it.
+    """
+    m = g.shape[0]
+    rows = slice(start, start + m)
+    flat, views = grad_buffer(params) if out is None else out
     for i in range(len(params.weights) - 1, -1, -1):
         h = inputs[i][rows]
-        parts.append(K.sum_rows(g))
-        parts.append(K.matmul_tn(h, g))
+        K.sum_rows(g, out=views[2 * i + 1])
+        K.matmul_tn(h, g, out=views[2 * i])
         if i:
-            g = K.relu_vjp(K.matmul_nt(g, params.weights[i].data), h)
-    return np.concatenate([p.reshape(-1) for p in reversed(parts)])
+            adj = None if adjoints is None else adjoints[i - 1][:m]
+            g = K.matmul_nt(g, params.weights[i].data, out=adj)
+            K.relu_vjp(g, h, out=g)
+    return flat
 
 
 def logits_array(params: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -3,14 +3,19 @@
 Each test records one PASS/FAIL line (printed in the terminal summary)
 and asserts the same condition. The directional experiments (criteria
 5, 6, 8) share one 45-run training grid: 3 methods x 3 unlabeled
-imbalance ratios x 5 seeds at the package's default configuration.
+imbalance ratios x 5 seeds at the package's default configuration. The
+runs are independent and go through a small process pool.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -328,38 +333,82 @@ class TestCriterion4AttributionCompleteness:
 # --------------------------------------------------------------- the grid
 
 
+@functools.lru_cache(maxsize=None)
+def _grid_dataset(gu):
+    return synthesize(LongTailSpec(gamma_unlabeled=gu))
+
+
+def _grid_run(method, gu, seed, steps=None):
+    """One grid run and what the criteria read of it. Everything but the
+    method, imbalance and seed (and ``steps``, when given) is the package
+    default configuration. Each imbalance level's dataset is one
+    realization of its spec, rebuilt once per process."""
+    spec = LongTailSpec(gamma_unlabeled=gu)
+    cfg = default_config().override(spec=spec, method=method)
+    if steps is not None:
+        cfg = cfg.override(steps=steps)
+    ds = _grid_dataset(gu)
+    params, rec = run_training(ds, cfg.hidden, cfg.train_settings(), seed)
+    entry = {
+        "bacc": rec.final_bacc,
+        "gm": rec.final_gm,
+        "diverged": rec.diverged,
+    }
+    if method == "cdmad" and gu == 100.0:
+        entry["kl_traj"] = rec.kl_trajectory()
+    if method == "lcgc" and gu == 150.0:
+        entry["bacc_unrefined"] = evaluate(params, ds.test_x, ds.test_y).bacc
+    return entry
+
+
+def _pooled(runs):
+    """``_grid_run(*args)`` for every args tuple in ``runs``, keyed by it,
+    on a spawn pool of at most four workers (never more than the cores
+    this process may use), each with its BLAS on one thread."""
+    workers = min(len(os.sched_getaffinity(0)), 4)
+    with pytest.MonkeyPatch.context() as env:
+        # Read by the BLAS when a worker loads numpy.
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.setenv(var, "1")
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
+            futures = {args: pool.submit(_grid_run, *args) for args in runs}
+            return {args: f.result() for args, f in futures.items()}
+
+
 @pytest.fixture(scope="session")
 def grid():
-    """45 full training runs shared by criteria 5, 6, and 8.
-
-    Everything below the method/imbalance/seed grid is the package
-    default configuration; each imbalance level shares one dataset
-    realization across methods and seeds.
-    """
+    """45 full training runs shared by criteria 5, 6, and 8, keyed by
+    (method, gamma_unlabeled, seed)."""
     t0 = time.perf_counter()
-    results = {}
-    for gu in GRID_GAMMAS:
-        spec = LongTailSpec(gamma_unlabeled=gu)
-        ds = synthesize(spec)
-        for method in GRID_METHODS:
-            cfg = default_config().override(spec=spec, method=method)
-            settings = cfg.train_settings()
-            for seed in GRID_SEEDS:
-                params, rec = run_training(ds, cfg.hidden, settings, seed)
-                entry = {
-                    "bacc": rec.final_bacc,
-                    "gm": rec.final_gm,
-                    "diverged": rec.diverged,
-                }
-                if method == "cdmad" and gu == 100.0:
-                    entry["kl_traj"] = rec.kl_trajectory()
-                if method == "lcgc" and gu == 150.0:
-                    entry["bacc_unrefined"] = evaluate(
-                        params, ds.test_x, ds.test_y
-                    ).bacc
-                results[(method, gu, seed)] = entry
+    results = _pooled(
+        [
+            (method, gu, seed)
+            for gu in GRID_GAMMAS
+            for method in GRID_METHODS
+            for seed in GRID_SEEDS
+        ]
+    )
     results["_seconds"] = time.perf_counter() - t0
     return results
+
+
+class TestGridPool:
+    def test_pooled_runs_equal_serial(self):
+        """The pool changes no bit of what the criteria read: two short
+        runs, one per special cell, give the same bytes either way."""
+
+        def as_bytes(results):
+            return {
+                args: {k: np.asarray(v).tobytes() for k, v in entry.items()}
+                for args, entry in results.items()
+            }
+
+        runs = [("cdmad", 100.0, 1, 60), ("lcgc", 150.0, 2, 60)]
+        serial = {args: _grid_run(*args) for args in runs}
+        assert "kl_traj" in serial[runs[0]]
+        assert "bacc_unrefined" in serial[runs[1]]
+        assert as_bytes(_pooled(runs)) == as_bytes(serial)
 
 
 def _medians(grid, method, gu):

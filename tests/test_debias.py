@@ -410,9 +410,9 @@ class TestOneForwardPerView:
         rows = []
         inner = lcgclab.model.forward_cached
 
-        def counting(params, x):
+        def counting(params, x, *, out=None):
             rows.append(x.shape[0])
-            return inner(params, x)
+            return inner(params, x, out=out)
 
         for mod in (lcgclab.model, lcgclab.debias):
             monkeypatch.setattr(mod, "forward_cached", counting)
@@ -524,8 +524,8 @@ class TestRowBlockParity:
         errors = []
         real_d, real_b = D._grad_d_with_loss, D._grad_b_with_loss
 
-        def check_d(params, x_weak, baseline, x_labeled, y_labeled):
-            out = real_d(params, x_weak, baseline, x_labeled, y_labeled)
+        def check_d(params, x_weak, baseline, x_labeled, y_labeled, bufs):
+            out = real_d(params, x_weak, baseline, x_labeled, y_labeled, bufs)
             g_d, loss_kl, _, _, g_sup, loss_sup = out
 
             def kl():
@@ -545,9 +545,11 @@ class TestRowBlockParity:
             errors.append(("loss_sup", _rel_err(loss_sup, ref_loss)))
             return out
 
-        def check_b(params, x_unlabeled, pseudo, aug, rng, weight):
+        def check_b(params, x_unlabeled, pseudo, aug, rng, weight, bufs):
             rng_copy = copy.deepcopy(rng)
-            g_b, loss_con = real_b(params, x_unlabeled, pseudo, aug, rng, weight)
+            g_b, loss_con = real_b(
+                params, x_unlabeled, pseudo, aug, rng, weight, bufs
+            )
             ref, ref_loss = _tape_grad(
                 params,
                 lambda: scale(
@@ -587,6 +589,70 @@ class TestRowBlockParity:
         for _ in range(2):
             train_step(p, ds, _branch_settings(overrides), state)
         assert state.step == 2
+
+
+class TestStepBuffers:
+    """A run allocates its step arrays once and reuses them; nothing a
+    step computes depends on that, and nothing it hands out aliases
+    them."""
+
+    @pytest.mark.parametrize("backbone", ["fixmatch", "remix-lite"])
+    def test_reuse_is_invisible(self, backbone):
+        ds = synthesize(small_spec())
+        settings = small_settings(backbone=backbone)
+
+        def run(fresh):
+            p = generic_net((8, 12, 10, 4), seed=33)
+            state = _default_state(ds, 33)
+            recs, seen = [], []
+            for _ in range(4):
+                if fresh:
+                    state.buffers = None
+                recs.append(train_step(p, ds, settings, state))
+                seen.append(state.buffers)
+            assert len({id(b) for b in seen}) == (4 if fresh else 1)
+            return b"".join(t.data.tobytes() for t in p.tensors()), repr(recs)
+
+        assert run(fresh=False) == run(fresh=True)
+
+    def test_weak_logits_do_not_alias_the_buffers(self):
+        import lcgclab.debias as D
+        from lcgclab.model import StepBuffers
+
+        ds = synthesize(small_spec())
+        p = generic_net((8, 12, 10, 4), seed=34)
+        rng = np.random.default_rng(34)
+        xu, xl, yl = ds.unlabeled_x[:16], ds.labeled_x[:8], ds.labeled_y[:8]
+        baseline = make_baseline("gray", 8, ds.value_range())
+        bufs = StepBuffers(p, 16 + 1 + 8)
+        _, _, logits, refined, _, _ = D._grad_d_with_loss(
+            p, xu, baseline, xl, yl, bufs
+        )
+        held = [*bufs.acts, *bufs.adjoints, *(flat for flat, _ in bufs.grads)]
+        for out in (logits, refined):
+            assert not any(np.shares_memory(out, a) for a in held)
+        before = logits.tobytes(), refined.tobytes()
+        pseudo = pseudo_label(refined, 0.0)
+        aug = AugmentConfig()
+        D._grad_b_with_loss(p, xu, pseudo, aug, rng, 1.0, bufs)
+        assert (logits.tobytes(), refined.tobytes()) == before
+
+    def test_public_wrappers_return_fresh_arrays(self):
+        ds = synthesize(small_spec())
+        p = generic_net((8, 12, 4), seed=35)
+        x = ds.unlabeled_x[:6]
+        baseline = make_baseline("gray", 8, ds.value_range())
+        pseudo = pseudo_label(logits_array(p, x), 0.0)
+        aug = AugmentConfig()
+        for call in (
+            lambda xs: grad_d(p, xs, baseline),
+            lambda xs: grad_b(p, xs, pseudo, aug, np.random.default_rng(0)),
+        ):
+            first = call(x)
+            kept = first.values.copy()
+            second = call(x[::-1].copy())
+            assert not np.shares_memory(first.values, second.values)
+            assert first.values.tobytes() == kept.tobytes()
 
 
 class TestRunTraining:

@@ -41,5 +41,34 @@ class TestKernelValues:
         g = np.array([[5.0, 5.0, 5.0]])
         np.testing.assert_array_equal(K.relu_vjp(g, z), [[0.0, 0.0, 5.0]])
 
+    def test_out_gives_the_same_bits(self):
+        """With ``out`` every kernel writes its result there and returns
+        it, bitwise equal to the allocating call; the elementwise ones
+        may write into their first operand."""
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(7, 4))
+        b = rng.normal(size=(4, 5))
+        g = rng.normal(size=(7, 5))
+        v = rng.normal(size=5)
+        cases = [
+            (K.matmul, (a, b)),
+            (K.matmul_tn, (a, g)),
+            (K.matmul_nt, (g, b)),
+            (K.sum_rows, (g,)),
+            (K.add_rowvec, (g, v)),
+            (K.relu, (g,)),
+            (K.relu_vjp, (g, -g)),
+        ]
+        for kernel, args in cases:
+            ref = kernel(*args)
+            out = np.full_like(ref, np.nan)
+            assert kernel(*args, out=out) is out
+            assert out.tobytes() == ref.tobytes(), kernel.__name__
+        for kernel, args in cases[4:]:
+            first = args[0].copy()
+            ref = kernel(*args)
+            assert kernel(first, *args[1:], out=first) is first
+            assert first.tobytes() == ref.tobytes(), kernel.__name__
+
     def test_backend_name_is_numpy(self):
         assert K.backend_name() == "numpy"

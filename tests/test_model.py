@@ -8,6 +8,9 @@ import pytest
 from lcgclab.errors import ContractError, DimensionError
 from lcgclab.fileio import write_container
 from lcgclab.model import (
+    StepBuffers,
+    backward_rows,
+    forward_cached,
     forward_logits,
     init_mlp,
     load_checkpoint,
@@ -87,6 +90,35 @@ class TestForward:
         out = forward_logits(p, np.zeros((1, 4)))
         assert isinstance(out, Tensor)
         assert out.data.shape == (1, 3)
+
+
+class TestStepBuffers:
+    def test_buffers_give_the_same_bits(self):
+        """A forward and two row-block backwards into buffers larger than
+        the batch equal the allocating calls bitwise; the logits and the
+        hidden inputs are row-prefix views of the activations and the
+        gradient is the buffers' flat array."""
+        rng = np.random.default_rng(12)
+        p = init_mlp((5, 7, 6, 3), seed=12)
+        x = rng.normal(size=(9, 5))
+        g = rng.normal(size=(4, 3))
+        bufs = StepBuffers(p, 11)
+        assert [a.shape for a in bufs.acts] == [(11, 7), (11, 6), (11, 3)]
+        assert [a.shape for a in bufs.adjoints] == [(11, 7), (11, 6)]
+        z_ref, inputs_ref = forward_cached(p, x)
+        z, inputs = forward_cached(p, x, out=bufs.acts)
+        assert z.tobytes() == z_ref.tobytes()
+        assert np.shares_memory(z, bufs.acts[-1])
+        for h, h_ref, act in zip(inputs[1:], inputs_ref[1:], bufs.acts):
+            assert h.tobytes() == h_ref.tobytes()
+            assert np.shares_memory(h, act)
+        for start in (0, 5):
+            ref = backward_rows(p, inputs_ref, g, start)
+            flat = backward_rows(
+                p, inputs, g, start, out=bufs.grads[0], adjoints=bufs.adjoints
+            )
+            assert flat is bufs.grads[0][0]
+            assert flat.tobytes() == ref.tobytes()
 
 
 class TestCheckpoint:
