@@ -1,9 +1,10 @@
 """Desk-scale lab for debiasing class-imbalanced semi-supervised learning.
 
-Pipeline: synthetic long-tailed Gaussian data, a tape-autodiff MLP,
-two-view pseudo-label training, baseline-logit refinement, a
-gradient-conflict projection that amplifies the debiasing signal, and
-integrated-gradients audits tying the correction to attributions.
+Pipeline: synthetic long-tailed Gaussian data, an MLP trained on
+plain-array gradients (an autodiff tape is their reference), two-view
+pseudo-label training, baseline-logit refinement, a gradient-conflict
+projection that amplifies the debiasing signal, and integrated-gradients
+audits tying the correction to attributions.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ from .tensor import (
     flatten_values,
     log_softmax,
     matmul,
-    no_tape,
     softmax,
     zero_grads,
 )

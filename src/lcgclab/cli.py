@@ -47,6 +47,34 @@ def _add_config(p: argparse.ArgumentParser) -> None:
     )
 
 
+# command -> (help, runner, row column, list flag or None). A list flag
+# is (name, item type, help): option --name, passed to the runner as name=.
+_SWEEPS: dict[str, tuple] = {
+    "sweep-lambda": (
+        "sweep the conflict-correction scale",
+        sweep_lambda,
+        "lambda",
+        (
+            "values",
+            float,
+            "comma-separated lambda values (default 0.0..1.4 step 0.2)",
+        ),
+    ),
+    "ablate-baseline": (
+        "compare probe colors for refinement",
+        ablate_baseline_colors,
+        "color",
+        ("colors", str, "comma-separated subset of colors"),
+    ),
+    "ablate-components": (
+        "switch off one mechanism at a time",
+        ablate_components,
+        "variant",
+        None,
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lcgclab",
@@ -57,31 +85,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     _add_config(sub.add_parser("train", help="train all seeds in the config"))
-    p_sweep = sub.add_parser(
-        "sweep-lambda", help="sweep the conflict-correction scale"
-    )
-    _add_config(p_sweep)
-    p_sweep.add_argument(
-        "--values",
-        type=_comma_list(float),
-        default=None,
-        help="comma-separated lambda values (default 0.0..1.4 step 0.2)",
-    )
-    p_colors = sub.add_parser(
-        "ablate-baseline", help="compare probe colors for refinement"
-    )
-    _add_config(p_colors)
-    p_colors.add_argument(
-        "--colors",
-        type=_comma_list(str),
-        default=None,
-        help="comma-separated subset of colors",
-    )
-    _add_config(
-        sub.add_parser(
-            "ablate-components", help="switch off one mechanism at a time"
-        )
-    )
+    for command, (help_text, _, _, flag) in _SWEEPS.items():
+        p = sub.add_parser(command, help=help_text)
+        _add_config(p)
+        if flag:
+            name, item, flag_help = flag
+            p.add_argument(
+                f"--{name}", type=_comma_list(item), default=None, help=flag_help
+            )
     p_export = sub.add_parser(
         "export-dataset", help="materialize the config's dataset to a file"
     )
@@ -103,11 +114,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = parse_config(args.config)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-
-    try:
         if args.command == "train":
             agg = run(config, out_dir=args.output)
             for entry in agg["per_seed"]:
@@ -129,44 +135,29 @@ def main(argv=None) -> int:
             )
             return 0 if agg["n_completed"] > 0 else 1
 
-        if args.command == "sweep-lambda":
-            rows = sweep_lambda(config, values=args.values, out_dir=args.output)
-            for row in rows:
-                print(_fmt_row(row, "lambda"))
+        if args.command in _SWEEPS:
+            _, runner, column, flag = _SWEEPS[args.command]
+            kw = {flag[0]: getattr(args, flag[0])} if flag else {}
+            for row in runner(config, out_dir=args.output, **kw):
+                print(_fmt_row(row, column))
             return 0
 
-        if args.command == "ablate-baseline":
-            rows = ablate_baseline_colors(
-                config, colors=args.colors, out_dir=args.output
-            )
-            for row in rows:
-                print(_fmt_row(row, "color"))
-            return 0
-
-        if args.command == "ablate-components":
-            rows = ablate_components(config, out_dir=args.output)
-            for row in rows:
-                print(_fmt_row(row, "variant"))
-            return 0
-
-        if args.command == "export-dataset":
-            ds = synthesize(config.spec)
-            path = Path(args.path)
-            if path.suffix.lower() == ".csv":
-                export_csv(ds, path)
-            else:
-                save_dataset(ds, path)
-            print(
-                f"wrote {path} ({ds.labeled_x.shape[0]} labeled, "
-                f"{ds.unlabeled_x.shape[0]} unlabeled, "
-                f"{ds.test_x.shape[0]} test)"
-            )
-            return 0
+        # export-dataset, the one command left
+        ds = synthesize(config.spec)
+        path = Path(args.path)
+        if path.suffix.lower() == ".csv":
+            export_csv(ds, path)
+        else:
+            save_dataset(ds, path)
+        print(
+            f"wrote {path} ({ds.labeled_x.shape[0]} labeled, "
+            f"{ds.unlabeled_x.shape[0]} unlabeled, "
+            f"{ds.test_x.shape[0]} test)"
+        )
+        return 0
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import difflib
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -76,6 +76,9 @@ _METHOD_PINS: dict[str, dict] = {
     "cdmad": {"lam": 0.0, "refine_pseudo_labels": True, "refine_at_test": True},
     "lcgc": {},
 }
+
+# Settings field -> the ExperimentConfig attribute of another name.
+_RENAMES = {"baseline": "baseline_color"}
 
 # key -> (ExperimentConfig attribute, kind, default[, choices]). The one
 # table behind parsing, building and the resolved() echo; a dotted
@@ -204,31 +207,13 @@ class ExperimentConfig:
 
     def effective_lcgc(self) -> LCGCConfig:
         """Refinement switches after method resolution."""
-        fields = {
-            "lam": self.lam,
-            "baseline": self.baseline_color,
-            "refine_pseudo_labels": self.refine_pseudo_labels,
-            "refine_at_test": self.refine_at_test,
-            "ig_steps": self.ig_steps,
-            "double_subtract": self.double_subtract,
-        }
-        fields.update(_METHOD_PINS[self.method])
-        return LCGCConfig(**fields)
+        return LCGCConfig(
+            **(_shared_fields(self, LCGCConfig) | _METHOD_PINS[self.method])
+        )
 
     def train_settings(self) -> TrainSettings:
         return TrainSettings(
-            steps=self.steps,
-            batch_size=self.batch_size,
-            mu=self.mu,
-            lr=self.lr,
-            tau=self.tau,
-            consistency_weight=self.consistency_weight,
-            backbone=self.backbone,
-            remix_temperature=self.remix_temperature,
-            remix_ema_decay=self.remix_ema_decay,
-            remix_align=self.remix_align,
-            aug=self.aug,
-            lcgc=self.effective_lcgc(),
+            **_shared_fields(self, TrainSettings), lcgc=self.effective_lcgc()
         )
 
     def output_root(self) -> Path:
@@ -255,17 +240,24 @@ class ExperimentConfig:
         return out
 
 
+def _shared_fields(config: ExperimentConfig, cls) -> dict:
+    """The fields of dataclass ``cls`` that ``config`` holds, by name."""
+    own = {f.name for f in fields(config)}
+    names = {f.name: _RENAMES.get(f.name, f.name) for f in fields(cls)}
+    return {n: getattr(config, a) for n, a in names.items() if a in own}
+
+
 def _build(values: dict) -> ExperimentConfig:
-    fields: dict = {"spec": {}, "aug": {}}
+    init: dict = {"spec": {}, "aug": {}}
     for key, (attr, _, default, *_) in _SCHEMA.items():
         section, _, name = attr.rpartition(".")
-        (fields[section] if section else fields)[name] = values.get(key, default)
+        (init[section] if section else init)[name] = values.get(key, default)
     try:
-        spec = LongTailSpec(**fields.pop("spec"))
-        aug = AugmentConfig(**fields.pop("aug"))
+        spec = LongTailSpec(**init.pop("spec"))
+        aug = AugmentConfig(**init.pop("aug"))
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    return ExperimentConfig(spec=spec, aug=aug, **fields)
+    return ExperimentConfig(spec=spec, aug=aug, **init)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -297,9 +289,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Parse a config file from disk."""
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    return parse_config_text(p.read_text(encoding="utf-8"))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {p}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config file {p}: {e}") from None
+    return parse_config_text(text)
 
 
 def default_config() -> ExperimentConfig:

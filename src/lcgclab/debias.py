@@ -528,7 +528,6 @@ def train_step(
     ):
         raise TrainingDiverged(
             state.step,
-            "non-finite loss or gradient",
             _divergence_diagnostics(
                 dict(loss_sup=loss_sup, loss_con=loss_con, loss_kl=loss_kl),
                 dict(g_b=g_b, g_d=g_d, g_sup=g_sup),
@@ -650,14 +649,15 @@ def integrated_gradients(
     target_class: int,
     steps: int,
 ) -> np.ndarray:
-    """Right-endpoint path attribution of one logit, shape (d,).
+    """Right-endpoint path attribution of one logit for one (d,) sample
+    ``x``, shape (d,).
 
     Averages the input gradient of logit ``target_class`` at the points
     I + (k/steps)(x - I), k = 1..steps, then multiplies by (x - I). As
     steps grows the attribution sums converge to the logit gap
     g(x)_c - g(I)_c; for a linear model one step is already exact.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    x = np.asarray(x, dtype=np.float64)
     base = baseline.vector
     if x.shape != base.shape:
         raise DimensionError(

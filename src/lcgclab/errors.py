@@ -38,16 +38,16 @@ class ConfigError(ValueError):
 class TrainingDiverged(RuntimeError):
     """Training produced non-finite losses or parameters.
 
-    Carries the step index (``step``), a description of what went
-    non-finite (``detail``) and ``diagnostics``: a JSON-ready dict of
-    the step's losses and gradient norms (non-finite values as None)
-    and the names of those that went non-finite.
+    Carries the step index (``step``) and ``diagnostics``: a JSON-ready
+    dict of the step's losses and gradient norms (non-finite values as
+    None) and the names of those that went non-finite.
     """
 
-    def __init__(self, step: int, detail: str, diagnostics: dict):
-        super().__init__(f"training diverged at step {step}: {detail}")
+    def __init__(self, step: int, diagnostics: dict):
+        super().__init__(
+            f"training diverged at step {step}: non-finite loss or gradient"
+        )
         self.step = step
-        self.detail = detail
         self.diagnostics = diagnostics
 
 

@@ -1,10 +1,10 @@
 """Reverse-mode autodiff over dense float64 arrays with an explicit tape.
 
 Ops record onto the innermost active ``Tape`` only while one exists and
-some input requires gradients, so forward evaluation outside a tape (or
-under ``no_tape()``) is plain numpy with zero bookkeeping. ``backward``
-walks the tape once in reverse and accumulates into the ``grad`` buffer
-of every reachable leaf.
+some input requires gradients, so forward evaluation outside a tape is
+plain numpy with zero bookkeeping. ``backward`` walks the tape once in
+reverse and accumulates into the ``grad`` buffer of every reachable
+leaf.
 
 Training and the integrated-gradients audit do not record on it: they
 run ``model.forward_cached`` and hand-written backwards. The tape is the
@@ -23,7 +23,6 @@ from .errors import ContractError, DimensionError, EvaluationError, LabelError
 __all__ = [
     "Tensor",
     "Tape",
-    "no_tape",
     "backward",
     "matmul",
     "add",
@@ -105,18 +104,7 @@ class Tape:
         return False
 
 
-class no_tape:
-    """Suspend recording, even inside an enclosing Tape."""
-
-    def __enter__(self) -> None:
-        _TAPE_STACK.append(None)
-
-    def __exit__(self, *exc) -> bool:
-        _TAPE_STACK.pop()
-        return False
-
-
-_TAPE_STACK: list[Tape | None] = []
+_TAPE_STACK: list[Tape] = []
 
 
 def _active_tape() -> Tape | None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from lcgclab import config as config_module
@@ -11,6 +13,7 @@ from lcgclab.config import (
     parse_config,
     parse_config_text,
 )
+from lcgclab.debias import LCGCConfig, TrainSettings
 from lcgclab.errors import ConfigError
 
 
@@ -191,6 +194,13 @@ class TestParsing:
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "absent.cfg")
 
+    def test_unreadable_file_raises(self, tmp_path):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes(b"train.steps = 4\n# caf\xff\n")
+        for path in (bad, tmp_path):  # not UTF-8; a directory
+            with pytest.raises(ConfigError, match="cannot read"):
+                parse_config(path)
+
 
 class TestMethodResolution:
     def test_baseline_disables_all_refinement(self):
@@ -225,6 +235,35 @@ class TestMethodResolution:
         assert st.lr == 0.3
         assert st.aug.sigma_weak == 0.05
         assert st.lcgc == cfg.effective_lcgc()
+
+    def test_defaults_give_default_settings(self):
+        assert default_config().train_settings() == TrainSettings()
+
+    def test_every_settings_key_reaches_train_settings(self):
+        """Each key that sets a TrainSettings or LCGCConfig field, given
+        a value other than its default, arrives in train_settings()."""
+        train = {f.name for f in fields(TrainSettings)}
+        lcgc = {f.name for f in fields(LCGCConfig)}
+        lines, expected = ["method = lcgc"], {}
+        for key, (attr, kind, default, *choices) in _SCHEMA.items():
+            name = "baseline" if attr == "baseline_color" else attr
+            if name not in train | lcgc or key == "method":
+                continue
+            if kind == "int":
+                value = default + 1
+            elif kind == "float":
+                value = default / 2 if default else 0.5
+            elif kind == "bool":
+                value = not default
+            else:
+                value = next(c for c in choices[0] if c != default)
+            lines.append(f"{key} = {str(value).lower()}")
+            expected[name] = value
+        assert len(expected) == 16
+        st = parse_config_text("\n".join(lines)).train_settings()
+        for name, value in expected.items():
+            got = getattr(st, name) if name in train else getattr(st.lcgc, name)
+            assert got == value, name
 
 
 class TestOverrideAndOutput:

@@ -803,6 +803,8 @@ class TestIntegratedGradients:
             integrated_gradients(p, x, b, target_class=1, steps=0)
         with pytest.raises(DimensionError):
             integrated_gradients(p, np.zeros(5), b, 1, 4)
+        with pytest.raises(DimensionError):  # d values, but not one sample
+            integrated_gradients(p, np.zeros((2, 2)), b, 1, 4)
 
     def test_leaves_parameter_grads_clean(self):
         p = generic_net((4, 6, 3), seed=20)

@@ -59,9 +59,11 @@ def _unused_imports(path: Path) -> list[str]:
 
 def test_no_unused_imports():
     """The package's ``__init__.py`` re-exports by importing, so it is
-    left out; every other module and test file is scanned."""
+    left out; every other module, test file and benchmark script is
+    scanned."""
     package = ROOT / "src" / "lcgclab"
     files = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     files += (ROOT / "tests").glob("*.py")
+    files += (ROOT / "benchmarks").glob("*.py")
     unused = [hit for p in sorted(files) for hit in _unused_imports(p)]
     assert not unused, "unused imports:\n" + "\n".join(unused)

@@ -257,6 +257,19 @@ class TestCli:
         code = main(["train", str(tmp_path / "none.cfg")])
         assert code == 2
 
+    @pytest.mark.parametrize("unreadable", ["not_utf8", "directory"])
+    def test_unreadable_config_exits_two(self, tmp_path, capsys, unreadable):
+        path = tmp_path / "exp.cfg"
+        if unreadable == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(TINY.encode() + b"# \xff\n")
+        out = tmp_path / "o"
+        code = main(["train", str(path), "--output", str(out)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_guard_violation_exits_two(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, "method = baseline\n")
         code = main(
@@ -275,6 +288,22 @@ class TestCli:
         assert code == 0
         rows = json.loads((out / "lambda_sweep.json").read_text())
         assert [r["lambda"] for r in rows] == [0.0, 0.4]
+
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (["ablate-baseline", "--colors", "black,gray"], 2),
+            (["ablate-components"], 4),
+        ],
+    )
+    def test_ablation_commands(self, tmp_path, capsys, argv, rows):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "o"
+        code = main([argv[0], str(cfg), *argv[1:], "--output", str(out)])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == rows
+        assert all("bacc" in line for line in lines)
 
     @pytest.mark.parametrize(
         "flags",

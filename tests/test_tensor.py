@@ -23,7 +23,6 @@ from lcgclab.tensor import (
     log_softmax,
     matmul,
     mul,
-    no_tape,
     relu,
     scale,
     softmax,
@@ -148,15 +147,6 @@ class TestTapeSemantics:
         a = Tensor([[1.0, 2.0]], requires_grad=True)
         out = scale(a, 2.0)
         assert out.node is None and not out.requires_grad
-
-    def test_no_tape_suspends_recording(self):
-        a = Tensor([[1.0, 2.0]], requires_grad=True)
-        with Tape():
-            with no_tape():
-                hidden = scale(a, 2.0)
-            tracked = scale(a, 3.0)
-        assert hidden.node is None
-        assert tracked.node is not None
 
     def test_backward_requires_scalar_on_tape(self):
         a = Tensor([[1.0, 2.0]], requires_grad=True)
