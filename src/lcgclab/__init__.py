@@ -25,7 +25,6 @@ from .data import (
 )
 from .debias import (
     BASELINE_COLORS,
-    BaselineInput,
     EvalReport,
     GradientVector,
     LCGCConfig,

@@ -103,10 +103,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _num(v: float | None) -> str:
+    """An aggregate statistic to 4 decimals; n/a when no seed completed."""
+    return "n/a" if v is None else f"{v:.4f}"
+
+
 def _fmt_row(row: dict, key: str) -> str:
     return (
-        f"  {row[key]:>28}  bacc {row['bacc_mean']:.4f} +- {row['bacc_se']:.4f}"
-        f"  gm {row['gm_mean']:.4f}"
+        f"  {row[key]:>28}  bacc {_num(row['bacc_mean'])} +- {_num(row['bacc_se'])}"
+        f"  gm {_num(row['gm_mean'])}"
     )
 
 
@@ -130,8 +135,8 @@ def main(argv=None) -> int:
                         f"  gm {entry['final_gm']:.4f}"
                     )
             print(
-                f"{config.method}: bacc {agg['bacc_mean']:.4f} "
-                f"+- {agg['bacc_se']:.4f} over {agg['n_completed']} seeds"
+                f"{config.method}: bacc {_num(agg['bacc_mean'])} "
+                f"+- {_num(agg['bacc_se'])} over {agg['n_completed']} seeds"
             )
             return 0 if agg["n_completed"] > 0 else 1
 

@@ -75,16 +75,8 @@ _NORM_FLOOR = 1e-12
 _IG_BLOCK_ROWS = 256
 
 
-@dataclass(frozen=True, eq=False)
-class BaselineInput:
-    """A constant probe input: a name and its coordinate vector."""
-
-    name: str
-    vector: np.ndarray  # (d,)
-
-
-def make_baseline(name: str, dim: int, scale: float) -> BaselineInput:
-    """Build a solid-color probe for data living in [-scale, scale]^d.
+def make_baseline(name: str, dim: int, scale: float) -> np.ndarray:
+    """The (d,) solid-color probe input for data living in [-scale, scale]^d.
 
     black is the zero vector, white all-ones at full intensity, gray at
     half. The three primaries light up one third of the coordinates
@@ -106,13 +98,13 @@ def make_baseline(name: str, dim: int, scale: float) -> BaselineInput:
         v[:] = 0.5 * scale
     elif name in ("red", "green", "blue"):
         v[thirds[("red", "green", "blue").index(name)]] = scale
-    return BaselineInput(name=name, vector=v)
+    return v
 
 
-def baseline_logits(params: ModelParams, baseline: BaselineInput) -> np.ndarray:
-    """Logits of the probe input, shape (C,). Recomputed per step; the
-    bias estimate must track the current parameters."""
-    return logits_array(params, baseline.vector[None, :])[0]
+def baseline_logits(params: ModelParams, baseline: np.ndarray) -> np.ndarray:
+    """Logits of the (d,) probe input, shape (C,). Recomputed per step;
+    the bias estimate must track the current parameters."""
+    return logits_array(params, baseline[None, :])[0]
 
 
 def kl_consistency_loss(logits, refined) -> Tensor:
@@ -279,7 +271,7 @@ class TrainState:
     """Mutable per-run state threaded through train_step."""
 
     rng: np.random.Generator
-    baseline: BaselineInput
+    baseline: np.ndarray  # (d,) probe input
     target_dist: np.ndarray  # labeled class profile, for alignment
     ema_avg: np.ndarray  # running mean of predicted distributions
     step: int = 0
@@ -353,16 +345,14 @@ def grad_b(
 
 def _grad_b_with_loss(params, x_unlabeled, pseudo, aug, rng, weight, bufs):
     """grad_b plus the unweighted consistency loss: one forward of the
-    strong views drawn from ``rng``, into ``bufs`` (a ``StepBuffers``,
-    or None to allocate one); the gradient is written into its third
-    flat gradient."""
+    strong views drawn from ``rng``, into ``bufs`` (a ``StepBuffers``;
+    ``grad_b`` passes None, which allocates one); the gradient is written
+    into its third flat gradient."""
     strong, target, weights = consistency_inputs(x_unlabeled, pseudo, aug, rng)
     if bufs is None:
         bufs = StepBuffers(params, strong.shape[0])
     logits, inputs = forward_cached(params, strong, out=bufs.acts)
-    loss, vjp = cross_entropy_terms(
-        logits, target, weights=weights, denom=float(weights.shape[0])
-    )
+    loss, vjp = cross_entropy_terms(logits, target, weights=weights)
     g = backward_rows(
         params, inputs, vjp(weight), out=bufs.grads[2], adjoints=bufs.adjoints
     )
@@ -370,7 +360,7 @@ def _grad_b_with_loss(params, x_unlabeled, pseudo, aug, rng, weight, bufs):
 
 
 def grad_d(
-    params: ModelParams, x_weak: np.ndarray, baseline: BaselineInput
+    params: ModelParams, x_weak: np.ndarray, baseline: np.ndarray
 ) -> GradientVector:
     """Parameter gradient of the raw-vs-refined KL on weak views.
 
@@ -384,19 +374,19 @@ def grad_d(
 
 def _kl_grad(params, x_weak, baseline, bufs, *more_rows):
     """One forward of ``[x_weak; probe; *more_rows]`` into ``bufs`` (a
-    ``StepBuffers``, or None to allocate one) and the KL gradient, whose
-    adjoint lives on the weak and probe rows only; it is written into
-    the buffers' first flat gradient.
+    ``StepBuffers``; ``grad_d`` passes None, which allocates one) and the
+    KL gradient, whose adjoint lives on the weak and probe rows only; it
+    is written into the buffers' first flat gradient.
 
     Returns (grad_d, KL value, raw and refined logits of the weak views,
-    the forward's logits, its cached layer inputs, the buffers), so a
-    caller that stacked more rows can backprop their block from the same
-    forward. The raw and refined logits are fresh arrays; the forward's
-    logits and inputs live in the buffers.
+    the forward's logits, its cached layer inputs), so a caller that
+    stacked more rows can backprop their block from the same forward.
+    The raw and refined logits are fresh arrays; the forward's logits
+    and inputs live in the buffers.
     """
     x_weak = np.asarray(x_weak, dtype=np.float64)
     check_batch(params, x_weak)  # before concatenate, for a DimensionError
-    x = np.concatenate([x_weak, baseline.vector[None, :], *more_rows])
+    x = np.concatenate([x_weak, baseline[None, :], *more_rows])
     if bufs is None:
         bufs = StepBuffers(params, x.shape[0])
     z, inputs = forward_cached(params, x, out=bufs.acts)
@@ -411,7 +401,7 @@ def _kl_grad(params, x_weak, baseline, bufs, *more_rows):
     g_d = backward_rows(
         params, inputs, g_rows, out=bufs.grads[0], adjoints=bufs.adjoints
     )
-    return GradientVector(g_d), loss_kl, logits, refined, z, inputs, bufs
+    return GradientVector(g_d), loss_kl, logits, refined, z, inputs
 
 
 def _grad_d_with_loss(params, x_weak, baseline, x_labeled, y_labeled, bufs):
@@ -419,13 +409,13 @@ def _grad_d_with_loss(params, x_weak, baseline, x_labeled, y_labeled, bufs):
     views (so the caller builds pseudo-labels without a second forward),
     and the supervised gradient and loss of the labeled batch.
 
-    One forward of ``[x_weak; probe; x_labeled]`` into ``bufs`` (a
-    ``StepBuffers``, or None to allocate one) serves everything; the
-    supervised cross entropy's adjoint lives on the labeled rows, so
-    their block's backward gives its own gradient, written into the
-    buffers' second flat gradient.
+    One forward of ``[x_weak; probe; x_labeled]`` into ``bufs`` (the
+    run's ``StepBuffers``) serves everything; the supervised cross
+    entropy's adjoint lives on the labeled rows, so their block's
+    backward gives its own gradient, written into the buffers' second
+    flat gradient.
     """
-    g_d, loss_kl, logits, refined, z, inputs, bufs = _kl_grad(
+    g_d, loss_kl, logits, refined, z, inputs = _kl_grad(
         params, x_weak, baseline, bufs, np.asarray(x_labeled, dtype=np.float64)
     )
     start = logits.shape[0] + 1
@@ -561,7 +551,7 @@ def evaluate(
     x: np.ndarray,
     y: np.ndarray,
     *,
-    baseline: BaselineInput | None = None,
+    baseline: np.ndarray | None = None,
     double_subtract: bool = False,
 ) -> EvalReport:
     """Balanced accuracy, geometric mean and confusion on a labeled set.
@@ -645,7 +635,7 @@ def run_training(
 def integrated_gradients(
     params: ModelParams,
     x: np.ndarray,
-    baseline: BaselineInput,
+    baseline: np.ndarray,
     target_class: int,
     steps: int,
 ) -> np.ndarray:
@@ -658,10 +648,9 @@ def integrated_gradients(
     g(x)_c - g(I)_c; for a linear model one step is already exact.
     """
     x = np.asarray(x, dtype=np.float64)
-    base = baseline.vector
-    if x.shape != base.shape:
+    if x.shape != baseline.shape:
         raise DimensionError(
-            f"sample has shape {x.shape}, baseline {base.shape}"
+            f"sample has shape {x.shape}, baseline {baseline.shape}"
         )
     C = params.dims[-1]
     if not 1 <= target_class <= C:
@@ -674,7 +663,7 @@ def integrated_gradients(
 def _path_attributions(
     params: ModelParams,
     x: np.ndarray,
-    baseline: BaselineInput,
+    baseline: np.ndarray,
     labels: np.ndarray,
     steps: int,
 ) -> np.ndarray:
@@ -688,14 +677,13 @@ def _path_attributions(
     if steps < 1:
         raise ContractError(f"steps must be >= 1, got {steps}")
     n, d = x.shape
-    base = baseline.vector
     ks = (np.arange(1, steps + 1, dtype=np.float64) / steps)[:, None]
     per = max(1, _IG_BLOCK_ROWS // steps)
     out = np.empty((n, d))
     for start in range(0, n, per):
-        delta = x[start : start + per] - base
+        delta = x[start : start + per] - baseline
         m = delta.shape[0]
-        pts = base + ks * delta[:, None, :]
+        pts = baseline + ks * delta[:, None, :]
         _, inputs = forward_cached(params, pts.reshape(m * steps, d))
         cls = np.repeat(labels[start : start + m] - 1, steps)
         g = np.zeros((cls.size, params.dims[-1]))
@@ -723,7 +711,7 @@ class TheoremReport:
 def verify_theorem1(
     params: ModelParams,
     x: np.ndarray,
-    baseline: BaselineInput,
+    baseline: np.ndarray,
     steps: int,
     tol: float = 1e-3,
 ) -> TheoremReport:

@@ -76,12 +76,7 @@ def consistency_loss(
     must come from weak views of this same batch, in the same row order.
     """
     strong, target, weights = consistency_inputs(x_unlabeled, pseudo, aug, rng)
-    return cross_entropy(
-        forward_logits(params, strong),
-        target,
-        weights=weights,
-        denom=float(weights.shape[0]),
-    )
+    return cross_entropy(forward_logits(params, strong), target, weights=weights)
 
 
 def consistency_inputs(

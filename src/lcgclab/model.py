@@ -21,7 +21,9 @@ and page-fault them in again on the next one. The buffers hold
   tensors of ``ModelParams.tensors()``, into which ``backward_rows``
   writes every weight and bias gradient directly.
 
-Without buffers both functions allocate, with the same bits.
+Only ``forward_cached`` also runs without buffers, allocating its
+layers with the same bits (the inference forwards and the audit);
+``backward_rows`` always writes into them.
 """
 
 from __future__ import annotations
@@ -178,8 +180,8 @@ def backward_rows(
     g: np.ndarray,
     start: int = 0,
     *,
-    out: tuple[np.ndarray, list[np.ndarray]] | None = None,
-    adjoints: list[np.ndarray] | None = None,
+    out: tuple[np.ndarray, list[np.ndarray]],
+    adjoints: list[np.ndarray],
 ) -> np.ndarray:
     """Flat parameter gradient, in ``tensors()`` order, of the rows
     ``start .. start + len(g)`` of a ``forward_cached`` call whose
@@ -187,19 +189,17 @@ def backward_rows(
 
     ``out`` is a ``grad_buffer`` pair to write the gradient into, whose
     flat array is returned; ``adjoints`` (a ``StepBuffers``' adjoints)
-    holds the hidden layers' adjoints. Either may be None, which
-    allocates it.
+    holds the hidden layers' adjoints.
     """
     m = g.shape[0]
     rows = slice(start, start + m)
-    flat, views = grad_buffer(params) if out is None else out
+    flat, views = out
     for i in range(len(params.weights) - 1, -1, -1):
         h = inputs[i][rows]
         K.sum_rows(g, out=views[2 * i + 1])
         K.matmul_tn(h, g, out=views[2 * i])
         if i:
-            adj = None if adjoints is None else adjoints[i - 1][:m]
-            g = K.matmul_nt(g, params.weights[i].data, out=adj)
+            g = K.matmul_nt(g, params.weights[i].data, out=adjoints[i - 1][:m])
             K.relu_vjp(g, h, out=g)
     return flat
 

@@ -36,10 +36,11 @@ def _steps_csv(run: RunRecord) -> str:
     return _table_csv([vars(r) for r in run.steps], _STEP_COLUMNS)
 
 
-def _mean_se(vals) -> tuple[float, float]:
+def _mean_se(vals) -> tuple[float | None, float | None]:
+    """Mean and standard error; None for both (JSON null) of no values."""
     v = np.asarray(list(vals), dtype=np.float64)
     if v.size == 0:
-        return float("nan"), float("nan")
+        return None, None
     if v.size == 1:
         return float(v[0]), 0.0
     return float(v.mean()), float(v.std(ddof=1) / np.sqrt(v.size))
@@ -108,11 +109,12 @@ def run(
 def _cell(v) -> str:
     if isinstance(v, float):
         return repr(v)  # round-trips exactly
-    return str(int(v) if isinstance(v, bool) else v)
+    return "" if v is None else str(int(v) if isinstance(v, bool) else v)
 
 
 def _table_csv(rows: list[dict], columns: tuple[str, ...]) -> str:
-    """One CSV line per row dict: floats as repr, bools as 0/1."""
+    """One CSV line per row dict: floats as repr, bools as 0/1, None
+    as an empty cell."""
     lines = [",".join(columns)]
     lines += [",".join(_cell(row[c]) for c in columns) for row in rows]
     return "\n".join(lines) + "\n"
@@ -128,8 +130,17 @@ def _sweep(
     """Run each (label, subdirectory, config) variant on one shared dataset.
 
     Writes one row per variant, keyed by ``column``, to
-    ``table_name``.csv and ``table_name``.json.
+    ``table_name``.csv and ``table_name``.json. Two variants that share
+    a subdirectory raise ConfigError before anything runs or is written.
     """
+    labels: dict[str, object] = {}
+    for label, subdir, _ in variants:
+        if subdir in labels:
+            raise ConfigError(
+                f"{column} {labels[subdir]!r} and {label!r} would share "
+                f"the directory {subdir}"
+            )
+        labels[subdir] = label
     out = Path(out_dir) if out_dir is not None else config.output_root()
     ds = synthesize(config.spec)
     rows = []

@@ -359,33 +359,21 @@ def _target_matrix(target, n: int, C: int) -> np.ndarray:
     return arr
 
 
-def cross_entropy(
-    pred,
-    target,
-    *,
-    weights: np.ndarray | None = None,
-    denom: float | None = None,
-) -> Tensor:
-    """Cross entropy between logits and targets, reduced to a scalar.
+def cross_entropy(pred, target, *, weights: np.ndarray | None = None) -> Tensor:
+    """Cross entropy between logits and targets, averaged over all n rows.
 
     pred: (n, C) tensor of logits, C >= 2.
     target: hard int labels in [1..C] (shape (n,)) or soft rows (n, C).
-    weights: optional per-row factors (a confidence mask, typically).
-    denom: reduction denominator; defaults to n (mean over the batch).
+    weights: optional per-row factors (a confidence mask, typically);
+    a row weighted 0 still counts in the mean's n.
     """
     pred = _as_tensor(pred)
-    loss, vjp = cross_entropy_terms(
-        pred.data, target, weights=weights, denom=denom
-    )
+    loss, vjp = cross_entropy_terms(pred.data, target, weights=weights)
     return apply_op(np.asarray(loss), (pred,), lambda g: (vjp(g),))
 
 
 def cross_entropy_terms(
-    logits: np.ndarray,
-    target,
-    *,
-    weights: np.ndarray | None = None,
-    denom: float | None = None,
+    logits: np.ndarray, target, *, weights: np.ndarray | None = None
 ) -> tuple[float, Callable[[float], np.ndarray]]:
     """Value of ``cross_entropy`` on plain (n, C) logits and its VJP,
     which maps the loss adjoint to the (n, C) logit adjoint. Arguments
@@ -401,17 +389,14 @@ def cross_entropy_terms(
         w = np.asarray(weights, dtype=np.float64).reshape(-1)
         if w.shape[0] != n:
             raise DimensionError(f"expected {n} weights, got {w.shape[0]}")
-    d = float(n if denom is None else denom)
-    if d <= 0.0:
-        raise ContractError(f"denominator must be positive, got {d}")
 
     lsm = K.log_softmax_rows(p2)
-    loss = -float((w * (t * lsm).sum(axis=1)).sum()) / d
+    loss = -float((w * (t * lsm).sum(axis=1)).sum()) / n
     sm = np.exp(lsm)
     t_mass = t.sum(axis=1, keepdims=True)
 
     def vjp(g):
-        return (sm * t_mass - t) * (w[:, None] * (float(g) / d))
+        return (sm * t_mass - t) * (w[:, None] * (float(g) / n))
 
     return loss, vjp
 

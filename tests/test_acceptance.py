@@ -121,7 +121,7 @@ class TestCriterion1GradientOracles:
             while True:
                 x = rng.normal(size=(n, d))
                 y = rng.integers(1, c + 1, size=n)
-                probe = baseline.vector[None, :]
+                probe = baseline[None, :]
                 if away_from_relu_kinks(params, np.vstack([x, probe])):
                     break
             pseudo = pseudo_label(logits_array(params, x), tau=0.0)

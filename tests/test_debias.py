@@ -92,28 +92,28 @@ class TestBaselines:
     def test_palette_vectors(self):
         d, s = 6, 2.0
         np.testing.assert_array_equal(
-            make_baseline("black", d, s).vector, np.zeros(6)
+            make_baseline("black", d, s), np.zeros(6)
         )
         np.testing.assert_array_equal(
-            make_baseline("white", d, s).vector, np.full(6, 2.0)
+            make_baseline("white", d, s), np.full(6, 2.0)
         )
         np.testing.assert_array_equal(
-            make_baseline("gray", d, s).vector, np.full(6, 1.0)
+            make_baseline("gray", d, s), np.full(6, 1.0)
         )
         np.testing.assert_array_equal(
-            make_baseline("red", d, s).vector, [2, 2, 0, 0, 0, 0]
+            make_baseline("red", d, s), [2, 2, 0, 0, 0, 0]
         )
         np.testing.assert_array_equal(
-            make_baseline("green", d, s).vector, [0, 0, 2, 2, 0, 0]
+            make_baseline("green", d, s), [0, 0, 2, 2, 0, 0]
         )
         np.testing.assert_array_equal(
-            make_baseline("blue", d, s).vector, [0, 0, 0, 0, 2, 2]
+            make_baseline("blue", d, s), [0, 0, 0, 0, 2, 2]
         )
 
     def test_primaries_cover_all_coordinates(self):
         d = 7  # not divisible by three
         total = sum(
-            make_baseline(c, d, 1.0).vector for c in ("red", "green", "blue")
+            make_baseline(c, d, 1.0) for c in ("red", "green", "blue")
         )
         np.testing.assert_array_equal(total, np.ones(7))
 
@@ -461,7 +461,7 @@ class TestOneForwardPerView:
         xlw, xuw = weak_views
         n = xuw.shape[0]
         z = logits_array(
-            before, np.vstack([xuw, state.baseline.vector[None, :], xlw])
+            before, np.vstack([xuw, state.baseline[None, :], xlw])
         )
         expected = z[:n] - z[n] if refine else z[:n]
         assert len(seen) == 1
@@ -530,7 +530,7 @@ class TestRowBlockParity:
 
             def kl():
                 logits = forward_logits(params, x_weak)
-                base = forward_logits(params, baseline.vector[None, :])
+                base = forward_logits(params, baseline[None, :])
                 return kl_consistency_loss(
                     logits, add_rowvec(logits, scale(base, -1.0))
                 )
@@ -771,9 +771,9 @@ class TestIntegratedGradients:
         x = rng.normal(size=6)
         ig = integrated_gradients(p, x, b, target_class=2, steps=1)
         np.testing.assert_allclose(
-            ig, (x - b.vector) * w[:, 1], atol=1e-12
+            ig, (x - b) * w[:, 1], atol=1e-12
         )
-        gap = (x @ w + p.biases[0].data)[1] - (b.vector @ w + p.biases[0].data)[1]
+        gap = (x @ w + p.biases[0].data)[1] - (b @ w + p.biases[0].data)[1]
         np.testing.assert_allclose(ig.sum(), gap, atol=1e-10)
 
     def test_completeness_improves_with_steps(self):
@@ -814,12 +814,11 @@ class TestIntegratedGradients:
             assert t.grad is None or not t.grad.any()
 
 
-def _tape_audit(params, x, baseline, steps):
+def _tape_audit(params, x, base, steps):
     """verify_theorem1's (labels, ig_sums, logit_gaps) from one autodiff
     tape per sample: the input gradient of the refined label's logit at
     each path point, averaged and scaled by (x - I)."""
-    base = baseline.vector
-    base_row = baseline_logits(params, baseline)
+    base_row = baseline_logits(params, base)
     logits = logits_array(params, x)
     labels = np.argmax(logits - base_row, axis=1) + 1
     ks = (np.arange(1, steps + 1, dtype=np.float64) / steps)[:, None]

@@ -94,10 +94,11 @@ class TestForward:
 
 class TestStepBuffers:
     def test_buffers_give_the_same_bits(self):
-        """A forward and two row-block backwards into buffers larger than
-        the batch equal the allocating calls bitwise; the logits and the
-        hidden inputs are row-prefix views of the activations and the
-        gradient is the buffers' flat array."""
+        """A forward into buffers larger than the batch equals the
+        allocating forward bitwise, and two row-block backwards of it
+        equal those of the allocating forward into fresh buffers; the
+        logits and the hidden inputs are row-prefix views of the
+        activations and the gradient is the buffers' flat array."""
         rng = np.random.default_rng(12)
         p = init_mlp((5, 7, 6, 3), seed=12)
         x = rng.normal(size=(9, 5))
@@ -113,7 +114,10 @@ class TestStepBuffers:
             assert h.tobytes() == h_ref.tobytes()
             assert np.shares_memory(h, act)
         for start in (0, 5):
-            ref = backward_rows(p, inputs_ref, g, start)
+            fresh = StepBuffers(p, 11)
+            ref = backward_rows(
+                p, inputs_ref, g, start, out=fresh.grads[0], adjoints=fresh.adjoints
+            )
             flat = backward_rows(
                 p, inputs, g, start, out=bufs.grads[0], adjoints=bufs.adjoints
             )

@@ -1,5 +1,6 @@
-"""Every declared runtime dependency is importable, and every import
-in the package and its tests is used."""
+"""Every declared runtime dependency is importable, every import in the
+package and its tests is used, and every private module-level name of
+the package is read."""
 
 from __future__ import annotations
 
@@ -67,3 +68,51 @@ def test_no_unused_imports():
     files += (ROOT / "benchmarks").glob("*.py")
     unused = [hit for p in sorted(files) for hit in _unused_imports(p)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each module-level ``_name`` that ``tree`` binds
+    with a def, a class or an assignment."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [
+                n.id
+                for t in targets
+                for n in ast.walk(t)
+                if isinstance(n, ast.Name)
+            ]
+        else:
+            continue
+        out += [(n, node.lineno) for n in names if n.startswith("_")]
+    return out
+
+
+def test_every_private_name_is_read():
+    """A private name is the package's own business, so one that no
+    module of the package reads (as a name or as an attribute) is dead
+    code left behind by a deletion."""
+    package = ROOT / "src" / "lcgclab"
+    trees = {
+        p.relative_to(ROOT): ast.parse(p.read_text(encoding="utf-8"))
+        for p in sorted(package.glob("*.py"))
+    }
+    read: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = [
+        (f"{rel}:{line}: {name}", name)
+        for rel, tree in trees.items()
+        for name, line in _private_definitions(tree)
+        if not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert len(defined) > 0
+    unread = [hit for hit, name in defined if name not in read]
+    assert not unread, "private names nothing reads:\n" + "\n".join(unread)

@@ -162,6 +162,22 @@ class TestSweeps:
         assert csv_lines[0].startswith("lambda,bacc_mean")
         assert len(csv_lines) == 3
 
+    def test_failed_point_writes_null_and_empty_cells(
+        self, tmp_path, monkeypatch
+    ):
+        import lcgclab.runner as R
+
+        def always_fail(ds, hidden, settings, seed, step_callback=None):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(R, "run_training", always_fail)
+        rows = sweep_lambda(tiny_config(), values=(0.5,), out_dir=tmp_path)
+        stats = ("bacc_mean", "bacc_se", "gm_mean", "gm_se")
+        assert [rows[0][k] for k in stats] == [None] * 4
+        assert json.loads((tmp_path / "lambda_sweep.json").read_text()) == rows
+        csv_lines = (tmp_path / "lambda_sweep.csv").read_text().splitlines()
+        assert csv_lines[1] == "0.5,,,,,0"
+
     def test_sweep_rejects_negative(self, tmp_path):
         with pytest.raises(ConfigError):
             sweep_lambda(tiny_config(), values=(-0.5,), out_dir=tmp_path)
@@ -324,6 +340,26 @@ class TestCli:
         assert flags[1] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, subdir",
+        [
+            (["sweep-lambda", "--values", "0.1234561,0.1234562"], "lambda_0.123456"),
+            (["ablate-baseline", "--colors", "black,black"], "baseline_black"),
+        ],
+    )
+    def test_points_sharing_a_directory_exit_two(
+        self, tmp_path, capsys, flags, subdir
+    ):
+        """Two points whose directory names coincide would overwrite
+        each other's artifacts; they are refused before anything runs."""
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "o"
+        code = main([flags[0], str(cfg), *flags[1:], "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and subdir in err
+        assert not out.exists()
+
     def test_export_binary_roundtrip(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path)
         path = tmp_path / "pool.bin"
@@ -350,3 +386,12 @@ class TestCli:
         cfg = self.write_cfg(tmp_path)
         code = main(["train", str(cfg), "--output", str(tmp_path / "o")])
         assert code == 1
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        text = (tmp_path / "o" / "aggregate.json").read_text()
+        agg = json.loads(text, parse_constant=reject)
+        for key in ("bacc_mean", "bacc_se", "gm_mean", "gm_se"):
+            assert agg[key] is None
+        assert "bacc n/a +- n/a over 0 seeds" in capsys.readouterr().out
