@@ -13,6 +13,10 @@ fight; otherwise g_b passes through unchanged.
 Integrated gradients on the same baseline provide the audit: their sum
 must reproduce the logit gap between a sample and the baseline, which
 ties the correction term to an attribution the model itself certifies.
+Their path from the baseline to a sample is a straight line, so the
+audit never forms its points: the first layer is affine along it, and
+its adjoint is averaged over the path before one input-layer backward
+per sample.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .data import (
 from .errors import (
     ContractError,
     DimensionError,
+    EvaluationError,
     LabelError,
     TrainingDiverged,
     require_finite_fields,
@@ -66,12 +71,13 @@ BACKBONES = ("fixmatch", "remix-lite")
 # Below this norm the correction direction is numerically meaningless.
 _NORM_FLOOR = 1e-12
 
-# Path points per batched forward and input backward of the attribution
-# audit. Bounds its memory whatever the batch size and step count; at 256
-# rows a 64-wide layer's temporaries are 128 KiB, which stay in cache and
-# are reused by the allocator, where the 512 KiB ones of 1024-row blocks
-# went back to the OS and page-faulted in again on every call (twice the
-# time per 8-sample, 128-step audit call on a 2-vCPU x86 host).
+# Path points per block of the attribution audit. The points themselves
+# are never formed: a block bounds the (rows, hidden) temporaries of its
+# hidden layers, whatever the batch size and step count. At 256 rows a
+# 64-wide layer's temporaries are 128 KiB, which stay in cache and are
+# reused by the allocator, where larger ones can go back to the OS and
+# page-fault in again on every call (up to twice the time per 8-sample,
+# 128-step audit call on a 2-vCPU x86 host).
 _IG_BLOCK_ROWS = 256
 
 
@@ -599,25 +605,32 @@ def run_training(
     records: list[StepRecord] = []
     diverged = False
     divergence_step = divergence = None
+    # A diverging step computes its non-finite values before the check
+    # that raises TrainingDiverged, and the last finite parameters of a
+    # diverged run can overflow again on the test split; numpy's warnings
+    # would only repeat what the record keeps.
+    quiet = dict(over="ignore", invalid="ignore")
     try:
-        for _ in range(settings.steps):
-            rec = train_step(params, ds, settings, state)
-            records.append(rec)
-            if step_callback is not None:
-                step_callback(params, rec)
+        with np.errstate(**quiet):
+            for _ in range(settings.steps):
+                rec = train_step(params, ds, settings, state)
+                records.append(rec)
+                if step_callback is not None:
+                    step_callback(params, rec)
     except TrainingDiverged as e:
         diverged = True
         divergence_step = e.step
         divergence = e.diagnostics
     state.buffers = None  # evaluate's test split needs the memory more
 
-    report = evaluate(
-        params,
-        ds.test_x,
-        ds.test_y,
-        baseline=state.baseline if settings.lcgc.refine_at_test else None,
-        double_subtract=settings.lcgc.double_subtract,
-    )
+    with np.errstate(**(quiet if diverged else {})):
+        report = evaluate(
+            params,
+            ds.test_x,
+            ds.test_y,
+            baseline=state.baseline if settings.lcgc.refine_at_test else None,
+            double_subtract=settings.lcgc.double_subtract,
+        )
     run = RunRecord(
         seed=seed,
         steps=records,
@@ -670,29 +683,64 @@ def _path_attributions(
     """``integrated_gradients`` of every row of a (n, d) batch, row i
     attributing logit ``labels[i]``; shape (n, d).
 
+    The path I + a(x - I) is a straight line, so its points are never
+    formed:
+
+    - the first layer's pre-activations along it are u + a v, with
+      u = I W1 + b1 once per call and v = (x - I) W1 once per sample;
+    - the target logit's adjoint at the last layer's input is a row of
+      W_last^T, the same at every path point;
+    - middle hidden layers run forward and backward per path point;
+    - the first hidden layer's adjoint is averaged over the path before
+      one input-layer backward per sample.
+
     Samples go through in blocks of ``_IG_BLOCK_ROWS // steps`` (at
-    least one): one plain forward of the block's stacked path points,
-    then one backward of their one-hot logit adjoints to the input.
+    least one), which bounds the (rows, hidden) temporaries. Raises
+    DimensionError on a batch the model cannot take and EvaluationError
+    on a non-finite x - I, as a forward of the path points would.
     """
     if steps < 1:
         raise ContractError(f"steps must be >= 1, got {steps}")
-    n, d = x.shape
-    ks = (np.arange(1, steps + 1, dtype=np.float64) / steps)[:, None]
+    check_batch(params, x)
+    delta = x - baseline
+    if not np.isfinite(delta).all():
+        raise EvaluationError("attribution path contains non-finite values")
+    ws = [w.data for w in params.weights]
+    last = len(ws) - 1
+    rows = ws[last].T[labels - 1]
+    if not last:
+        return delta * rows
+    n = x.shape[0]
+    uv = np.empty((2, n, params.dims[1]))
+    uv[0] = K.add_rowvec(
+        K.matmul(baseline[None, :], ws[0]), params.biases[0].data
+    )
+    K.matmul(delta, ws[0], out=uv[1])
+    # Row k of ``coef`` is (1, a_k); times a sample's (u; v) it gives the
+    # first layer's pre-activations u + a_k v at path point k.
+    coef = np.ones((steps, 2))
+    coef[:, 1] = np.arange(1, steps + 1) / steps
     per = max(1, _IG_BLOCK_ROWS // steps)
-    out = np.empty((n, d))
+    out = np.empty_like(delta)
     for start in range(0, n, per):
-        delta = x[start : start + per] - baseline
-        m = delta.shape[0]
-        pts = baseline + ks * delta[:, None, :]
-        _, inputs = forward_cached(params, pts.reshape(m * steps, d))
-        cls = np.repeat(labels[start : start + m] - 1, steps)
-        g = np.zeros((cls.size, params.dims[-1]))
-        g[np.arange(cls.size), cls] = 1.0
-        for i in range(len(params.weights) - 1, 0, -1):
-            g = K.matmul_nt(g, params.weights[i].data)
-            K.relu_vjp(g, inputs[i], out=g)
-        g = K.matmul_nt(g, params.weights[0].data)
-        out[start : start + m] = delta * g.reshape(m, steps, d).mean(axis=1)
+        block = slice(start, start + per)
+        m = min(per, n - start)
+        # Each hidden layer's pre-activations, (steps, m, width): path
+        # point-major, so the adjoint rows broadcast over the leading
+        # axis. Those a further layer reads are ReLU'd in place, which
+        # keeps the mask relu_vjp reads.
+        h = K.matmul(coef, uv[:, block].reshape(2, -1))
+        acts = [h.reshape(steps, m, -1)]
+        for i in range(1, last):
+            h = K.matmul(K.relu(h, out=h).reshape(steps * m, -1), ws[i])
+            K.add_rowvec(h, params.biases[i].data, out=h)
+            acts.append(h.reshape(steps, m, -1))
+        g = rows[block]
+        for i in range(last - 1, 0, -1):
+            g = K.relu_vjp(g, acts[i], out=acts[i]).reshape(steps * m, -1)
+            g = K.matmul_nt(g, ws[i]).reshape(steps, m, -1)
+        g = K.relu_vjp(g, acts[0], out=acts[0]).mean(axis=0)
+        out[block] = delta[block] * K.matmul_nt(g, ws[0])
     return out
 
 

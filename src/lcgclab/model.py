@@ -3,7 +3,8 @@
 Training runs on plain arrays: ``forward_cached`` keeps each layer's
 input and ``backward_rows`` turns the logit adjoint of a row range into
 the flat parameter gradient. The integrated-gradients audit in
-``debias`` runs ``forward_cached`` too, then backprops to the input.
+``debias`` runs neither: its straight-line path lets it run the layers
+on the kernels directly, without forming the path points.
 ``forward_logits`` records the same network on the autodiff tape, which
 is only the gradient reference of criterion 1 and the parity tests.
 
@@ -22,8 +23,8 @@ and page-fault them in again on the next one. The buffers hold
   writes every weight and bias gradient directly.
 
 Only ``forward_cached`` also runs without buffers, allocating its
-layers with the same bits (the inference forwards and the audit);
-``backward_rows`` always writes into them.
+layers with the same bits (the inference forwards); ``backward_rows``
+always writes into them.
 """
 
 from __future__ import annotations

@@ -805,6 +805,17 @@ class TestIntegratedGradients:
             integrated_gradients(p, np.zeros(5), b, 1, 4)
         with pytest.raises(DimensionError):  # d values, but not one sample
             integrated_gradients(p, np.zeros((2, 2)), b, 1, 4)
+        with pytest.raises(DimensionError):  # agree, but not with the model
+            integrated_gradients(p, np.zeros(5), np.zeros(5), 1, 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["sample", "baseline"])
+    def test_non_finite_path_raises(self, where, bad):
+        p = generic_net((4, 6, 3), seed=19)
+        x, b = np.ones(4), make_baseline("black", 4, 1.0)
+        (x if where == "sample" else b)[2] = bad
+        with pytest.raises(EvaluationError):
+            integrated_gradients(p, x, b, target_class=1, steps=4)
 
     def test_leaves_parameter_grads_clean(self):
         p = generic_net((4, 6, 3), seed=20)
@@ -847,7 +858,10 @@ def _linear_net(seed):
 
 
 # (net, baseline, batch size, path steps): a 3-layer net; a linear one
-# at a single step; and a batch of three row blocks, the last partial.
+# at a single step; a batch of three row blocks, the last partial; a net
+# with two middle hidden layers; more path steps than a block has rows,
+# so each block holds one sample; and a batch whose third sample is the
+# baseline itself.
 _BLOCK_STEPS = 48
 _PER_BLOCK = _IG_BLOCK_ROWS // _BLOCK_STEPS
 _AUDIT_CASES = {
@@ -862,6 +876,18 @@ _AUDIT_CASES = {
         lambda: generic_net((8, 12, 4), seed=43),
         make_baseline("gray", 8, 1.0), 2 * _PER_BLOCK + 3, _BLOCK_STEPS,
     ),
+    "two-middle-layers": (
+        lambda: generic_net((8, 12, 10, 9, 4), seed=45),
+        make_baseline("black", 8, 1.0), 7, 40,
+    ),
+    "one-sample-blocks": (
+        lambda: generic_net((8, 12, 10, 4), seed=46),
+        make_baseline("red", 8, 1.0), 3, _IG_BLOCK_ROWS + 44,
+    ),
+    "baseline-sample": (
+        lambda: generic_net((8, 12, 4), seed=47),
+        make_baseline("gray", 8, 1.0), 5, 32,
+    ),
 }
 
 
@@ -871,6 +897,8 @@ class TestVerifyTheorem1:
         make_net, b, n, steps = _AUDIT_CASES[case]
         p = make_net()
         x = np.random.default_rng(44).normal(size=(n, p.dims[0]))
+        if case == "baseline-sample":
+            x[2] = b
         labels, ref_sums, ref_gaps = _tape_audit(p, x, b, steps)
         report = verify_theorem1(p, x, b, steps=steps)
         np.testing.assert_allclose(report.ig_sums, ref_sums, rtol=0, atol=1e-12)
@@ -880,6 +908,12 @@ class TestVerifyTheorem1:
         if case == "block-boundary":
             assert n * steps > _IG_BLOCK_ROWS and n % _PER_BLOCK
             assert len(set(labels[:_PER_BLOCK])) > 1
+        if case == "one-sample-blocks":
+            assert steps > _IG_BLOCK_ROWS
+        if case == "baseline-sample":
+            assert report.ig_sums[2] == 0.0
+            ig = integrated_gradients(p, x[2], b, int(labels[2]), steps)
+            assert not ig.any()
 
     def test_contracts(self):
         p = generic_net((4, 6, 3), seed=24)
@@ -889,10 +923,21 @@ class TestVerifyTheorem1:
             verify_theorem1(p, x, b, steps=0)
         with pytest.raises(DimensionError):
             verify_theorem1(p, np.zeros((3, 5)), b, steps=4)
-        x_bad = x.copy()
-        x_bad[1, 2] = np.nan
+        with pytest.raises(DimensionError):  # agree, but not with the model
+            verify_theorem1(p, np.zeros((3, 5)), np.zeros(5), steps=4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["sample", "baseline"])
+    def test_non_finite_path_raises(self, where, bad):
+        p = generic_net((4, 6, 3), seed=24)
+        b = make_baseline("black", 4, 1.0)
+        x = np.random.default_rng(25).normal(size=(3, 4))
+        if where == "sample":
+            x[1, 2] = bad
+        else:
+            b[2] = bad
         with pytest.raises(EvaluationError):
-            verify_theorem1(p, x_bad, b, steps=4)
+            verify_theorem1(p, x, b, steps=4)
 
     def test_leaves_parameter_grads_clean(self):
         p = generic_net((4, 6, 3), seed=26)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -78,8 +79,7 @@ class TestRun:
     def test_divergence_diagnostics_in_seed_json(self, tmp_path):
         text = TINY.replace("train.steps = 3", "train.steps = 40")
         cfg = parse_config_text(text + "train.lr = 1e6\n")
-        with np.errstate(over="ignore", invalid="ignore"):
-            agg = run(cfg, out_dir=tmp_path)
+        agg = run(cfg, out_dir=tmp_path)
         assert agg["n_diverged"] == 2
         for seed in (1, 2):
             entry = json.loads((tmp_path / f"run_seed{seed}.json").read_text())
@@ -375,6 +375,27 @@ class TestCli:
         code = main(["export-dataset", str(cfg), str(path)])
         assert code == 0
         assert path.read_text().startswith("split,label,x1")
+
+    def test_diverging_train_is_quiet(self, tmp_path, capsys):
+        text = TINY.replace("seeds = 1, 2", "seeds = 1")
+        text = text.replace("train.steps = 3", "train.steps = 40")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text + "train.lr = 1e6\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", str(cfg), "--output", str(tmp_path / "o")])
+        assert code == 1
+        entry = json.loads((tmp_path / "o" / "run_seed1.json").read_text())
+        assert (entry["divergence_step"], entry["n_steps"]) == (34, 34)
+        names = ["loss_sup", "loss_con", "loss_kl", "g_b", "g_d", "g_sup"]
+        assert entry["divergence"] == {
+            "losses": dict.fromkeys(names[:3]),
+            "grad_norms": dict.fromkeys(names[3:]),
+            "non_finite": [*names, "update"],
+        }
+        assert entry["confusion"] == [[10, 0, 0]] * 3
+        assert [w for w in caught if w.category is RuntimeWarning] == []
+        assert "RuntimeWarning" not in capsys.readouterr().err
 
     def test_all_seeds_failing_exits_one(self, tmp_path, monkeypatch, capsys):
         import lcgclab.runner as R
