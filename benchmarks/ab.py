@@ -36,6 +36,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -122,6 +123,20 @@ def _git(*args: str) -> str:
     return out.stdout.strip()
 
 
+@contextmanager
+def worktree(rev: str):
+    """Revision ``rev`` checked out in a temporary ``git worktree``,
+    which is removed on exit."""
+    tmp = Path(tempfile.mkdtemp(prefix="lcgclab-base-"))
+    tree = tmp / "base"
+    _git("worktree", "add", "--detach", str(tree), rev)
+    try:
+        yield tree
+    finally:
+        _git("worktree", "remove", "--force", str(tree))
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
 def _run_side(tree: Path, command: list, workload: str, seed: int, seconds) -> tuple:
     """One benchmark run in ``tree``: (results by workload, provenance)."""
     cmd = [*command, "--workload", workload, "--seed", str(seed),
@@ -156,11 +171,8 @@ def main(argv=None) -> int:
     dirty = bool(_git("status", "--porcelain"))
     name = f"BENCH_{head_sha[:7]}{'-dirty' if dirty else ''}.json"
 
-    tmp = Path(tempfile.mkdtemp(prefix="lcgclab-ab-"))
-    base_tree = tmp / "base"
-    _git("worktree", "add", "--detach", str(base_tree), base_sha)
     pairs, provenance = [], {}
-    try:
+    with worktree(base_sha) as base_tree:
         for i in range(PAIRS):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             pair = {"first": order[0]}
@@ -172,9 +184,6 @@ def main(argv=None) -> int:
                 )
             pairs.append(pair)
             print(f"pair {i + 1}/{PAIRS} done ({order[0]} first)", flush=True)
-    finally:
-        _git("worktree", "remove", "--force", str(base_tree))
-        shutil.rmtree(tmp, ignore_errors=True)
 
     summary = summarize(pairs, metrics)
     record = {

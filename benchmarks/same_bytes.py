@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Artifact comparison: ``lcgclab train`` on a base revision against this checkout.
+
+    python3 benchmarks/same_bytes.py <base-rev>
+
+Checks ``base-rev`` out into a temporary ``git worktree`` (the one
+``ab.py`` uses) and runs ``lcgclab train`` on every config of ``CONFIGS``
+there and in this checkout as it is on disk, uncommitted changes
+included: ``python3 -m lcgclab.cli`` with ``PYTHONPATH`` set to the
+tree's ``src`` and BLAS on one thread. Each config trains 40 steps on
+seeds 1 and 2.
+
+Then it compares the two sides: the exit code, stdout and stderr of each
+command (with the output and tree paths replaced by placeholders), and
+the output directories file by file. Every file must exist on both
+sides; a JSON file is compared after every ``wall_time_s`` key, at any
+depth, is dropped, and any other file byte for byte. Each difference is
+printed; the exit status is 1 if there is any, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from ab import ROOT, worktree
+
+COMMON = "train.steps = 40\nseeds = 1, 2\n"
+
+CONFIGS = {
+    "lcgc": "",
+    "cdmad-tau-0.9": "method = cdmad\ntrain.tau = 0.9\n",
+    "baseline": "method = baseline\n",
+    "remix-lite-wide": (
+        "backbone = remix-lite\ndataset.dim = 64\nmodel.hidden = 256, 256\n"
+        "train.batch_size = 128\n"
+    ),
+    "remix-lite-no-align": "backbone = remix-lite\nremix.align = false\n",
+    "diverging": "train.lr = 1e6\n",
+}
+
+
+_ABSENT = "<absent>"  # stands in for a key one side lacks
+
+
+def json_diffs(a, b, where: str = "") -> list[str]:
+    """Where two parsed JSON values differ, ``wall_time_s`` keys aside:
+    one ``path: base ..., head ...`` message per differing leaf."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        keys = sorted((a.keys() | b.keys()) - {"wall_time_s"})
+        return [
+            d for k in keys
+            for d in json_diffs(a.get(k, _ABSENT), b.get(k, _ABSENT), f"{where}.{k}")
+        ]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [
+            d for i, (x, y) in enumerate(zip(a, b))
+            for d in json_diffs(x, y, f"{where}[{i}]")
+        ]
+    x, y = json.dumps(a), json.dumps(b)  # NaN equals NaN here
+    return [] if x == y else [f"{where or '.'}: base {x[:60]}, head {y[:60]}"]
+
+
+def compare_trees(base: Path, head: Path) -> list[str]:
+    """Differences between two output trees: files on one side only,
+    differing values of JSON files (``json_diffs``) and other files that
+    differ in any byte."""
+    files = {
+        side: {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+        for side, root in (("base", base), ("head", head))
+    }
+    out = [f"only in base: {p}" for p in sorted(files["base"] - files["head"])]
+    out += [f"only in head: {p}" for p in sorted(files["head"] - files["base"])]
+    for p in sorted(files["base"] & files["head"]):
+        x, y = (base / p).read_bytes(), (head / p).read_bytes()
+        if x == y:
+            continue
+        if p.suffix == ".json":
+            try:
+                x, y = json.loads(x), json.loads(y)
+            except ValueError:  # malformed: compared as bytes
+                pass
+            else:
+                out += [f"{p}: {d}" for d in json_diffs(x, y)]
+                continue
+        out.append(f"differs: {p}")
+    return out
+
+
+def _train(tree: Path, cfg: Path, out: Path) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``lcgclab train`` run from ``tree``."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    env.pop("LCGCLAB_OUTPUT_ROOT", None)
+    cmd = [sys.executable, "-m", "lcgclab.cli", "train", str(cfg)]
+    cmd += ["--output", str(out)]
+    r = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+
+    def scrub(text: str) -> str:
+        return text.replace(str(out), "<out>").replace(str(tree), "<tree>")
+
+    return r.returncode, scrub(r.stdout), scrub(r.stderr)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("base_rev", help="revision to compare against, e.g. HEAD~1")
+    args = p.parse_args(argv)
+
+    diffs = []
+    with worktree(args.base_rev) as base_tree, tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, text in CONFIGS.items():
+            cfg = tmp / f"{name}.cfg"
+            cfg.write_text(COMMON + text)
+            runs = {
+                side: _train(tree, cfg, tmp / side / name)
+                for side, tree in (("base", base_tree), ("head", ROOT))
+            }
+            found = [
+                f"{what} differs: base {b!r}, head {h!r}"
+                for what, b, h in zip(
+                    ("exit code", "stdout", "stderr"), runs["base"], runs["head"]
+                )
+                if b != h
+            ]
+            found += compare_trees(tmp / "base" / name, tmp / "head" / name)
+            print(f"{name}: exit {runs['head'][0]}, {len(found)} difference(s)")
+            diffs += [f"  {name}: {d}" for d in found]
+    print("\n".join(diffs) if diffs else f"same bytes as {args.base_rev}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

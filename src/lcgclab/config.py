@@ -57,7 +57,13 @@ from operator import attrgetter
 from pathlib import Path
 
 from .data import AugmentConfig, LongTailSpec
-from .debias import BACKBONES, BASELINE_COLORS, LCGCConfig, TrainSettings
+from .debias import (
+    BACKBONES,
+    BASELINE_COLORS,
+    LCGCConfig,
+    TrainSettings,
+    make_baseline,
+)
 from .errors import ConfigError, require_finite_fields
 
 _D_SPEC = LongTailSpec()
@@ -201,7 +207,8 @@ class ExperimentConfig:
         try:
             # Own floats first: a method pin can hide lam from LCGCConfig.
             require_finite_fields(self)
-            self.train_settings()
+            settings = self.train_settings()
+            make_baseline(settings.lcgc.baseline, self.spec.dim, 1.0)
         except ValueError as e:
             raise ConfigError(str(e)) from None
 

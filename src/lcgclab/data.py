@@ -219,7 +219,10 @@ def synthesize(spec: LongTailSpec) -> SynthDataset:
 def weak_aug(x: np.ndarray, cfg: AugmentConfig, rng) -> np.ndarray:
     """Additive Gaussian jitter at sigma_weak; shape-preserving."""
     x = np.asarray(x, dtype=np.float64)
-    return x + cfg.sigma_weak * rng.normal(size=x.shape)
+    out = rng.normal(size=x.shape)
+    out *= cfg.sigma_weak
+    out += x  # IEEE addition commutes: the bits of x + sigma * noise
+    return out
 
 
 def strong_aug(x: np.ndarray, cfg: AugmentConfig, rng) -> np.ndarray:
@@ -231,12 +234,22 @@ def strong_aug(x: np.ndarray, cfg: AugmentConfig, rng) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
-    out = x + cfg.sigma_strong * rng.normal(size=(n, d))
+    out = rng.normal(size=(n, d))
+    out *= cfg.sigma_strong
+    out += x
     k = int(cfg.mask_fraction * d + 0.5)
     if k > 0:
-        # Rank unit uniforms per row; the k smallest mark masked coords.
-        order = np.argsort(rng.random(size=(n, d)), axis=1)[:, :k]
-        out[np.arange(n)[:, None], order] = 0.0
+        # The k smallest of each row's unit uniforms mark its masked
+        # coords. Without a tie at the k-th smallest value they are the
+        # entries up to it; with one, argsort's ranking picks which of
+        # the tied entries are masked.
+        r = rng.random(size=(n, d))
+        mask = r <= np.partition(r, k - 1, axis=1)[:, k - 1 : k]
+        if np.count_nonzero(mask) == n * k:
+            np.putmask(out, mask, 0.0)
+        else:
+            order = np.argsort(r, axis=1)[:, :k]
+            out[np.arange(n)[:, None], order] = 0.0
     return out
 
 
@@ -256,7 +269,11 @@ def sample_minibatch(
         raise SamplingError("cannot sample from an empty pool")
     li = rng.integers(0, ds.labeled_x.shape[0], size=batch_size)
     ui = rng.integers(0, ds.unlabeled_x.shape[0], size=mu * batch_size)
-    return ds.labeled_x[li], ds.labeled_y[li], ds.unlabeled_x[ui]
+    return (
+        ds.labeled_x.take(li, axis=0),
+        ds.labeled_y.take(li),
+        ds.unlabeled_x.take(ui, axis=0),
+    )
 
 
 # ------------------------------------------------------------------ export

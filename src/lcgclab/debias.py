@@ -21,6 +21,7 @@ per sample.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -86,7 +87,9 @@ def make_baseline(name: str, dim: int, scale: float) -> np.ndarray:
 
     black is the zero vector, white all-ones at full intensity, gray at
     half. The three primaries light up one third of the coordinates
-    each (first third red, middle green, last blue).
+    each (first third red, middle green, last blue); a primary whose
+    third is empty (blue below 3 dims, green and blue at 1) would be the
+    black probe under another name and raises ContractError.
     """
     if name not in BASELINE_COLORS:
         raise ContractError(
@@ -103,7 +106,12 @@ def make_baseline(name: str, dim: int, scale: float) -> np.ndarray:
     elif name == "gray":
         v[:] = 0.5 * scale
     elif name in ("red", "green", "blue"):
-        v[thirds[("red", "green", "blue").index(name)]] = scale
+        lit = thirds[("red", "green", "blue").index(name)]
+        if lit.size == 0:
+            raise ContractError(
+                f"baseline color {name!r} lights no coordinate in {dim} dims"
+            )
+        v[lit] = scale
     return v
 
 
@@ -145,23 +153,30 @@ def kl_consistency_terms(a: np.ndarray, b: np.ndarray):
     value = float(np.maximum(row, 0.0).mean())
 
     def vjp(g):
+        # In place on arrays of this call only: the tape may call again.
         s = float(g) / n
-        ga = (p * (diff - row[:, None])) * s
-        gb = (q - p) * s
+        ga = np.subtract(diff, row[:, None])
+        ga *= p
+        ga *= s
+        gb = np.subtract(q, p)
+        gb *= s
         return ga, gb
 
     return value, vjp
 
 
 class GradientVector:
-    """A flattened parameter-space gradient with its norm precomputed."""
+    """A flattened parameter-space gradient with its squared norm and
+    norm precomputed (the norm has the bits of ``np.linalg.norm``, which
+    is the square root of the same dot product)."""
 
-    __slots__ = ("values", "norm")
+    __slots__ = ("values", "sqnorm", "norm")
 
     def __init__(self, values: np.ndarray):
         v = np.asarray(values, dtype=np.float64).reshape(-1)
         self.values = v
-        self.norm = float(np.linalg.norm(v))
+        self.sqnorm = float(v @ v)
+        self.norm = math.sqrt(self.sqnorm)
 
     def dot(self, other: "GradientVector") -> float:
         return float(self.values @ other.values)
@@ -199,7 +214,7 @@ def lcgc_combine(
     dot = g_d.dot(g_b)
     if dot >= 0.0:
         return g_b
-    coeff = lam * dot / float(g_d.values @ g_d.values)
+    coeff = lam * dot / g_d.sqnorm
     return GradientVector(g_b.values + coeff * g_d.values)
 
 
@@ -304,9 +319,11 @@ class RunRecord:
 
     seed: int
     steps: list[StepRecord]
-    final_bacc: float
-    final_gm: float
-    confusion: np.ndarray
+    # None when a diverged run's last parameters give non-finite test
+    # logits, which rank nothing.
+    final_bacc: float | None
+    final_gm: float | None
+    confusion: np.ndarray | None
     diverged: bool = False
     divergence_step: int | None = None
     divergence: dict | None = None  # TrainingDiverged.diagnostics
@@ -321,7 +338,9 @@ class RunRecord:
             "n_steps": len(self.steps),
             "final_bacc": self.final_bacc,
             "final_gm": self.final_gm,
-            "confusion": self.confusion.tolist(),
+            "confusion": (
+                None if self.confusion is None else self.confusion.tolist()
+            ),
             "diverged": self.diverged,
             "divergence_step": self.divergence_step,
             "conflict_rate": (
@@ -402,8 +421,8 @@ def _kl_grad(params, x_weak, baseline, bufs, *more_rows):
     loss_kl, vjp = kl_consistency_terms(logits, refined)
     ga, gb = vjp(1.0)
     g_rows = np.empty((n + 1, z.shape[1]))
-    g_rows[:n] = ga + gb
-    g_rows[n] = -K.sum_rows(gb)
+    np.add(ga, gb, out=g_rows[:n])
+    np.negative(K.sum_rows(gb, out=g_rows[n]), out=g_rows[n])
     g_d = backward_rows(
         params, inputs, g_rows, out=bufs.grads[0], adjoints=bufs.adjoints
     )
@@ -518,9 +537,9 @@ def train_step(
     update = np.add(g.values, g_sup.values, out=g_sup.values)
     if not (
         np.isfinite(update).all()
-        and np.isfinite(loss_sup)
-        and np.isfinite(loss_con)
-        and np.isfinite(loss_kl)
+        and math.isfinite(loss_sup)
+        and math.isfinite(loss_con)
+        and math.isfinite(loss_kl)
     ):
         raise TrainingDiverged(
             state.step,
@@ -539,7 +558,7 @@ def train_step(
         loss_kl=loss_kl,
         conflict=conflict,
         cos_angle=cos_angle,
-        mask_rate=float(pseudo.mask.mean()),
+        mask_rate=int(np.count_nonzero(pseudo.mask)) / pseudo.mask.shape[0],
     )
     state.step += 1
     return rec
@@ -563,7 +582,8 @@ def evaluate(
     """Balanced accuracy, geometric mean and confusion on a labeled set.
 
     With a baseline, predictions use refined logits (the test-time
-    correction); otherwise raw logits.
+    correction); otherwise raw logits. Logits that are not all finite
+    raise EvaluationError: an argmax over NaN is not a prediction.
     """
     logits = logits_array(params, np.asarray(x, dtype=np.float64))
     if baseline is not None:
@@ -571,6 +591,8 @@ def evaluate(
         logits = logits - base
         if double_subtract:
             logits = logits - base
+    if not np.isfinite(logits).all():
+        raise EvaluationError("cannot rank non-finite logits")
     pred = np.argmax(logits, axis=1).astype(np.int64) + 1
     cm = confusion(np.asarray(y, dtype=np.int64), pred, params.dims[-1])
     return EvalReport(bacc=bacc(cm), gm=gm(cm), confusion=cm)
@@ -589,7 +611,8 @@ def run_training(
     stream is derived from (seed, 1), so the same seed always replays
     the same trajectory. A divergence stops the loop but still yields a
     record (flagged, with the step index); parameters stay at the last
-    finite value.
+    finite value, and when those give non-finite test logits the record's
+    final metrics and confusion are None.
     """
     t0 = time.perf_counter()
     dims = (ds.dim, *[int(h) for h in hidden], ds.classes)
@@ -623,20 +646,25 @@ def run_training(
         divergence = e.diagnostics
     state.buffers = None  # evaluate's test split needs the memory more
 
-    with np.errstate(**(quiet if diverged else {})):
-        report = evaluate(
-            params,
-            ds.test_x,
-            ds.test_y,
-            baseline=state.baseline if settings.lcgc.refine_at_test else None,
-            double_subtract=settings.lcgc.double_subtract,
-        )
+    try:
+        with np.errstate(**(quiet if diverged else {})):
+            report = evaluate(
+                params,
+                ds.test_x,
+                ds.test_y,
+                baseline=state.baseline if settings.lcgc.refine_at_test else None,
+                double_subtract=settings.lcgc.double_subtract,
+            )
+    except EvaluationError:
+        if not diverged:
+            raise
+        report = None
     run = RunRecord(
         seed=seed,
         steps=records,
-        final_bacc=report.bacc,
-        final_gm=report.gm,
-        confusion=report.confusion,
+        final_bacc=None if report is None else report.bacc,
+        final_gm=None if report is None else report.gm,
+        confusion=None if report is None else report.confusion,
         diverged=diverged,
         divergence_step=divergence_step,
         divergence=divergence,

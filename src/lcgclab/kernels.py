@@ -13,14 +13,24 @@ All kernels take C-contiguous float64 arrays; callers are responsible
 for layout. Results are bit-stable from run to run on a given platform
 and BLAS build.
 
-Every kernel but the two softmaxes takes a keyword-only ``out``, the
-numpy idiom: given an array of the result's shape, it writes the result
-there and returns it, with the same bits as without ``out``. The
-elementwise kernels (``add_rowvec``, ``relu``, ``relu_vjp``) may write
-into their first operand; a matmul's ``out`` must never be one of its
-inputs. ``out`` is keyword-only so that a wrapper that reads the
-operands positionally, such as a cost model taking ``(a, b)``, sees the
-same arguments either way.
+Every kernel but ``row_max`` and the two softmaxes takes a keyword-only
+``out``, the numpy idiom: given an array of the result's shape, it
+writes the result there and returns it, with the same bits as without
+``out``. The elementwise kernels (``add_rowvec``, ``relu``,
+``relu_vjp``) may write into their first operand; a matmul's ``out``
+must never be one of its inputs. ``out`` is keyword-only so that a
+wrapper that reads the operands positionally, such as a cost model
+taking ``(a, b)``, sees the same arguments either way.
+
+``row_max``, which the two softmaxes use, reduces along axis 0 of a
+C-contiguous copy of ``z.T``: on a short, wide-batch array such as
+(128, 10) that runs about twice as fast as the reduction along axis 1.
+A max does not depend on the order it visits its operands, so the
+values are the same; only a tie of +0.0 and -0.0 may pick the other
+zero, which flips the sign of a zero in ``z - max`` and nothing after
+it (that row's sum of exponentials is at least 2). The row sums stay a
+reduction along axis 1, because their bits depend on numpy's pairwise
+summation order.
 """
 
 from __future__ import annotations
@@ -64,14 +74,20 @@ def relu_vjp(g, x, *, out=None):
     return np.multiply(g, x > 0.0, out=out)
 
 
+def row_max(z):
+    # (n,) row maxima of a (n, C) array, along axis 0 of a C-contiguous
+    # transpose (see the module docstring).
+    return np.maximum.reduce(np.ascontiguousarray(z.T), axis=0)
+
+
 def log_softmax_rows(z):
-    m = z.max(axis=1, keepdims=True)
-    shifted = z - m
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return shifted - lse
+    m = row_max(z)
+    shifted = np.subtract(z, m[:, None])
+    s = np.add.reduce(np.exp(shifted), axis=1, keepdims=True)
+    return np.subtract(shifted, np.log(s, out=s), out=shifted)
 
 
 def softmax_rows(z):
-    m = z.max(axis=1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.subtract(z, row_max(z)[:, None])
+    np.exp(e, out=e)
+    return np.divide(e, np.add.reduce(e, axis=1, keepdims=True), out=e)

@@ -41,7 +41,9 @@ def pseudo_label(logits, tau: float) -> PseudoLabelBatch:
     """Hard pseudo labels with a confidence mask at threshold tau.
 
     tau = 0 keeps every row (confidences are always positive). Ties in
-    the argmax resolve to the smallest class index.
+    the argmax resolve to the smallest class index. A row's confidence
+    is its largest softmax mass, taken with ``kernels.row_max``: the
+    same element as the mass at the argmax.
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] < 2:
@@ -50,7 +52,7 @@ def pseudo_label(logits, tau: float) -> PseudoLabelBatch:
         raise ContractError(f"tau must lie in [0, 1], got {tau}")
     probs = K.softmax_rows(np.ascontiguousarray(z))
     labels = np.argmax(probs, axis=1).astype(np.int64) + 1
-    conf = probs[np.arange(z.shape[0]), labels - 1]
+    conf = K.row_max(probs)
     return PseudoLabelBatch(
         labels=labels, confidences=conf, mask=conf >= tau
     )

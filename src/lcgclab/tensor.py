@@ -13,6 +13,7 @@ gradient reference of criterion 1 and the parity tests.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -333,8 +334,9 @@ def log_softmax(z) -> Tensor:
     return apply_op(lsm, (z,), vjp)
 
 
-def _target_matrix(target, n: int, C: int) -> np.ndarray:
-    """Hard (n,) int labels in [1..C] or soft (n, C) rows, as (n, C)."""
+def _targets(target, n: int, C: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(labels, None) for hard (n,) int labels in [1..C], (None, rows)
+    for soft (n, C) rows."""
     labels = np.asarray(target)
     if labels.ndim == 1 and np.issubdtype(labels.dtype, np.integer):
         if labels.shape[0] != n:
@@ -346,9 +348,7 @@ def _target_matrix(target, n: int, C: int) -> np.ndarray:
                 f"labels must lie in [1..{C}], got range "
                 f"[{labels.min()}..{labels.max()}]"
             )
-        t = np.zeros((n, C))
-        t[np.arange(n), labels - 1] = 1.0
-        return t
+        return labels, None
     arr = np.asarray(target, dtype=np.float64)
     if arr.shape != (n, C):
         raise DimensionError(
@@ -356,7 +356,7 @@ def _target_matrix(target, n: int, C: int) -> np.ndarray:
         )
     if arr.min() < 0.0:
         raise LabelError("soft targets must be nonnegative")
-    return arr
+    return None, arr
 
 
 def cross_entropy(pred, target, *, weights: np.ndarray | None = None) -> Tensor:
@@ -377,12 +377,20 @@ def cross_entropy_terms(
 ) -> tuple[float, Callable[[float], np.ndarray]]:
     """Value of ``cross_entropy`` on plain (n, C) logits and its VJP,
     which maps the loss adjoint to the (n, C) logit adjoint. Arguments
-    and checks are those of ``cross_entropy``."""
+    and checks are those of ``cross_entropy``.
+
+    Hard labels gather each row's log-probability at its label instead
+    of summing a one-hot row times the log-probabilities: the same
+    bits, since the other products are zeros, except that a one-hot row
+    turns a -inf log-probability off the label into 0 * -inf = NaN.
+    The gathered loss is therefore NaN whenever the log-probabilities
+    are not all finite (the one-hot sum is NaN or infinite then).
+    """
     p2 = _class_rows(logits, "cross_entropy")
     n, C = p2.shape
     if n == 0:
         raise ContractError("cross_entropy on an empty batch")
-    t = _target_matrix(target, n, C)
+    labels, t = _targets(target, n, C)
     if weights is None:
         w = np.ones(n)
     else:
@@ -391,12 +399,28 @@ def cross_entropy_terms(
             raise DimensionError(f"expected {n} weights, got {w.shape[0]}")
 
     lsm = K.log_softmax_rows(p2)
-    loss = -float((w * (t * lsm).sum(axis=1)).sum()) / n
     sm = np.exp(lsm)
-    t_mass = t.sum(axis=1, keepdims=True)
+    if labels is None:
+        loss = -float((w * (t * lsm).sum(axis=1)).sum()) / n
+        t_mass = t.sum(axis=1, keepdims=True)
+
+        def vjp(g):
+            return (sm * t_mass - t) * (w[:, None] * (float(g) / n))
+
+        return loss, vjp
+
+    at = (np.arange(n), labels - 1)
+    if np.isfinite(lsm).all():
+        loss = -float((w * lsm[at]).sum()) / n
+    else:
+        loss = math.nan
 
     def vjp(g):
-        return (sm * t_mass - t) * (w[:, None] * (float(g) / n))
+        # A row's target mass is exactly 1, so sm * t_mass - t is sm
+        # with 1 subtracted at the label.
+        d = sm.copy()
+        d[at] -= 1.0
+        return np.multiply(d, w[:, None] * (float(g) / n), out=d)
 
     return loss, vjp
 

@@ -307,6 +307,18 @@ class TestOverrideAndOutput:
         with pytest.raises(ConfigError):
             default_config().override(**bad)
 
+    @pytest.mark.parametrize("method", ["baseline", "cdmad", "lcgc"])
+    def test_probe_that_lights_nothing_rejected(self, method):
+        text = f"dataset.dim = 2\nmethod = {method}\n"
+        with pytest.raises(ConfigError, match="lights no coordinate"):
+            parse_config_text(text + "lcgc.baseline = blue\n")
+        cfg = parse_config_text(text + "lcgc.baseline = green\n")
+        with pytest.raises(ConfigError, match="lights no coordinate"):
+            cfg.override(baseline_color="blue")
+        one = parse_config_text("dataset.dim = 1\n").override(baseline_color="red")
+        with pytest.raises(ConfigError, match="lights no coordinate"):
+            one.override(baseline_color="green")
+
     def test_output_root_env(self, monkeypatch, tmp_path):
         cfg = default_config()
         monkeypatch.setenv("LCGCLAB_OUTPUT_ROOT", str(tmp_path))

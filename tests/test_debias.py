@@ -117,6 +117,15 @@ class TestBaselines:
         )
         np.testing.assert_array_equal(total, np.ones(7))
 
+    @pytest.mark.parametrize(
+        "color, dim", [("blue", 2), ("green", 1), ("blue", 1)]
+    )
+    def test_primary_that_lights_nothing_rejected(self, color, dim):
+        with pytest.raises(ContractError, match="lights no coordinate"):
+            make_baseline(color, dim, 1.0)
+        # The other primaries still light their coordinate.
+        assert make_baseline("red", dim, 1.0)[0] == 1.0
+
     def test_unknown_color_rejected(self):
         with pytest.raises(ContractError):
             make_baseline("purple", 4, 1.0)
@@ -719,6 +728,16 @@ class TestEvaluate:
         cm = confusion(ds.test_y, pred, 4)
         np.testing.assert_array_equal(rep.confusion, cm)
         assert rep.bacc == bacc(cm)
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_non_finite_logits_raise(self, refine):
+        ds = synthesize(small_spec())
+        p = generic_net((8, 12, 4), seed=13)
+        p.weights[1].data[0, 0] = 1e308  # overflows logit 1 on some rows
+        b = make_baseline("white", 8, ds.value_range()) if refine else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(EvaluationError, match="non-finite logits"):
+                evaluate(p, ds.test_x, ds.test_y, baseline=b)
 
     def test_refined_evaluation_shifts_predictions(self):
         ds = synthesize(small_spec())

@@ -269,6 +269,25 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train"],
+            ["ablate-baseline"],
+            ["ablate-baseline", "--colors", "black,blue"],
+        ],
+        ids=["train", "ablate-baseline", "ablate-baseline-colors"],
+    )
+    def test_probe_that_lights_nothing_exits_two(self, tmp_path, capsys, argv):
+        p = tmp_path / "exp.cfg"
+        text = TINY.replace("dataset.dim = 6", "dataset.dim = 2")
+        p.write_text(text + ("lcgc.baseline = blue\n" if argv == ["train"] else ""))
+        out = tmp_path / "o"
+        code = main([argv[0], str(p), "--output", str(out), *argv[1:]])
+        assert code == 2
+        assert "lights no coordinate" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_two(self, tmp_path, capsys):
         code = main(["train", str(tmp_path / "none.cfg")])
         assert code == 2
@@ -393,7 +412,10 @@ class TestCli:
             "grad_norms": dict.fromkeys(names[3:]),
             "non_finite": [*names, "update"],
         }
-        assert entry["confusion"] == [[10, 0, 0]] * 3
+        # The last finite parameters overflow on the test split: no
+        # prediction, so no metrics.
+        assert entry["confusion"] is None
+        assert entry["final_bacc"] is None and entry["final_gm"] is None
         assert [w for w in caught if w.category is RuntimeWarning] == []
         assert "RuntimeWarning" not in capsys.readouterr().err
 

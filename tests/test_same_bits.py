@@ -1,0 +1,304 @@
+"""Bit pins of the training step's lean expressions.
+
+Each test keeps the plain expression the step's code replaces as a
+test-local reference and checks that the package's version gives the
+same bits (``np.array_equal``, plus the sign bit wherever a zero can
+occur), so a later edit cannot trade exactness for speed unnoticed.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from lcgclab import kernels as K
+from lcgclab.data import (
+    AugmentConfig,
+    LongTailSpec,
+    sample_minibatch,
+    strong_aug,
+    synthesize,
+    weak_aug,
+)
+from lcgclab.debias import GradientVector, kl_consistency_terms, lcgc_combine
+from lcgclab.losses import pseudo_label
+from lcgclab.tensor import cross_entropy_terms
+
+
+def same_bits(a, b) -> bool:
+    """Equal values, NaN where NaN, and equal signs on every non-NaN
+    entry (so +0.0 and -0.0 differ)."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or not np.array_equal(a, b, equal_nan=True):
+        return False
+    seen = ~np.isnan(a)
+    return np.array_equal(np.signbit(a[seen]), np.signbit(b[seen]))
+
+
+# ------------------------------------------------------------ references
+
+
+def ref_log_softmax_rows(z):
+    m = z.max(axis=1, keepdims=True)
+    shifted = z - m
+    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return shifted - lse
+
+
+def ref_softmax_rows(z):
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def ref_cross_entropy_terms(logits, labels, weights=None):
+    """The one-hot formula for hard labels."""
+    n, C = logits.shape
+    t = np.zeros((n, C))
+    t[np.arange(n), labels - 1] = 1.0
+    w = np.ones(n) if weights is None else weights
+    lsm = ref_log_softmax_rows(logits)
+    loss = -float((w * (t * lsm).sum(axis=1)).sum()) / n
+    sm = np.exp(lsm)
+    t_mass = t.sum(axis=1, keepdims=True)
+    return loss, lambda g: (sm * t_mass - t) * (w[:, None] * (float(g) / n))
+
+
+def ref_strong_aug(x, cfg, rng):
+    n, d = x.shape
+    out = x + cfg.sigma_strong * rng.normal(size=(n, d))
+    k = int(cfg.mask_fraction * d + 0.5)
+    if k > 0:
+        order = np.argsort(rng.random(size=(n, d)), axis=1)[:, :k]
+        out[np.arange(n)[:, None], order] = 0.0
+    return out
+
+
+def ref_kl_vjp(a, b, g):
+    lp, lq = ref_log_softmax_rows(a), ref_log_softmax_rows(b)
+    p, q = np.exp(lp), np.exp(lq)
+    diff = lp - lq
+    row = np.einsum("ij,ij->i", p, diff)
+    s = float(g) / a.shape[0]
+    return (p * (diff - row[:, None])) * s, (q - p) * s
+
+
+# A zero-sum tie in the max, NaN, both infinities, a log-probability that
+# is exactly 0.0 and an overflow of z - max to -inf.
+SPECIAL_ROWS = np.array(
+    [
+        [0.0, -0.0, -1.0],
+        [-0.0, 0.0, -1.0],
+        [-0.0, -0.0, -3.0],
+        [0.0, -1000.0, -2000.0],
+        [np.nan, 1.0, 2.0],
+        [np.inf, 1.0, 2.0],
+        [-np.inf, 1.0, 2.0],
+        [-np.inf, -np.inf, -np.inf],
+        [np.inf, np.inf, 0.0],
+        [1e308, -1e308, 0.0],
+    ]
+)
+
+
+def random_rows():
+    rng = np.random.default_rng(5)
+    shapes = [(1, 2), (5, 3), (64, 10), (128, 10), (129, 10), (33, 257)]
+    scales = (1, 3, 5, 30, 1, 2)
+    return [rng.normal(scale=s, size=shape) for shape, s in zip(shapes, scales)]
+
+
+class TestSoftmaxKernels:
+    @pytest.mark.parametrize("z", [*random_rows(), SPECIAL_ROWS])
+    def test_kernels_match_the_axis_1_max(self, z):
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert same_bits(K.log_softmax_rows(z), ref_log_softmax_rows(z))
+            assert same_bits(K.softmax_rows(z), ref_softmax_rows(z))
+            assert same_bits(K.row_max(z), z.max(axis=1))
+
+    def test_kernels_leave_their_input_alone(self):
+        z = random_rows()[3]
+        before = z.copy()
+        K.log_softmax_rows(z)
+        K.softmax_rows(z)
+        assert same_bits(z, before)
+
+    def test_pseudo_label_confidence_is_the_mass_at_the_label(self):
+        rng = np.random.default_rng(6)
+        z = rng.normal(size=(128, 10))
+        z[:4] = 1.5  # all-way ties: label 1, confidence 1/C
+        z[4, 2:4] = 9.0  # a two-way tie at the top
+        for tau in (0.0, 0.3):
+            pb = pseudo_label(z, tau)
+            probs = ref_softmax_rows(z)
+            labels = np.argmax(probs, axis=1).astype(np.int64) + 1
+            conf = probs[np.arange(z.shape[0]), labels - 1]
+            assert np.array_equal(pb.labels, labels)
+            assert same_bits(pb.confidences, conf)
+            assert np.array_equal(pb.mask, conf >= tau)
+
+
+class TestHardLabelCrossEntropy:
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("scale", [1.0, 40.0, 800.0])
+    def test_matches_the_one_hot_formula(self, weighted, scale):
+        rng = np.random.default_rng(7)
+        z = rng.normal(scale=scale, size=(64, 10))
+        y = rng.integers(1, 11, size=64)
+        w = (rng.random(64) < 0.6).astype(np.float64) if weighted else None
+        loss, vjp = cross_entropy_terms(z, y, weights=w)
+        ref_loss, ref_vjp = ref_cross_entropy_terms(z, y, w)
+        assert loss.hex() == ref_loss.hex()
+        for g in (1.0, 0.7, -2.5):
+            assert same_bits(vjp(g), ref_vjp(g))
+
+    def test_a_minus_inf_logit_gives_a_nan_loss(self):
+        z = np.array([[0.5, -np.inf, 1.0], [2.0, 1.0, 0.0]])
+        y = np.array([1, 3])
+        loss, vjp = cross_entropy_terms(z, y)
+        with np.errstate(invalid="ignore"):  # 0 * -inf in the one-hot sum
+            ref_loss, ref_vjp = ref_cross_entropy_terms(z, y)
+        assert math.isnan(loss) and math.isnan(ref_loss)
+        assert same_bits(vjp(1.0), ref_vjp(1.0))
+
+    def test_an_overflowing_row_gives_a_nan_loss(self):
+        # z - max overflows to -inf: not finite, so no loss.
+        z = np.array([[1e308, -1e308], [0.0, 1.0]])
+        with np.errstate(over="ignore"):
+            loss, _ = cross_entropy_terms(z, np.array([1, 2]))
+        assert math.isnan(loss)
+
+
+class TestAugmentation:
+    def test_strong_aug_matches_argsort_masks(self):
+        x = np.random.default_rng(8).normal(size=(128, 32))
+        for cfg in (
+            AugmentConfig(),
+            AugmentConfig(sigma_strong=0.0, mask_fraction=0.5),
+            AugmentConfig(mask_fraction=0.0),
+        ):
+            a, b = np.random.default_rng(9), np.random.default_rng(9)
+            assert same_bits(strong_aug(x, cfg, a), ref_strong_aug(x, cfg, b))
+            assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("tie", ["at_kth", "below_kth"])
+    def test_strong_aug_with_tied_uniforms(self, monkeypatch, tie):
+        n, d = 6, 8  # k = 2 at the default mask fraction
+        r = np.random.default_rng(10).random((n, d))
+        if tie == "at_kth":
+            r[2, [1, 4, 6]] = 1e-3  # the three smallest tie: 3 > k marked
+        else:
+            r[3, [0, 5]] = 1e-3  # the two smallest tie; the count stays k
+        x = np.random.default_rng(11).normal(size=(n, d))
+
+        class Stub:
+            def __init__(self):
+                self.calls = []
+
+            def normal(self, size):
+                self.calls.append(("normal", size))
+                return np.linspace(-1.0, 1.0, n * d).reshape(size)
+
+            def random(self, size):
+                self.calls.append(("random", size))
+                return r.copy()
+
+        argsorts = []
+        real_argsort = np.argsort
+
+        def counting_argsort(*args, **kw):
+            argsorts.append(1)
+            return real_argsort(*args, **kw)
+
+        stub, ref_stub = Stub(), Stub()
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        got = strong_aug(x, AugmentConfig(), stub)
+        fallback_calls = len(argsorts)
+        want = ref_strong_aug(x, AugmentConfig(), ref_stub)
+        assert same_bits(got, want)
+        draws = [("normal", (n, d)), ("random", (n, d))]
+        assert stub.calls == ref_stub.calls == draws
+        assert fallback_calls == (1 if tie == "at_kth" else 0)
+
+    def test_weak_aug_matches_the_sum(self):
+        x = np.random.default_rng(12).normal(size=(64, 32))
+        x[0, :3] = [-0.0, 0.0, -0.0]
+        for cfg in (AugmentConfig(), AugmentConfig(sigma_weak=0.0)):
+            a, b = np.random.default_rng(13), np.random.default_rng(13)
+            got = weak_aug(x, cfg, a)
+            assert same_bits(got, x + cfg.sigma_weak * b.normal(size=x.shape))
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_sample_minibatch_matches_fancy_indexing(self):
+        spec = LongTailSpec(
+            classes=4, dim=6, n_max_labeled=30, n_max_unlabeled=40,
+            gamma_labeled=5.0, gamma_unlabeled=5.0,
+        )
+        ds = synthesize(spec)
+        a, b = np.random.default_rng(14), np.random.default_rng(14)
+        xl, yl, xu = sample_minibatch(ds, 16, 3, a)
+        li = b.integers(0, ds.labeled_x.shape[0], size=16)
+        ui = b.integers(0, ds.unlabeled_x.shape[0], size=48)
+        want = (ds.labeled_x[li], ds.labeled_y[li], ds.unlabeled_x[ui])
+        for got, want in zip((xl, yl, xu), want):
+            assert got.dtype == want.dtype and same_bits(got, want)
+            assert got.flags.c_contiguous
+
+
+class TestUpdateGlue:
+    @pytest.mark.parametrize("n", [1, 7, 8, 330, 2762, 100_001])
+    def test_gradient_norm_matches_linalg(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (1e-150, 1.0, 1e150):
+            v = rng.normal(scale=scale, size=n)
+            g = GradientVector(v)
+            assert g.norm.hex() == float(np.linalg.norm(v)).hex()
+            assert g.sqnorm.hex() == float(v @ v).hex()
+
+    def test_combine_matches_its_formula(self):
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            b, d = rng.normal(size=(2, 500))
+            lam = float(rng.random() * 2)
+            got = lcgc_combine(GradientVector(b), GradientVector(d), lam).values
+            dot = float(d @ b)
+            want = b if dot >= 0.0 else b + lam * dot / float(d @ d) * d
+            assert same_bits(got, want)
+
+    def test_mask_rate_matches_the_mean(self):
+        rng = np.random.default_rng(17)
+        for n in (1, 3, 128, 1000):
+            mask = rng.random(n) < 0.37
+            assert (np.count_nonzero(mask) / n).hex() == float(mask.mean()).hex()
+
+
+class TestVjpsAreRepeatable:
+    """The tape may call a VJP more than once; each call must give the
+    same arrays and leave earlier results untouched."""
+
+    def check(self, vjp, g=0.75):
+        first = vjp(g)
+        first = first if isinstance(first, tuple) else (first,)
+        kept = [a.copy() for a in first]
+        second = vjp(g)
+        second = second if isinstance(second, tuple) else (second,)
+        for a, b, k in zip(first, second, kept):
+            assert same_bits(a, k) and same_bits(a, b)
+            assert not np.shares_memory(a, b)
+
+    def test_cross_entropy_hard_and_soft(self):
+        rng = np.random.default_rng(18)
+        z = rng.normal(size=(12, 5))
+        self.check(cross_entropy_terms(z, rng.integers(1, 6, size=12))[1])
+        soft = ref_softmax_rows(rng.normal(size=(12, 5)))
+        self.check(cross_entropy_terms(z, soft, weights=rng.random(12))[1])
+
+    def test_kl_consistency(self):
+        rng = np.random.default_rng(19)
+        a, b = rng.normal(size=(2, 12, 5))
+        _, vjp = kl_consistency_terms(a, b)
+        self.check(vjp)
+        for got, want in zip(vjp(0.75), ref_kl_vjp(a, b, 0.75)):
+            assert same_bits(got, want)

@@ -1,0 +1,66 @@
+"""The output-tree comparison of benchmarks/same_bytes.py."""
+
+from __future__ import annotations
+
+import importlib
+import json
+import sys
+from pathlib import Path
+
+_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
+sys.path.insert(0, str(_DIR))  # same_bytes imports its sibling ab.py
+same_bytes = importlib.import_module("same_bytes")
+sys.path.remove(str(_DIR))
+
+RUN = {"seed": 1, "final_bacc": 0.5, "wall_time_s": 1.25, "steps": [1.0, 2.0]}
+AGGREGATE = {"per_seed": [RUN], "bacc_mean": 0.5, "wall_time_s": 3.5}
+
+
+def write_tree(root: Path, run=RUN, aggregate=AGGREGATE, csv=b"step\n0\n"):
+    root.mkdir()
+    (root / "run_seed1.json").write_text(json.dumps(run, indent=1))
+    (root / "aggregate.json").write_text(json.dumps(aggregate, indent=1))
+    (root / "steps_seed1.csv").write_bytes(csv)
+    return root
+
+
+def test_trees_that_differ_only_in_wall_time_are_the_same(tmp_path):
+    base = write_tree(tmp_path / "base")
+    head = write_tree(
+        tmp_path / "head",
+        run={**RUN, "wall_time_s": 9.0},
+        aggregate={**AGGREGATE, "wall_time_s": 7.0,
+                   "per_seed": [{**RUN, "wall_time_s": 9.0}]},
+    )
+    agg = "aggregate.json"
+    assert (base / agg).read_bytes() != (head / agg).read_bytes()
+    assert same_bytes.compare_trees(base, head) == []
+
+
+def test_a_changed_csv_byte_is_reported(tmp_path):
+    base = write_tree(tmp_path / "base")
+    head = write_tree(tmp_path / "head", csv=b"step\n1\n")
+    assert same_bytes.compare_trees(base, head) == ["differs: steps_seed1.csv"]
+
+
+def test_a_missing_file_is_reported(tmp_path):
+    base = write_tree(tmp_path / "base")
+    head = write_tree(tmp_path / "head")
+    (head / "run_seed1.json").unlink()
+    (head / "extra.txt").write_text("x")
+    assert same_bytes.compare_trees(base, head) == [
+        "only in base: run_seed1.json",
+        "only in head: extra.txt",
+    ]
+
+
+def test_json_differences_name_the_value(tmp_path):
+    base = write_tree(tmp_path / "base")
+    head = write_tree(
+        tmp_path / "head",
+        run={**RUN, "final_bacc": None, "steps": [1.0, float("nan")]},
+    )
+    assert same_bytes.compare_trees(base, head) == [
+        "run_seed1.json: .final_bacc: base 0.5, head null",
+        "run_seed1.json: .steps[1]: base 2.0, head NaN",
+    ]
