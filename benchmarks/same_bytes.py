@@ -41,6 +41,7 @@ CONFIGS = {
         "train.batch_size = 128\n"
     ),
     "remix-lite-no-align": "backbone = remix-lite\nremix.align = false\n",
+    "remix-lite-tau-0.9": "backbone = remix-lite\ntrain.tau = 0.9\n",
     "diverging": "train.lr = 1e6\n",
 }
 

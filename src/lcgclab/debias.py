@@ -510,13 +510,12 @@ def train_step(
     pseudo = pseudo_label(pseudo_src, settings.tau)
 
     if settings.backbone == "remix-lite":
-        probs = K.softmax_rows(pseudo_src)
+        q = pseudo.probs
         state.ema_avg = ema_update(
-            state.ema_avg, probs.mean(axis=0), settings.remix_ema_decay
+            state.ema_avg, q.mean(axis=0), settings.remix_ema_decay
         )
-        q = probs
         if settings.remix_align:
-            q = distribution_alignment(probs, state.ema_avg, state.target_dist)
+            q = distribution_alignment(q, state.ema_avg, state.target_dist)
         pseudo.soft_labels = sharpen(q, settings.remix_temperature)
 
     g_b, loss_con = _grad_b_with_loss(

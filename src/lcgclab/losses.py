@@ -25,12 +25,14 @@ from .tensor import Tensor, cross_entropy
 class PseudoLabelBatch:
     """Targets inferred from weak views of one unlabeled batch.
 
-    labels holds the argmax class per row (1-based), confidences the
-    winning softmax mass, and mask which rows cleared the threshold.
-    soft_labels, when set, replaces the hard labels as the consistency
-    target while the mask still applies.
+    probs holds the row softmax of the weak-view logits, labels the
+    argmax class per row (1-based), confidences the winning softmax
+    mass, and mask which rows cleared the threshold. soft_labels, when
+    set, replaces the hard labels as the consistency target while the
+    mask still applies.
     """
 
+    probs: np.ndarray  # (n, C) float64
     labels: np.ndarray  # (n,) int64 in [1..C]
     confidences: np.ndarray  # (n,) float64
     mask: np.ndarray  # (n,) bool
@@ -54,7 +56,7 @@ def pseudo_label(logits, tau: float) -> PseudoLabelBatch:
     labels = np.argmax(probs, axis=1).astype(np.int64) + 1
     conf = K.row_max(probs)
     return PseudoLabelBatch(
-        labels=labels, confidences=conf, mask=conf >= tau
+        probs=probs, labels=labels, confidences=conf, mask=conf >= tau
     )
 
 

@@ -13,7 +13,6 @@ gradient reference of criterion 1 and the parity tests.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -334,9 +333,9 @@ def log_softmax(z) -> Tensor:
     return apply_op(lsm, (z,), vjp)
 
 
-def _targets(target, n: int, C: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(labels, None) for hard (n,) int labels in [1..C], (None, rows)
-    for soft (n, C) rows."""
+def _targets(target, n: int, C: int) -> np.ndarray:
+    """Hard (n,) int labels in [1..C] as one-hot rows, or soft (n, C)
+    rows, as an (n, C) array."""
     labels = np.asarray(target)
     if labels.ndim == 1 and np.issubdtype(labels.dtype, np.integer):
         if labels.shape[0] != n:
@@ -348,7 +347,9 @@ def _targets(target, n: int, C: int) -> tuple[np.ndarray | None, np.ndarray | No
                 f"labels must lie in [1..{C}], got range "
                 f"[{labels.min()}..{labels.max()}]"
             )
-        return labels, None
+        t = np.zeros((n, C))
+        t[np.arange(n), labels - 1] = 1.0
+        return t
     arr = np.asarray(target, dtype=np.float64)
     if arr.shape != (n, C):
         raise DimensionError(
@@ -356,7 +357,7 @@ def _targets(target, n: int, C: int) -> tuple[np.ndarray | None, np.ndarray | No
         )
     if arr.min() < 0.0:
         raise LabelError("soft targets must be nonnegative")
-    return None, arr
+    return arr
 
 
 def cross_entropy(pred, target, *, weights: np.ndarray | None = None) -> Tensor:
@@ -379,18 +380,15 @@ def cross_entropy_terms(
     which maps the loss adjoint to the (n, C) logit adjoint. Arguments
     and checks are those of ``cross_entropy``.
 
-    Hard labels gather each row's log-probability at its label instead
-    of summing a one-hot row times the log-probabilities: the same
-    bits, since the other products are zeros, except that a one-hot row
-    turns a -inf log-probability off the label into 0 * -inf = NaN.
-    The gathered loss is therefore NaN whenever the log-probabilities
-    are not all finite (the one-hot sum is NaN or infinite then).
+    Hard labels enter as one-hot rows, so both kinds of target share one
+    formula. The loss is not finite whenever the log-probabilities are
+    not all finite, a zero-weighted row's included: 0 * -inf is NaN.
     """
     p2 = _class_rows(logits, "cross_entropy")
     n, C = p2.shape
     if n == 0:
         raise ContractError("cross_entropy on an empty batch")
-    labels, t = _targets(target, n, C)
+    t = _targets(target, n, C)
     if weights is None:
         w = np.ones(n)
     else:
@@ -399,28 +397,12 @@ def cross_entropy_terms(
             raise DimensionError(f"expected {n} weights, got {w.shape[0]}")
 
     lsm = K.log_softmax_rows(p2)
+    loss = -float((w * (t * lsm).sum(axis=1)).sum()) / n
     sm = np.exp(lsm)
-    if labels is None:
-        loss = -float((w * (t * lsm).sum(axis=1)).sum()) / n
-        t_mass = t.sum(axis=1, keepdims=True)
-
-        def vjp(g):
-            return (sm * t_mass - t) * (w[:, None] * (float(g) / n))
-
-        return loss, vjp
-
-    at = (np.arange(n), labels - 1)
-    if np.isfinite(lsm).all():
-        loss = -float((w * lsm[at]).sum()) / n
-    else:
-        loss = math.nan
+    t_mass = t.sum(axis=1, keepdims=True)
 
     def vjp(g):
-        # A row's target mass is exactly 1, so sm * t_mass - t is sm
-        # with 1 subtracted at the label.
-        d = sm.copy()
-        d[at] -= 1.0
-        return np.multiply(d, w[:, None] * (float(g) / n), out=d)
+        return (sm * t_mass - t) * (w[:, None] * (float(g) / n))
 
     return loss, vjp
 

@@ -436,6 +436,27 @@ class TestOneForwardPerView:
         assert len(rows) == 2
 
     @pytest.mark.parametrize("backbone,refine", _PSEUDO_PATHS)
+    def test_one_softmax_per_step(self, monkeypatch, backbone, refine):
+        """remix-lite's soft targets start from the softmax that
+        ``pseudo_label`` already took, not from a second one."""
+        import lcgclab.kernels
+
+        calls = []
+        inner = lcgclab.kernels.softmax_rows
+
+        def counting(z):
+            calls.append(z.shape)
+            return inner(z)
+
+        monkeypatch.setattr(lcgclab.kernels, "softmax_rows", counting)
+        ds = synthesize(small_spec())
+        settings = small_settings(
+            backbone=backbone, lcgc=LCGCConfig(refine_pseudo_labels=refine)
+        )
+        train_step(init_mlp((8, 12, 4), seed=8), ds, settings, _default_state(ds, 8))
+        assert calls == [(settings.mu * settings.batch_size, 4)]
+
+    @pytest.mark.parametrize("backbone,refine", _PSEUDO_PATHS)
     def test_pseudo_labels_from_recorded_logits(
         self, monkeypatch, backbone, refine
     ):

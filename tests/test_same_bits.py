@@ -157,8 +157,8 @@ class TestHardLabelCrossEntropy:
     def test_a_minus_inf_logit_gives_a_nan_loss(self):
         z = np.array([[0.5, -np.inf, 1.0], [2.0, 1.0, 0.0]])
         y = np.array([1, 3])
-        loss, vjp = cross_entropy_terms(z, y)
         with np.errstate(invalid="ignore"):  # 0 * -inf in the one-hot sum
+            loss, vjp = cross_entropy_terms(z, y)
             ref_loss, ref_vjp = ref_cross_entropy_terms(z, y)
         assert math.isnan(loss) and math.isnan(ref_loss)
         assert same_bits(vjp(1.0), ref_vjp(1.0))
@@ -166,9 +166,29 @@ class TestHardLabelCrossEntropy:
     def test_an_overflowing_row_gives_a_nan_loss(self):
         # z - max overflows to -inf: not finite, so no loss.
         z = np.array([[1e308, -1e308], [0.0, 1.0]])
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             loss, _ = cross_entropy_terms(z, np.array([1, 2]))
         assert math.isnan(loss)
+
+    @pytest.mark.parametrize(
+        "row,label,weight,finite",
+        [
+            ([0.5, -np.inf, 1.0], 1, 1.0, False),  # -inf off the label
+            ([0.5, -np.inf, 1.0], 2, 1.0, False),  # -inf at the label: +inf
+            ([0.5, np.nan, 1.0], 1, 1.0, False),
+            ([0.5, -np.inf, 1.0], 1, 0.0, False),  # weighted out, still counted
+            ([0.0, -1000.0, -2000.0], 3, 1.0, True),
+        ],
+    )
+    def test_the_loss_is_finite_only_on_finite_log_probabilities(
+        self, row, label, weight, finite
+    ):
+        z = np.array([row, [2.0, 1.0, 0.0]])
+        with np.errstate(invalid="ignore"):
+            loss, _ = cross_entropy_terms(
+                z, np.array([label, 3]), weights=np.array([weight, 1.0])
+            )
+        assert math.isfinite(loss) == finite
 
 
 class TestAugmentation:
