@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Artifact comparison: ``lcgclab train`` on a base revision against this checkout.
+"""Artifact comparison: the ``lcgclab`` CLI on a base revision against this checkout.
 
     python3 benchmarks/same_bytes.py <base-rev>
 
 Checks ``base-rev`` out into a temporary ``git worktree`` (the one
-``ab.py`` uses) and runs ``lcgclab train`` on every config of ``CONFIGS``
-there and in this checkout as it is on disk, uncommitted changes
-included: ``python3 -m lcgclab.cli`` with ``PYTHONPATH`` set to the
-tree's ``src`` and BLAS on one thread. Each config trains 40 steps on
-seeds 1 and 2.
+``ab.py`` uses) and runs every command of ``RUNS`` there and in this
+checkout as it is on disk, uncommitted changes included: ``python3 -m
+lcgclab.cli`` with ``PYTHONPATH`` set to the tree's ``src`` and BLAS on
+one thread. That is ``lcgclab train`` on every config of ``CONFIGS``,
+then the sweeps, the ablations and both dataset exports on ``lcgc``.
+Each config trains 40 steps on seeds 1 and 2.
 
 Then it compares the two sides: the exit code, stdout and stderr of each
 command (with the output and tree paths replaced by placeholders), and
@@ -44,6 +45,20 @@ CONFIGS = {
     "remix-lite-tau-0.9": "backbone = remix-lite\ntrain.tau = 0.9\n",
     "diverging": "train.lr = 1e6\n",
 }
+
+# (run name, config name, lcgclab arguments), where {cfg} stands for the
+# config file and {out} for the run's output directory.
+RUNS = [
+    *((name, name, ["train", "{cfg}", "--output", "{out}"]) for name in CONFIGS),
+    ("sweep-lambda", "lcgc",
+     ["sweep-lambda", "{cfg}", "--output", "{out}", "--values", "0,0.5"]),
+    ("ablate-baseline", "lcgc",
+     ["ablate-baseline", "{cfg}", "--output", "{out}", "--colors", "black,gray"]),
+    ("ablate-components", "lcgc",
+     ["ablate-components", "{cfg}", "--output", "{out}"]),
+    ("export-bin", "lcgc", ["export-dataset", "{cfg}", "{out}/dataset.bin"]),
+    ("export-csv", "lcgc", ["export-dataset", "{cfg}", "{out}/dataset.csv"]),
+]
 
 
 _ABSENT = "<absent>"  # stands in for a key one side lacks
@@ -93,13 +108,16 @@ def compare_trees(base: Path, head: Path) -> list[str]:
     return out
 
 
-def _train(tree: Path, cfg: Path, out: Path) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of ``lcgclab train`` run from ``tree``."""
+def _lcgclab(
+    tree: Path, args: list[str], cfg: Path, out: Path
+) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``lcgclab *args`` run from ``tree``,
+    with {cfg} and {out} in ``args`` filled in."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     env["OPENBLAS_NUM_THREADS"] = "1"
     env.pop("LCGCLAB_OUTPUT_ROOT", None)
-    cmd = [sys.executable, "-m", "lcgclab.cli", "train", str(cfg)]
-    cmd += ["--output", str(out)]
+    cmd = [sys.executable, "-m", "lcgclab.cli"]
+    cmd += [a.format(cfg=cfg, out=out) for a in args]
     r = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
 
     def scrub(text: str) -> str:
@@ -117,10 +135,11 @@ def main(argv=None) -> int:
     with worktree(args.base_rev) as base_tree, tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for name, text in CONFIGS.items():
-            cfg = tmp / f"{name}.cfg"
-            cfg.write_text(COMMON + text)
+            (tmp / f"{name}.cfg").write_text(COMMON + text)
+        for name, config, cli_args in RUNS:
+            cfg = tmp / f"{config}.cfg"
             runs = {
-                side: _train(tree, cfg, tmp / side / name)
+                side: _lcgclab(tree, cli_args, cfg, tmp / side / name)
                 for side, tree in (("base", base_tree), ("head", ROOT))
             }
             found = [

@@ -207,8 +207,8 @@ def lcgc_combine(
         raise DimensionError(
             f"gradient lengths differ: {len(g_b)} vs {len(g_d)}"
         )
-    if lam < 0.0:
-        raise ContractError(f"lam must be nonnegative, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise ContractError(f"lam must be finite and nonnegative, got {lam}")
     if g_d.norm < _NORM_FLOOR:
         return g_b
     dot = g_d.dot(g_b)
@@ -409,13 +409,14 @@ def _kl_grad(params, x_weak, baseline, bufs, *more_rows):
     The raw and refined logits are fresh arrays; the forward's logits
     and inputs live in the buffers.
     """
-    x_weak = np.asarray(x_weak, dtype=np.float64)
-    check_batch(params, x_weak)  # before concatenate, for a DimensionError
-    x = np.concatenate([x_weak, baseline[None, :], *more_rows])
+    blocks = [np.asarray(x_weak, dtype=np.float64), baseline[None, :], *more_rows]
+    for b in blocks:
+        check_batch(params, b)  # before concatenate, for a DimensionError
+    x = np.concatenate(blocks)
     if bufs is None:
         bufs = StepBuffers(params, x.shape[0])
     z, inputs = forward_cached(params, x, out=bufs.acts)
-    n = x_weak.shape[0]
+    n = blocks[0].shape[0]
     logits = z[:n].copy()  # outlives the buffers' next forward
     refined = logits - z[n]
     loss_kl, vjp = kl_consistency_terms(logits, refined)
@@ -732,16 +733,14 @@ def _path_attributions(
     delta = x - baseline
     if not np.isfinite(delta).all():
         raise EvaluationError("attribution path contains non-finite values")
-    ws = [w.data for w in params.weights]
+    ws = params.weights
     last = len(ws) - 1
     rows = ws[last].T[labels - 1]
     if not last:
         return delta * rows
     n = x.shape[0]
     uv = np.empty((2, n, params.dims[1]))
-    uv[0] = K.add_rowvec(
-        K.matmul(baseline[None, :], ws[0]), params.biases[0].data
-    )
+    uv[0] = K.add_rowvec(K.matmul(baseline[None, :], ws[0]), params.biases[0])
     K.matmul(delta, ws[0], out=uv[1])
     # Row k of ``coef`` is (1, a_k); times a sample's (u; v) it gives the
     # first layer's pre-activations u + a_k v at path point k.
@@ -760,7 +759,7 @@ def _path_attributions(
         acts = [h.reshape(steps, m, -1)]
         for i in range(1, last):
             h = K.matmul(K.relu(h, out=h).reshape(steps * m, -1), ws[i])
-            K.add_rowvec(h, params.biases[i].data, out=h)
+            K.add_rowvec(h, params.biases[i], out=h)
             acts.append(h.reshape(steps, m, -1))
         g = rows[block]
         for i in range(last - 1, 0, -1):
@@ -798,6 +797,8 @@ def verify_theorem1(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise DimensionError("verify_theorem1 expects a nonempty (n, d) batch")
+    if not 0.0 < tol < math.inf:
+        raise ContractError(f"tol must be positive and finite, got {tol}")
     base_row = baseline_logits(params, baseline)
     logits = logits_array(params, x)
     labels = np.argmax(logits - base_row, axis=1).astype(np.int64) + 1

@@ -8,7 +8,9 @@ leaf.
 
 Training and the integrated-gradients audit do not record on it: they
 run ``model.forward_cached`` and hand-written backwards. The tape is the
-gradient reference of criterion 1 and the parity tests.
+gradient reference of criterion 1 and the parity tests. The ops take
+model parameters, plain arrays, as constants; those tests wrap them in
+leaves (``tape_leaves``) to get their gradients.
 """
 
 from __future__ import annotations
@@ -173,8 +175,8 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
         t.grad = None
 
 
-def flatten_values(tensors: Sequence[Tensor]) -> np.ndarray:
-    return np.concatenate([t.data.reshape(-1) for t in tensors])
+def flatten_values(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    return np.concatenate([a.reshape(-1) for a in arrays])
 
 
 def flatten_grads(tensors: Sequence[Tensor]) -> np.ndarray:
@@ -409,32 +411,33 @@ def cross_entropy_terms(
 
 def finite_diff_grad(
     f: Callable[[], float],
-    params: Sequence[Tensor],
+    params: Sequence[np.ndarray],
     step: float = 1e-6,
 ) -> np.ndarray:
-    """Central-difference gradient of ``f`` w.r.t. the given tensors.
+    """Central-difference gradient of ``f`` w.r.t. the given arrays.
 
-    ``f`` takes no arguments and reads the tensors by reference; each
-    coordinate is displaced by ±step in place and restored. Returns one
-    flat array in the same order as ``flatten_values(params)``.
+    ``f`` takes no arguments and reads the arrays (model parameters, a
+    leaf's ``data``, or views of them) by reference; each coordinate is
+    displaced by ±step in place, through its index, and restored.
+    Returns one flat array in the same order as
+    ``flatten_values(params)``.
     """
     if step <= 0.0:
         raise ContractError(f"step must be positive, got {step}")
     out = []
     for t in params:
-        flat = t.data.reshape(-1)
-        g = np.empty(flat.size)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
+        g = np.empty(t.size)
+        for k, i in enumerate(np.ndindex(t.shape)):
+            orig = t[i]
+            t[i] = orig + step
             fp = float(f())
-            flat[i] = orig - step
+            t[i] = orig - step
             fm = float(f())
-            flat[i] = orig
+            t[i] = orig
             if not (np.isfinite(fp) and np.isfinite(fm)):
                 raise EvaluationError(
                     f"non-finite evaluation in finite differences at index {i}"
                 )
-            g[i] = (fp - fm) / (2.0 * step)
+            g[k] = (fp - fm) / (2.0 * step)
         out.append(g)
     return np.concatenate(out)

@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from conftest import record_criterion, tape_leaves
 from lcgclab.config import default_config
 from lcgclab.data import AugmentConfig, LongTailSpec, synthesize
 from lcgclab.debias import (
@@ -40,14 +40,7 @@ from lcgclab.losses import consistency_loss, pseudo_label, supervised_loss
 from lcgclab.metrics import bacc, gm, trajectory_trend
 from lcgclab.model import ModelParams, logits_array
 from lcgclab.runner import run
-from lcgclab.tensor import (
-    Tape,
-    Tensor,
-    backward,
-    finite_diff_grad,
-    flatten_grads,
-    zero_grads,
-)
+from lcgclab.tensor import Tape, backward, finite_diff_grad, flatten_grads
 
 GRID_METHODS = ("baseline", "cdmad", "lcgc")
 GRID_GAMMAS = (1.0, 100.0, 150.0)
@@ -69,15 +62,8 @@ def generic_net(dims, seed, wscale=0.5, bscale=0.3):
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(
-            Tensor(
-                rng.normal(scale=wscale, size=(fan_in, fan_out)),
-                requires_grad=True,
-            )
-        )
-        biases.append(
-            Tensor(rng.normal(scale=bscale, size=fan_out), requires_grad=True)
-        )
+        weights.append(rng.normal(scale=wscale, size=(fan_in, fan_out)))
+        biases.append(rng.normal(scale=bscale, size=fan_out))
     return ModelParams(dims=tuple(dims), weights=weights, biases=biases)
 
 
@@ -96,7 +82,7 @@ def away_from_relu_kinks(params: ModelParams, x: np.ndarray, margin=1e-3):
     """
     h = np.asarray(x, dtype=np.float64)
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        pre = h @ w.data + b.data
+        pre = h @ w + b
         if np.abs(pre).min() < margin:
             return False
         h = np.maximum(pre, 0.0)
@@ -127,11 +113,11 @@ class TestCriterion1GradientOracles:
             pseudo = pseudo_label(logits_array(params, x), tau=0.0)
 
             # L_Sup
-            zero_grads(params.tensors())
+            leaves = tape_leaves(params)
             with Tape():
-                loss = supervised_loss(params, x, y)
+                loss = supervised_loss(leaves, x, y)
             backward(loss)
-            g = flatten_grads(params.tensors())
+            g = flatten_grads(leaves.tensors())
             fd = finite_diff_grad(
                 lambda: supervised_loss(params, x, y).item(), params.tensors()
             )
@@ -238,7 +224,7 @@ class TestCriterion3LambdaZeroEquivalence:
             def capture(params, rec):
                 h = hashlib.sha256()
                 for t in params.tensors():
-                    h.update(t.data.tobytes())
+                    h.update(t.tobytes())
                 digests.append(h.hexdigest())
 
             params, record = run_training(
@@ -255,7 +241,7 @@ class TestCriterion3LambdaZeroEquivalence:
 
         trajectories_match = hash_lam0 == hash_off and len(hash_lam0) == 2000
         final_match = all(
-            a.data.tobytes() == b.data.tobytes()
+            a.tobytes() == b.tobytes()
             for a, b in zip(p_lam0.tensors(), p_off.tensors())
         )
         records_match = (
@@ -308,8 +294,8 @@ class TestCriterion4AttributionCompleteness:
         for _ in range(10):
             lin = ModelParams(
                 dims=(6, 3),
-                weights=[Tensor(rng.normal(size=(6, 3)), requires_grad=True)],
-                biases=[Tensor(rng.normal(size=3), requires_grad=True)],
+                weights=[rng.normal(size=(6, 3))],
+                biases=[rng.normal(size=3)],
             )
             baseline = make_baseline("gray", 6, 1.0)
             x = rng.normal(size=(20, 6))

@@ -22,6 +22,7 @@ from lcgclab.data import (
 )
 from lcgclab.errors import (
     ContractError,
+    DimensionError,
     InfeasibleSpecError,
     LabelError,
     SamplingError,
@@ -103,6 +104,16 @@ class TestSpecValidation:
             LongTailSpec(noise_sigma=float("inf"))
         with pytest.raises(ContractError):
             LongTailSpec(gamma_labeled=float("nan"))
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [("classes", 1, ContractError), ("dim", 0, DimensionError),
+         ("n_max_labeled", 0, ContractError),
+         ("n_max_unlabeled", 0, ContractError)],
+    )
+    def test_rejects_degenerate_sizes(self, field, value, error):
+        with pytest.raises(error):
+            LongTailSpec(**{field: value})
 
     def test_infeasible_spec_caught_at_construction(self):
         with pytest.raises(InfeasibleSpecError):
@@ -244,6 +255,14 @@ class TestMinibatch:
             sample_minibatch(ds, 0, 2, rng)
         with pytest.raises(SamplingError):
             sample_minibatch(ds, 4, 0, rng)
+
+    @pytest.mark.parametrize("pool", ["labeled", "unlabeled"])
+    def test_rejects_an_empty_pool(self, pool):
+        ds = synthesize(TINY_SPEC)
+        x = getattr(ds, f"{pool}_x")
+        empty = dataclasses.replace(ds, **{f"{pool}_x": x[:0]})
+        with pytest.raises(SamplingError, match="empty pool"):
+            sample_minibatch(empty, 4, 2, np.random.default_rng(0))
 
 
 TINY_SPEC = LongTailSpec(

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
+from conftest import tape_leaves
 from lcgclab.data import AugmentConfig, LongTailSpec, synthesize
 from lcgclab.debias import (
     _IG_BLOCK_ROWS,
@@ -78,13 +81,8 @@ def generic_net(dims, seed, wscale=0.5, bscale=0.3):
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(
-            Tensor(rng.normal(scale=wscale, size=(fan_in, fan_out)),
-                   requires_grad=True)
-        )
-        biases.append(
-            Tensor(rng.normal(scale=bscale, size=fan_out), requires_grad=True)
-        )
+        weights.append(rng.normal(scale=wscale, size=(fan_in, fan_out)))
+        biases.append(rng.normal(scale=bscale, size=fan_out))
     return ModelParams(dims=tuple(dims), weights=weights, biases=biases)
 
 
@@ -126,6 +124,13 @@ class TestBaselines:
         # The other primaries still light their coordinate.
         assert make_baseline("red", dim, 1.0)[0] == 1.0
 
+    @pytest.mark.parametrize(
+        "dim, scale, error", [(0, 1.0, DimensionError), (4, -1.0, ContractError)]
+    )
+    def test_bad_dim_or_scale_rejected(self, dim, scale, error):
+        with pytest.raises(error, match="dim" if dim < 1 else "scale"):
+            make_baseline("gray", dim, scale)
+
     def test_unknown_color_rejected(self):
         with pytest.raises(ContractError):
             make_baseline("purple", 4, 1.0)
@@ -147,8 +152,8 @@ class TestRefinement:
         """A head-biased logit row flips to the tail after subtraction."""
         p = ModelParams(
             dims=(2, 2),
-            weights=[Tensor(np.eye(2), requires_grad=True)],
-            biases=[Tensor(np.array([1.0, 0.0]), requires_grad=True)],
+            weights=[np.eye(2)],
+            biases=[np.array([1.0, 0.0])],
         )
         b = make_baseline("black", 2, 1.0)  # probe logits = biases
         x, y = np.array([[0.9, 1.0], [2.0, 0.0]]), np.array([2, 1])
@@ -215,7 +220,7 @@ class TestKlConsistency:
             loss = f()
         backward(loss)
         g = flatten_grads([a, b])
-        fd = finite_diff_grad(lambda: f().item(), [a, b])
+        fd = finite_diff_grad(lambda: f().item(), [a.data, b.data])
         np.testing.assert_allclose(g, fd, atol=1e-6)
 
     def test_shape_contracts(self):
@@ -275,6 +280,13 @@ class TestLcgcCombine:
         with pytest.raises(ContractError):
             lcgc_combine(GradientVector([1.0]), GradientVector([1.0]), -0.5)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lam_rejected(self, lam):
+        """Under conflict a NaN lam would give NaN values, inf ±inf."""
+        gb, gd = GradientVector([1.0, 0.0]), GradientVector([-1.0, 1.0])
+        with pytest.raises(ContractError, match="finite"):
+            lcgc_combine(gb, gd, lam)
+
 
 class TestGradComponents:
     def test_grad_d_zero_at_symmetric_init(self):
@@ -320,6 +332,41 @@ class TestGradComponents:
         np.testing.assert_allclose(g.values, fd, atol=2e-6)
 
 
+# Probes an 8-wide net cannot take: too narrow, and a row, not a vector.
+_WRONG_PROBES = {"narrow": make_baseline("gray", 5, 1.0), "row": np.zeros((1, 8))}
+
+
+class TestWrongProbe:
+    """A probe the model cannot take is a DimensionError where it is
+    stacked with the weak views, as it is in ``evaluate``."""
+
+    @pytest.mark.parametrize("probe", list(_WRONG_PROBES))
+    def test_grad_d(self, probe):
+        p = generic_net((8, 10, 4), seed=3)
+        x = synthesize(small_spec()).unlabeled_x[:6]
+        with pytest.raises(DimensionError):
+            grad_d(p, x, _WRONG_PROBES[probe])
+
+    @pytest.mark.parametrize("probe", list(_WRONG_PROBES))
+    def test_train_step(self, probe):
+        ds = synthesize(small_spec())
+        p = generic_net((8, 10, 4), seed=3)
+        state = _default_state(ds, 3)
+        state.baseline = _WRONG_PROBES[probe]
+        with pytest.raises(DimensionError):
+            train_step(p, ds, small_settings(), state)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("steps", -1), ("lr", 0.0), ("consistency_weight", -0.5),
+     ("backbone", "mixmatch")],
+)
+def test_train_settings_rejects_out_of_range(field, value):
+    with pytest.raises(ContractError, match=field):
+        TrainSettings(**{field: value})
+
+
 class TestTrainStep:
     def test_replays_exactly_with_same_state(self):
         ds = synthesize(small_spec())
@@ -339,7 +386,7 @@ class TestTrainStep:
         p1, r1 = one_run()
         p2, r2 = one_run()
         for a, b in zip(p1.tensors(), p2.tensors()):
-            np.testing.assert_array_equal(a.data, b.data)
+            np.testing.assert_array_equal(a, b)
         assert [r.loss_sup for r in r1] == [r.loss_sup for r in r2]
         assert [r.loss_kl for r in r1] == [r.loss_kl for r in r2]
 
@@ -359,7 +406,7 @@ class TestTrainStep:
             settings = small_settings(lcgc=lcgc)
             for _ in range(3):
                 train_step(p, ds, settings, state)
-            return np.concatenate([t.data.ravel() for t in p.tensors()])
+            return np.concatenate([t.ravel() for t in p.tensors()])
 
         a = one_step(LCGCConfig(lam=0.0))
         b = one_step(LCGCConfig(disable_projection=True))
@@ -369,19 +416,19 @@ class TestTrainStep:
         ds = synthesize(small_spec())
         p = init_mlp((8, 12, 4), seed=5)
         # Blow the weights up so the forward pass overflows.
-        p.weights[0].data[:] = 1e200
-        p.weights[1].data[:] = 1e200
+        p.weights[0][:] = 1e200
+        p.weights[1][:] = 1e200
         state = TrainState(
             rng=np.random.default_rng(0),
             baseline=make_baseline("white", 8, ds.value_range()),
             target_dist=ds.labeled_distribution(),
             ema_avg=np.full(4, 0.25),
         )
-        before = p.weights[1].data.copy()
+        before = p.weights[1].copy()
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged) as exc:
                 train_step(p, ds, small_settings(), state)
-        np.testing.assert_array_equal(p.weights[1].data, before)
+        np.testing.assert_array_equal(p.weights[1], before)
         diag = exc.value.diagnostics
         assert set(diag["losses"]) == {"loss_sup", "loss_con", "loss_kl"}
         assert set(diag["grad_norms"]) == {"g_b", "g_d", "g_sup"}
@@ -484,7 +531,7 @@ class TestOneForwardPerView:
             backbone=backbone, lcgc=LCGCConfig(refine_pseudo_labels=refine)
         )
         p = generic_net((8, 12, 4), seed=9)
-        before = p.copy()
+        before = copy.deepcopy(p)
         state = _default_state(ds, 9)
         train_step(p, ds, settings, state)
 
@@ -520,13 +567,13 @@ def _branch_settings(overrides):
 
 
 def _tape_grad(params, loss_fn):
-    zero_grads(params.tensors())
+    """The tape's flat gradient and value of ``loss_fn(leaves)`` on
+    leaves holding ``params``' values."""
+    leaves = tape_leaves(params)
     with Tape():
-        loss = loss_fn()
+        loss = loss_fn(leaves)
     backward(loss)
-    g = flatten_grads(params.tensors())
-    zero_grads(params.tensors())
-    return g, loss.item()
+    return flatten_grads(leaves.tensors()), loss.item()
 
 
 def _rel_err(g, ref):
@@ -544,8 +591,6 @@ class TestRowBlockParity:
         "overrides", [b for _, b in _BRANCHES], ids=[n for n, _ in _BRANCHES]
     )
     def test_blocks_match_the_tape(self, monkeypatch, hidden, overrides):
-        import copy
-
         import lcgclab.debias as D
         from lcgclab.losses import consistency_loss, supervised_loss
         from lcgclab.model import forward_logits
@@ -558,9 +603,9 @@ class TestRowBlockParity:
             out = real_d(params, x_weak, baseline, x_labeled, y_labeled, bufs)
             g_d, loss_kl, _, _, g_sup, loss_sup = out
 
-            def kl():
-                logits = forward_logits(params, x_weak)
-                base = forward_logits(params, baseline[None, :])
+            def kl(leaves):
+                logits = forward_logits(leaves, x_weak)
+                base = forward_logits(leaves, baseline[None, :])
                 return kl_consistency_loss(
                     logits, add_rowvec(logits, scale(base, -1.0))
                 )
@@ -569,7 +614,7 @@ class TestRowBlockParity:
             errors.append(("g_d", _rel_err(g_d.values, ref)))
             errors.append(("loss_kl", _rel_err(loss_kl, ref_loss)))
             ref, ref_loss = _tape_grad(
-                params, lambda: supervised_loss(params, x_labeled, y_labeled)
+                params, lambda q: supervised_loss(q, x_labeled, y_labeled)
             )
             errors.append(("g_sup", _rel_err(g_sup.values, ref)))
             errors.append(("loss_sup", _rel_err(loss_sup, ref_loss)))
@@ -582,8 +627,8 @@ class TestRowBlockParity:
             )
             ref, ref_loss = _tape_grad(
                 params,
-                lambda: scale(
-                    consistency_loss(params, x_unlabeled, pseudo, aug, rng_copy),
+                lambda q: scale(
+                    consistency_loss(q, x_unlabeled, pseudo, aug, rng_copy),
                     weight,
                 ),
             )
@@ -641,7 +686,7 @@ class TestStepBuffers:
                 recs.append(train_step(p, ds, settings, state))
                 seen.append(state.buffers)
             assert len({id(b) for b in seen}) == (4 if fresh else 1)
-            return b"".join(t.data.tobytes() for t in p.tensors()), repr(recs)
+            return b"".join(t.tobytes() for t in p.tensors()), repr(recs)
 
         assert run(fresh=False) == run(fresh=True)
 
@@ -699,7 +744,7 @@ class TestRunTraining:
         p1, r1 = run_training(ds, (12,), s, seed=7)
         p2, r2 = run_training(ds, (12,), s, seed=7)
         for a, b in zip(p1.tensors(), p2.tensors()):
-            assert a.data.tobytes() == b.data.tobytes()
+            assert a.tobytes() == b.tobytes()
         assert r1.final_bacc == r2.final_bacc
         np.testing.assert_array_equal(
             r1.kl_trajectory(), r2.kl_trajectory()
@@ -754,7 +799,7 @@ class TestEvaluate:
     def test_non_finite_logits_raise(self, refine):
         ds = synthesize(small_spec())
         p = generic_net((8, 12, 4), seed=13)
-        p.weights[1].data[0, 0] = 1e308  # overflows logit 1 on some rows
+        p.weights[1][0, 0] = 1e308  # overflows logit 1 on some rows
         b = make_baseline("white", 8, ds.value_range()) if refine else None
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(EvaluationError, match="non-finite logits"):
@@ -804,8 +849,8 @@ class TestIntegratedGradients:
         w = rng.normal(size=(6, 3))
         p = ModelParams(
             dims=(6, 3),
-            weights=[Tensor(w, requires_grad=True)],
-            biases=[Tensor(rng.normal(size=3), requires_grad=True)],
+            weights=[w],
+            biases=[rng.normal(size=3)],
         )
         b = make_baseline("gray", 6, 2.0)
         x = rng.normal(size=6)
@@ -813,7 +858,7 @@ class TestIntegratedGradients:
         np.testing.assert_allclose(
             ig, (x - b) * w[:, 1], atol=1e-12
         )
-        gap = (x @ w + p.biases[0].data)[1] - (b @ w + p.biases[0].data)[1]
+        gap = (x @ w + p.biases[0])[1] - (b @ w + p.biases[0])[1]
         np.testing.assert_allclose(ig.sum(), gap, atol=1e-10)
 
     def test_completeness_improves_with_steps(self):
@@ -858,11 +903,14 @@ class TestIntegratedGradients:
             integrated_gradients(p, x, b, target_class=1, steps=4)
 
     def test_leaves_parameter_grads_clean(self):
+        """Parameters are arrays, with no grad slot: the audit leaves
+        them bitwise unchanged."""
         p = generic_net((4, 6, 3), seed=20)
+        before = copy.deepcopy(p)
         b = make_baseline("black", 4, 1.0)
         integrated_gradients(p, np.ones(4), b, 1, 8)
-        for t in p.tensors():
-            assert t.grad is None or not t.grad.any()
+        for t, t0 in zip(p.tensors(), before.tensors()):
+            assert t.tobytes() == t0.tobytes()
 
 
 def _tape_audit(params, x, base, steps):
@@ -877,14 +925,12 @@ def _tape_audit(params, x, base, steps):
     for xi, zi, c in zip(x, logits, labels):
         select = np.zeros((steps, params.dims[-1]))
         select[:, c - 1] = 1.0
-        zero_grads(params.tensors())
         with Tape():
             leaf = Tensor(base + ks * (xi - base), requires_grad=True)
             total = sum_all(mul(forward_logits(params, leaf), Tensor(select)))
         backward(total)
         sums.append(((xi - base) * leaf.grad.mean(axis=0)).sum())
         gaps.append(zi[c - 1] - base_row[c - 1])
-    zero_grads(params.tensors())
     return labels, np.array(sums), np.array(gaps)
 
 
@@ -892,8 +938,8 @@ def _linear_net(seed):
     rng = np.random.default_rng(seed)
     return ModelParams(
         dims=(5, 3),
-        weights=[Tensor(rng.normal(size=(5, 3)), requires_grad=True)],
-        biases=[Tensor(rng.normal(size=3), requires_grad=True)],
+        weights=[rng.normal(size=(5, 3))],
+        biases=[rng.normal(size=3)],
     )
 
 
@@ -980,10 +1026,14 @@ class TestVerifyTheorem1:
             verify_theorem1(p, x, b, steps=4)
 
     def test_leaves_parameter_grads_clean(self):
+        """Parameters are arrays, with no grad slot: the audit leaves
+        them bitwise unchanged."""
         p = generic_net((4, 6, 3), seed=26)
+        before = copy.deepcopy(p)
         b = make_baseline("black", 4, 1.0)
         verify_theorem1(p, np.ones((5, 4)), b, steps=8)
-        assert all(t.grad is None for t in p.tensors())
+        for t, t0 in zip(p.tensors(), before.tensors()):
+            assert t.tobytes() == t0.tobytes()
 
     def test_passes_on_generic_nets(self):
         p = generic_net((8, 12, 12, 4), seed=21, wscale=0.2, bscale=0.1)
@@ -1000,8 +1050,8 @@ class TestVerifyTheorem1:
         rng = np.random.default_rng(23)
         p = ModelParams(
             dims=(5, 3),
-            weights=[Tensor(rng.normal(size=(5, 3)), requires_grad=True)],
-            biases=[Tensor(rng.normal(size=3), requires_grad=True)],
+            weights=[rng.normal(size=(5, 3))],
+            biases=[rng.normal(size=3)],
         )
         b = make_baseline("white", 5, 0.5)
         report = verify_theorem1(p, rng.normal(size=(6, 5)), b, steps=1)
@@ -1012,3 +1062,12 @@ class TestVerifyTheorem1:
         b = make_baseline("black", 4, 1.0)
         with pytest.raises(DimensionError):
             verify_theorem1(p, np.zeros((0, 4)), b, steps=4)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        """At or below zero, or NaN, no report could pass; at inf every
+        report would."""
+        p = generic_net((4, 6, 3), seed=24)
+        b = make_baseline("black", 4, 1.0)
+        with pytest.raises(ContractError, match="tol"):
+            verify_theorem1(p, np.ones((2, 4)), b, steps=4, tol=tol)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from lcgclab.data import LongTailSpec, load_dataset, save_dataset, synthesize
+from lcgclab import fileio
 from lcgclab.errors import ContractError
 from lcgclab.fileio import (
     atomic_write_bytes,
@@ -42,6 +43,24 @@ class TestAtomicWrites:
         atomic_write_text(p, "data")
         names = {q.name for q in tmp_path.iterdir()}
         assert names == {"f.txt"}
+
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_failed_replace_cleans_up(self, tmp_path, monkeypatch, existed):
+        """A write that fails at the rename raises, removes its temp file
+        and leaves the target as it was."""
+        p = tmp_path / "f.txt"
+        if existed:
+            p.write_text("old")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(fileio.os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            atomic_write_text(p, "new")
+        assert [q.name for q in tmp_path.iterdir()] == (["f.txt"] if existed else [])
+        if existed:
+            assert p.read_text() == "old"
 
 
 class TestDumpJson:

@@ -67,13 +67,8 @@ class TestSupervisedLoss:
         p = init_mlp((2, 6, 2), seed=0)
         # Overwrite with a deterministic linear map: logits = x.
         import lcgclab.model as M
-        from lcgclab.tensor import Tensor
 
-        lin = M.ModelParams(
-            dims=(2, 2),
-            weights=[Tensor(np.eye(2), requires_grad=True)],
-            biases=[Tensor(np.zeros(2), requires_grad=True)],
-        )
+        lin = M.ModelParams(dims=(2, 2), weights=[np.eye(2)], biases=[np.zeros(2)])
         x = np.array([[2.0, 0.0], [0.0, 1.0]])
         # mean of log(1 + e^-2) and log(1 + e^-1)
         loss = supervised_loss(lin, x, np.array([1, 2]))

@@ -31,6 +31,11 @@ class TestConfusion:
         with pytest.raises(ContractError):
             confusion(np.array([1, 2]), np.array([1]), classes=2)
 
+    def test_rejects_no_samples(self):
+        none = np.array([], dtype=np.int64)
+        with pytest.raises(ContractError, match="empty sample set"):
+            confusion(none, none, classes=2)
+
 
 class TestBaccAndGm:
     def test_hand_values(self):
@@ -48,6 +53,12 @@ class TestBaccAndGm:
         cm = np.array([[5, 0], [4, 0]])
         assert bacc(cm) == pytest.approx(0.5)
         assert gm(cm) == 0.0
+
+    @pytest.mark.parametrize("metric", [bacc, gm])
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_non_square_matrix_rejected(self, metric, shape):
+        with pytest.raises(ContractError, match="square"):
+            metric(np.ones(shape, dtype=np.int64))
 
     def test_empty_true_class_rejected(self):
         cm = np.array([[5, 0], [0, 0]])

@@ -24,19 +24,19 @@ class TestInit:
     def test_shapes_and_param_count(self):
         p = init_mlp((32, 64, 10), seed=0)
         assert p.dims == (32, 64, 10)
-        assert [w.data.shape for w in p.weights] == [(32, 64), (64, 10)]
-        assert [b.data.shape for b in p.biases] == [(64,), (10,)]
+        assert [w.shape for w in p.weights] == [(32, 64), (64, 10)]
+        assert [b.shape for b in p.biases] == [(64,), (10,)]
         assert p.n_params == 32 * 64 + 64 + 64 * 10 + 10
 
     def test_biases_start_at_zero(self):
         p = init_mlp((8, 16, 3), seed=1)
         for b in p.biases:
-            np.testing.assert_array_equal(b.data, 0.0)
+            np.testing.assert_array_equal(b, 0.0)
 
     def test_weight_scale_tracks_fan_in(self):
         """He initialization: std approximately sqrt(2 / fan_in)."""
         p = init_mlp((200, 300, 5), seed=2)
-        w1 = p.weights[0].data
+        w1 = p.weights[0]
         assert abs(w1.std() - np.sqrt(2.0 / 200)) < 0.003
         assert abs(w1.mean()) < 0.003
 
@@ -45,8 +45,8 @@ class TestInit:
         b = init_mlp((6, 8, 4), seed=5)
         c = init_mlp((6, 8, 4), seed=6)
         for ta, tb in zip(a.tensors(), b.tensors()):
-            np.testing.assert_array_equal(ta.data, tb.data)
-        assert not np.array_equal(a.weights[0].data, c.weights[0].data)
+            np.testing.assert_array_equal(ta, tb)
+        assert not np.array_equal(a.weights[0], c.weights[0])
 
     def test_tensor_order_interleaves_layers(self):
         p = init_mlp((4, 6, 6, 3), seed=3)
@@ -73,8 +73,8 @@ class TestForward:
         rng = np.random.default_rng(9)
         p = init_mlp((4, 6, 3), seed=9)
         x = rng.normal(size=(8, 4))
-        w1, b1 = p.weights[0].data, p.biases[0].data
-        w2, b2 = p.weights[1].data, p.biases[1].data
+        w1, b1 = p.weights[0], p.biases[0]
+        w2, b2 = p.weights[1], p.biases[1]
         manual = np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
         np.testing.assert_allclose(logits_array(p, x), manual, atol=1e-12)
 
@@ -136,7 +136,7 @@ class TestCheckpoint:
         back, manifest = load_checkpoint(path)
         assert back.dims == p.dims
         for ta, tb in zip(back.tensors(), p.tensors()):
-            np.testing.assert_array_equal(ta.data, tb.data)
+            np.testing.assert_array_equal(ta, tb)
         assert manifest["note"] == "unit"
 
     def test_same_params_give_same_bytes(self, tmp_path):
@@ -148,7 +148,7 @@ class TestCheckpoint:
     def test_dims_must_match_the_tensors(self, tmp_path):
         path = tmp_path / "model.ckpt"
         p = init_mlp((4, 8, 3), seed=2)
-        arrays = {str(i): t.data for i, t in enumerate(p.tensors())}
+        arrays = {str(i): t for i, t in enumerate(p.tensors())}
         for dims in ([4, 8, 2], [4, 3], [4], [4, 0, 3]):
             meta = {"dims": dims, "extra": None}
             write_container(path, "mlp-checkpoint", meta, arrays)
@@ -173,7 +173,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameter_rejected(self, tmp_path, bad):
         p = init_mlp((4, 8, 3), seed=2)
-        p.biases[-1].data[0] = bad  # the last value of the payload
+        p.biases[-1][0] = bad  # the last value of the payload
         path = tmp_path / "model.ckpt"
         save_checkpoint(p, path)
         with pytest.raises(ContractError):
@@ -192,16 +192,16 @@ class TestCheckpoint:
             except ContractError:
                 continue
             for t in back.tensors():
-                assert np.isfinite(t.data).all(), f"bit {bit}"
+                assert np.isfinite(t).all(), f"bit {bit}"
 
 
 class TestApplyUpdate:
     def test_gradient_step_moves_parameters(self):
         p = init_mlp((3, 4, 2), seed=30)
         flat = np.ones(p.n_params)
-        before = np.concatenate([t.data.ravel().copy() for t in p.tensors()])
+        before = np.concatenate([t.ravel() for t in p.tensors()])
         p.apply_update(flat, lr=0.5)
-        after = np.concatenate([t.data.ravel() for t in p.tensors()])
+        after = np.concatenate([t.ravel() for t in p.tensors()])
         np.testing.assert_allclose(after, before - 0.5, atol=1e-15)
 
     def test_rejects_wrong_length(self):
@@ -209,8 +209,19 @@ class TestApplyUpdate:
         with pytest.raises(DimensionError):
             p.apply_update(np.ones(3), lr=0.1)
 
-    def test_copy_is_independent(self):
-        p = init_mlp((3, 4, 2), seed=31)
-        q = p.copy()
-        p.apply_update(np.ones(p.n_params), lr=1.0)
-        assert not np.array_equal(q.weights[0].data, p.weights[0].data)
+
+def test_parameters_are_plain_arrays(tmp_path):
+    """No autodiff leaf on the product path: a fresh model, a loaded
+    checkpoint and a trained model hold plain arrays."""
+    from lcgclab.data import LongTailSpec, synthesize
+    from lcgclab.debias import TrainSettings, run_training
+
+    spec = LongTailSpec(classes=3, dim=4, n_max_labeled=20, n_max_unlabeled=30,
+                        gamma_labeled=2.0, gamma_unlabeled=2.0, test_per_class=5)
+    trained, _ = run_training(
+        synthesize(spec), (8,), TrainSettings(steps=3, batch_size=4), seed=1
+    )
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(trained, path)
+    for p in (init_mlp((4, 8, 3), seed=1), load_checkpoint(path)[0], trained):
+        assert all(type(t) is np.ndarray for t in p.tensors())

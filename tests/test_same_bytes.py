@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import json
 import sys
@@ -11,6 +12,8 @@ _DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 sys.path.insert(0, str(_DIR))  # same_bytes imports its sibling ab.py
 same_bytes = importlib.import_module("same_bytes")
 sys.path.remove(str(_DIR))
+
+from lcgclab.cli import _build_parser  # noqa: E402
 
 RUN = {"seed": 1, "final_bacc": 0.5, "wall_time_s": 1.25, "steps": [1.0, 2.0]}
 AGGREGATE = {"per_seed": [RUN], "bacc_mean": 0.5, "wall_time_s": 3.5}
@@ -64,3 +67,18 @@ def test_json_differences_name_the_value(tmp_path):
         "run_seed1.json: .final_bacc: base 0.5, head null",
         "run_seed1.json: .steps[1]: base 2.0, head NaN",
     ]
+
+
+def test_every_cli_command_is_in_the_gate():
+    """Each ``lcgclab`` subcommand runs in the gate, and the dataset
+    export in both of its formats."""
+    sub = next(
+        a for a in _build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    assert {args[0] for _, _, args in same_bytes.RUNS} == set(sub.choices)
+    exports = {
+        Path(args[-1]).suffix for _, _, args in same_bytes.RUNS
+        if args[0] == "export-dataset"
+    }
+    assert exports == {".bin", ".csv"}
