@@ -44,6 +44,9 @@ CONFIGS = {
     "remix-lite-no-align": "backbone = remix-lite\nremix.align = false\n",
     "remix-lite-tau-0.9": "backbone = remix-lite\ntrain.tau = 0.9\n",
     "diverging": "train.lr = 1e6\n",
+    "reversed-double-subtract": (
+        "dataset.reversed_unlabeled = true\nlcgc.double_subtract = true\n"
+    ),
 }
 
 # (run name, config name, lcgclab arguments), where {cfg} stands for the

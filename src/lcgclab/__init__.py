@@ -5,6 +5,11 @@ plain-array gradients (an autodiff tape is their reference), two-view
 pseudo-label training, baseline-logit refinement, a gradient-conflict
 projection that amplifies the debiasing signal, and integrated-gradients
 audits tying the correction to attributions.
+
+The autodiff tape is no package API: import it from ``lcgclab.tensor``,
+and its wrappers from their modules (``model.forward_logits``,
+``losses.supervised_loss`` and ``consistency_loss``,
+``debias.kl_consistency_loss``).
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .debias import (
     grad_b,
     grad_d,
     integrated_gradients,
-    kl_consistency_loss,
     lcgc_combine,
     make_baseline,
     run_training,
@@ -57,35 +61,19 @@ from .errors import (
 )
 from .losses import (
     PseudoLabelBatch,
-    consistency_loss,
     distribution_alignment,
     ema_update,
     pseudo_label,
     sharpen,
-    supervised_loss,
 )
 from .metrics import TrendReport, bacc, confusion, gm, trajectory_trend
 from .model import (
     ModelParams,
-    forward_logits,
     init_mlp,
     load_checkpoint,
     logits_array,
     save_checkpoint,
 )
 from .runner import ablate_baseline_colors, ablate_components, run, sweep_lambda
-from .tensor import (
-    Tape,
-    Tensor,
-    backward,
-    cross_entropy,
-    finite_diff_grad,
-    flatten_grads,
-    flatten_values,
-    log_softmax,
-    matmul,
-    softmax,
-    zero_grads,
-)
 
 __version__ = "0.1.0"

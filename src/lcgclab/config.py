@@ -45,7 +45,8 @@ Keys and defaults:
 ``method`` resolves the refinement switches: baseline turns refinement
 off everywhere and pins lambda to 0, cdmad keeps refinement on with
 lambda 0, lcgc honors the lcgc.* keys. The LCGCLAB_OUTPUT_ROOT
-environment variable, when set, prefixes output_dir.
+environment variable, when set, prefixes output_dir, which must then
+stay under it: neither absolute nor climbing out with '..'.
 """
 
 from __future__ import annotations
@@ -198,8 +199,8 @@ class ExperimentConfig:
                     f"bad value for {key!r}: {value!r} "
                     f"(expected one of {', '.join(choices[0])})"
                 )
-            if kind == "int_list" and not value:
-                raise ConfigError(f"{key!r} must be a non-empty list of ints")
+            if kind in ("int_list", "str") and not value:
+                raise ConfigError(f"{key!r} must not be empty")
         if min(self.hidden) < 1:
             raise ConfigError(f"'model.hidden' widths must be >= 1: {self.hidden}")
         if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
@@ -224,10 +225,13 @@ class ExperimentConfig:
         )
 
     def output_root(self) -> Path:
-        root = os.environ.get("LCGCLAB_OUTPUT_ROOT")
-        if root:
-            return Path(root) / self.output_dir
-        return Path(self.output_dir)
+        root = os.environ.get("LCGCLAB_OUTPUT_ROOT", "")
+        out = Path(self.output_dir)
+        if root and (out.is_absolute() or ".." in out.parts):
+            raise ConfigError(
+                f"'output_dir' {self.output_dir!r} leaves LCGCLAB_OUTPUT_ROOT"
+            )
+        return Path(root) / out
 
     def override(self, **kw) -> "ExperimentConfig":
         """Copy with replaced fields (sweeps and ablations use this),

@@ -364,18 +364,15 @@ def grad_b(
     weight: float = 1.0,
 ) -> GradientVector:
     """Parameter gradient of the (weighted) consistency loss."""
-    g, _ = _grad_b_with_loss(params, x_unlabeled, pseudo, aug, rng, weight, None)
-    return g
+    bufs = StepBuffers(params, len(x_unlabeled))
+    return _grad_b_with_loss(params, x_unlabeled, pseudo, aug, rng, weight, bufs)[0]
 
 
 def _grad_b_with_loss(params, x_unlabeled, pseudo, aug, rng, weight, bufs):
     """grad_b plus the unweighted consistency loss: one forward of the
-    strong views drawn from ``rng``, into ``bufs`` (a ``StepBuffers``;
-    ``grad_b`` passes None, which allocates one); the gradient is written
-    into its third flat gradient."""
+    strong views drawn from ``rng``, into ``bufs`` (a ``StepBuffers``);
+    the gradient is written into its third flat gradient."""
     strong, target, weights = consistency_inputs(x_unlabeled, pseudo, aug, rng)
-    if bufs is None:
-        bufs = StepBuffers(params, strong.shape[0])
     logits, inputs = forward_cached(params, strong, out=bufs.acts)
     loss, vjp = cross_entropy_terms(logits, target, weights=weights)
     g = backward_rows(
@@ -393,15 +390,15 @@ def grad_d(
     grows; the loss it differentiates is the one whose trajectory the
     step records expose.
     """
-    g, *_ = _kl_grad(params, x_weak, baseline, None)
-    return g
+    bufs = StepBuffers(params, len(x_weak) + 1)
+    return _kl_grad(params, x_weak, baseline, bufs)[0]
 
 
 def _kl_grad(params, x_weak, baseline, bufs, *more_rows):
     """One forward of ``[x_weak; probe; *more_rows]`` into ``bufs`` (a
-    ``StepBuffers``; ``grad_d`` passes None, which allocates one) and the
-    KL gradient, whose adjoint lives on the weak and probe rows only; it
-    is written into the buffers' first flat gradient.
+    ``StepBuffers``) and the KL gradient, whose adjoint lives on the weak
+    and probe rows only; it is written into the buffers' first flat
+    gradient.
 
     Returns (grad_d, KL value, raw and refined logits of the weak views,
     the forward's logits, its cached layer inputs), so a caller that
@@ -413,8 +410,6 @@ def _kl_grad(params, x_weak, baseline, bufs, *more_rows):
     for b in blocks:
         check_batch(params, b)  # before concatenate, for a DimensionError
     x = np.concatenate(blocks)
-    if bufs is None:
-        bufs = StepBuffers(params, x.shape[0])
     z, inputs = forward_cached(params, x, out=bufs.acts)
     n = blocks[0].shape[0]
     logits = z[:n].copy()  # outlives the buffers' next forward

@@ -10,7 +10,8 @@ Training and the integrated-gradients audit do not record on it: they
 run ``model.forward_cached`` and hand-written backwards. The tape is the
 gradient reference of criterion 1 and the parity tests. The ops take
 model parameters, plain arrays, as constants; those tests wrap them in
-leaves (``tape_leaves``) to get their gradients.
+leaves (``tape_leaves``) to get their gradients. The package does not
+re-export the tape: import it from ``lcgclab.tensor``.
 """
 
 from __future__ import annotations
@@ -21,27 +22,6 @@ import numpy as np
 
 from . import kernels as K
 from .errors import ContractError, DimensionError, EvaluationError, LabelError
-
-__all__ = [
-    "Tensor",
-    "Tape",
-    "backward",
-    "matmul",
-    "add",
-    "add_rowvec",
-    "mul",
-    "scale",
-    "relu",
-    "sum_all",
-    "softmax",
-    "log_softmax",
-    "cross_entropy",
-    "cross_entropy_terms",
-    "finite_diff_grad",
-    "zero_grads",
-    "flatten_values",
-    "flatten_grads",
-]
 
 
 class Tensor:

@@ -21,7 +21,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import record_criterion, tape_leaves
+from conftest import (
+    generic_net,
+    record_criterion,
+    relative_error,
+    tape_leaves,
+)
 from lcgclab.config import default_config
 from lcgclab.data import AugmentConfig, LongTailSpec, synthesize
 from lcgclab.debias import (
@@ -49,28 +54,6 @@ GRID_SEEDS = (1, 2, 3, 4, 5)
 IDENTITY_AUG = AugmentConfig(
     sigma_weak=0.0, sigma_strong=0.0, mask_fraction=0.0
 )
-
-
-def generic_net(dims, seed, wscale=0.5, bscale=0.3):
-    """Random weights and random NONZERO biases.
-
-    Fresh zero-bias nets put the refinement KL exactly at its minimum
-    for a zero-response probe (its true gradient is zero there), which
-    makes finite differences return pure noise; derivative checks need
-    a generic point in parameter space.
-    """
-    rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(rng.normal(scale=wscale, size=(fan_in, fan_out)))
-        biases.append(rng.normal(scale=bscale, size=fan_out))
-    return ModelParams(dims=tuple(dims), weights=weights, biases=biases)
-
-
-def relative_error(g: np.ndarray, fd: np.ndarray) -> float:
-    floor = np.full_like(g, 1e-4)
-    denom = np.maximum.reduce([np.abs(g), np.abs(fd), floor])
-    return float(np.max(np.abs(g - fd) / denom))
 
 
 def away_from_relu_kinks(params: ModelParams, x: np.ndarray, margin=1e-3):

@@ -326,6 +326,22 @@ class TestOverrideAndOutput:
         monkeypatch.delenv("LCGCLAB_OUTPUT_ROOT")
         assert str(cfg.output_root()) == cfg.output_dir
 
+    @pytest.mark.parametrize("out", ["/etc/abs", "../up", "a/../../up"])
+    def test_output_dir_must_stay_under_the_root(self, monkeypatch, tmp_path, out):
+        cfg = parse_config_text(f"output_dir = {out}\n")
+        assert str(cfg.output_root()) == out  # no root: taken as given
+        monkeypatch.setenv("LCGCLAB_OUTPUT_ROOT", str(tmp_path))
+        with pytest.raises(ConfigError, match="leaves LCGCLAB_OUTPUT_ROOT"):
+            cfg.output_root()
+        inside = parse_config_text("output_dir = a/..b/c\n").output_root()
+        assert inside == tmp_path / "a" / "..b" / "c"
+
+    def test_empty_output_dir_rejected(self):
+        with pytest.raises(ConfigError, match="'output_dir' must not be empty"):
+            parse_config_text("output_dir =\n")
+        with pytest.raises(ConfigError, match="'output_dir' must not be empty"):
+            default_config().override(output_dir="")
+
     def test_config_is_hashable_and_frozen(self):
         cfg = default_config()
         with pytest.raises(AttributeError):

@@ -27,6 +27,7 @@ from lcgclab.errors import (
     LabelError,
     SamplingError,
 )
+from lcgclab.fileio import write_container
 
 
 class TestLongtailCounts:
@@ -347,6 +348,16 @@ class TestRoundTrips:
             path.write_bytes(blob[:n])
             with pytest.raises(ContractError):
                 load_dataset(path)
+
+    @pytest.mark.parametrize("pool", ["labeled_x", "unlabeled_x", "test_x"])
+    def test_pool_width_must_match_the_class_means(self, tmp_path, pool):
+        ds = synthesize(TINY_SPEC)
+        arrays = {f.name: getattr(ds, f.name) for f in dataclasses.fields(ds)}
+        arrays[pool] = np.hstack([arrays[pool], arrays[pool][:, :1]])
+        path = tmp_path / "pool.bin"
+        write_container(path, "dataset", {}, arrays)
+        with pytest.raises(ContractError, match=f"{pool} .* do not fit 3 classes"):
+            load_dataset(path)
 
     @pytest.mark.parametrize("bad", [99.0, -4.0, 2.5])
     def test_out_of_range_or_fractional_label_rejected(self, tmp_path, bad):

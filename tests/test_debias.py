@@ -7,7 +7,7 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import tape_leaves
+from conftest import generic_net, tape_leaves
 from lcgclab.data import AugmentConfig, LongTailSpec, synthesize
 from lcgclab.debias import (
     _IG_BLOCK_ROWS,
@@ -70,22 +70,6 @@ def small_settings(**kw):
     return TrainSettings(**base)
 
 
-def generic_net(dims, seed, wscale=0.5, bscale=0.3):
-    """A net at a generic point: random weights AND nonzero biases.
-
-    Freshly initialized nets have zero biases, which puts the refinement
-    KL exactly at its minimum for the black probe (the probe's logits
-    are identically zero there), a degenerate point for derivative
-    checks.
-    """
-    rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(rng.normal(scale=wscale, size=(fan_in, fan_out)))
-        biases.append(rng.normal(scale=bscale, size=fan_out))
-    return ModelParams(dims=tuple(dims), weights=weights, biases=biases)
-
-
 class TestBaselines:
     def test_palette_vectors(self):
         d, s = 6, 2.0
@@ -134,6 +118,8 @@ class TestBaselines:
     def test_unknown_color_rejected(self):
         with pytest.raises(ContractError):
             make_baseline("purple", 4, 1.0)
+        with pytest.raises(ContractError, match="unknown baseline color"):
+            LCGCConfig(baseline="purple")
         assert set(BASELINE_COLORS) == {
             "red", "green", "blue", "gray", "white", "black"
         }
@@ -330,6 +316,15 @@ class TestGradComponents:
 
         fd = finite_diff_grad(f, p.tensors())
         np.testing.assert_allclose(g.values, fd, atol=2e-6)
+
+    def test_grad_b_rejects_an_empty_batch(self):
+        """The empty batch is the consistency loss's ContractError,
+        although grad_b sizes its buffers before the loss checks it."""
+        p = generic_net((8, 12, 4), seed=12)
+        pseudo = pseudo_label(np.zeros((1, 4)), tau=0.0)
+        with pytest.raises(ContractError, match="empty batch"):
+            grad_b(p, np.empty((0, 8)), pseudo, AugmentConfig(),
+                   np.random.default_rng(0))
 
 
 # Probes an 8-wide net cannot take: too narrow, and a row, not a vector.
@@ -737,6 +732,8 @@ class TestRunTraining:
         assert rec.steps == []
         assert 0.0 <= rec.final_bacc <= 1.0
         assert rec.confusion.sum() == ds.test_x.shape[0]
+        out = rec.to_dict()
+        assert (out["n_steps"], out["conflict_rate"]) == (0, 0.0)
 
     def test_same_seed_replays_run(self):
         ds = synthesize(small_spec())

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lcgclab.data import AugmentConfig
-from lcgclab.errors import ContractError, DimensionError
+from lcgclab.errors import ContractError, DimensionError, LabelError
 from lcgclab.losses import (
     consistency_loss,
     distribution_alignment,
@@ -16,6 +16,7 @@ from lcgclab.losses import (
     supervised_loss,
 )
 from lcgclab.model import init_mlp
+from lcgclab.tensor import cross_entropy_terms
 
 IDENTITY_AUG = AugmentConfig(sigma_weak=0.0, sigma_strong=0.0, mask_fraction=0.0)
 
@@ -53,6 +54,42 @@ class TestPseudoLabel:
             pseudo_label(np.zeros((1, 3)), tau=-0.1)
         with pytest.raises(ContractError):
             pseudo_label(np.zeros((1, 3)), tau=1.1)
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 1), (2, 3, 4)])
+    def test_rejects_logits_that_are_not_n_by_c(self, shape):
+        with pytest.raises(DimensionError, match="C >= 2"):
+            pseudo_label(np.zeros(shape), tau=0.0)
+
+
+_Z = np.zeros((3, 4))
+
+
+@pytest.mark.parametrize(
+    "logits, target, weights, error, match",
+    [
+        (_Z, np.array([1, 2]), None, DimensionError, "expected 3 labels"),
+        (_Z, np.array([0, 1, 2]), None, LabelError, "must lie in"),
+        (_Z, np.array([1, 2, 5]), None, LabelError, "must lie in"),
+        (_Z, np.full((3, 3), 1 / 3), None, DimensionError, "soft targets"),
+        (_Z, np.full((4, 4), 0.25), None, DimensionError, "soft targets"),
+        (_Z, np.array([[1.5, -0.5, 0, 0]] * 3), None, LabelError, "nonnegative"),
+        (np.zeros((0, 4)), np.array([], dtype=np.int64), None, ContractError,
+         "empty batch"),
+        (_Z, np.array([1, 2, 3]), np.ones(2), DimensionError, "expected 3 weights"),
+        (np.zeros(4), np.array([1]), None, DimensionError, "2-D"),
+        (np.zeros((3, 1)), np.array([1, 1, 1]), None, DimensionError,
+         "at least 2 classes"),
+    ],
+    ids=[
+        "label-count", "label-below", "label-above", "soft-width",
+        "soft-rows", "soft-negative", "empty", "weight-count", "1-d", "one-class",
+    ],
+)
+def test_cross_entropy_terms_checks(logits, target, weights, error, match):
+    """The loss every step differentiates validates its plain-array
+    arguments itself, with no tape in the way."""
+    with pytest.raises(error, match=match):
+        cross_entropy_terms(logits, target, weights=weights)
 
 
 class TestSupervisedLoss:

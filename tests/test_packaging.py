@@ -116,3 +116,31 @@ def test_every_private_name_is_read():
     assert len(defined) > 0
     unread = [hit for hit, name in defined if name not in read]
     assert not unread, "private names nothing reads:\n" + "\n".join(unread)
+
+
+# The autodiff tape and its four wrappers, by the submodule that defines
+# each; none is package API.
+_TAPE_NAMES = {
+    "tensor": (
+        "Tape", "Tensor", "backward", "cross_entropy", "finite_diff_grad",
+        "flatten_grads", "flatten_values", "log_softmax", "matmul",
+        "softmax", "zero_grads",
+    ),
+    "model": ("forward_logits",),
+    "losses": ("supervised_loss", "consistency_loss"),
+    "debias": ("kl_consistency_loss",),
+}
+
+
+def test_tape_is_not_package_api():
+    """The package does not re-export the tape; each name is imported
+    from the submodule that defines it."""
+    package = importlib.import_module("lcgclab")
+    exported = [
+        n for names in _TAPE_NAMES.values() for n in names if hasattr(package, n)
+    ]
+    assert not exported, f"re-exported by lcgclab: {exported}"
+    for module, names in _TAPE_NAMES.items():
+        submodule = importlib.import_module(f"lcgclab.{module}")
+        assert all(callable(getattr(submodule, n)) for n in names), module
+    assert not hasattr(importlib.import_module("lcgclab.tensor"), "__all__")

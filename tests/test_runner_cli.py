@@ -288,6 +288,27 @@ class TestCli:
         assert "lights no coordinate" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep-lambda"])
+    @pytest.mark.parametrize("case", ["empty", "outside-root"])
+    def test_bad_output_dir_exits_two_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, command, case
+    ):
+        """An empty output_dir would write into the working directory,
+        and an absolute one would leave LCGCLAB_OUTPUT_ROOT; both stop
+        the command before it creates anything."""
+        work, root, outside = (tmp_path / d for d in ("work", "root", "abs"))
+        for d in (work, root):
+            d.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setenv("LCGCLAB_OUTPUT_ROOT", str(root))
+        line = "output_dir =" if case == "empty" else f"output_dir = {outside}"
+        cfg = self.write_cfg(tmp_path, line + "\n")
+        code = main([command, str(cfg)])
+        assert code == 2
+        assert "'output_dir'" in capsys.readouterr().err
+        assert not any(work.iterdir()) and not any(root.iterdir())
+        assert not outside.exists()
+
     def test_missing_config_exits_two(self, tmp_path, capsys):
         code = main(["train", str(tmp_path / "none.cfg")])
         assert code == 2

@@ -13,7 +13,9 @@ sys.path.insert(0, str(_DIR))  # same_bytes imports its sibling ab.py
 same_bytes = importlib.import_module("same_bytes")
 sys.path.remove(str(_DIR))
 
+from lcgclab import runner  # noqa: E402
 from lcgclab.cli import _build_parser  # noqa: E402
+from lcgclab.config import _SCHEMA, parse_config_text  # noqa: E402
 
 RUN = {"seed": 1, "final_bacc": 0.5, "wall_time_s": 1.25, "steps": [1.0, 2.0]}
 AGGREGATE = {"per_seed": [RUN], "bacc_mean": 0.5, "wall_time_s": 3.5}
@@ -82,3 +84,29 @@ def test_every_cli_command_is_in_the_gate():
         if args[0] == "export-dataset"
     }
     assert exports == {".bin", ".csv"}
+
+
+def test_every_bool_key_is_flipped_in_the_gate(monkeypatch):
+    """Each bool config key takes its non-default value in some gated
+    run: in a config of ``CONFIGS``, or in a variant of the
+    ``ablate-components`` run (collected here without training)."""
+    configs = {
+        name: parse_config_text(same_bytes.COMMON + text)
+        for name, text in same_bytes.CONFIGS.items()
+    }
+    variants = []
+    monkeypatch.setattr(
+        runner, "_sweep", lambda _, points, *a: variants.extend(p[2] for p in points)
+    )
+    for _, name, args in same_bytes.RUNS:
+        if args[0] == "ablate-components":
+            runner.ablate_components(configs[name])
+    assert variants
+    bools = {key: spec[2] for key, spec in _SCHEMA.items() if spec[1] == "bool"}
+    flipped = {
+        key
+        for cfg in [*configs.values(), *variants]
+        for key, value in cfg.resolved().items()
+        if key in bools and value != bools[key]
+    }
+    assert flipped == set(bools)

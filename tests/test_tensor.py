@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import relative_error
 from lcgclab.errors import (
     ContractError,
     DimensionError,
@@ -220,10 +221,6 @@ class TestTapeSemantics:
 
 
 class TestGradientsAgainstFiniteDifferences:
-    def _relative_error(self, g, fd):
-        floor = np.full_like(g, 1e-4)
-        return np.max(np.abs(g - fd) / np.maximum.reduce([np.abs(g), np.abs(fd), floor]))
-
     def test_composite_network_gradients(self):
         """Random 2-layer nets with every op in the library: rel err < 1e-5.
 
@@ -259,7 +256,7 @@ class TestGradientsAgainstFiniteDifferences:
             backward(loss)
             g = flatten_grads(params)
             fd = finite_diff_grad(lambda: f().item(), [t.data for t in params])
-            assert self._relative_error(g, fd) < 1e-5
+            assert relative_error(g, fd) < 1e-5
 
     def test_softmax_and_elementwise_gradients(self):
         rng = np.random.default_rng(43)
@@ -275,7 +272,7 @@ class TestGradientsAgainstFiniteDifferences:
         backward(loss)
         g = flatten_grads([a, m])
         fd = finite_diff_grad(lambda: f().item(), [a.data, m.data])
-        assert self._relative_error(g, fd) < 1e-5
+        assert relative_error(g, fd) < 1e-5
 
 
 class TestFiniteDiff:
