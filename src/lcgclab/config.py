@@ -132,7 +132,7 @@ _SCHEMA: dict[str, tuple] = {
         "refine_pseudo_labels", "bool", _D_LCGC.refine_pseudo_labels
     ),
     "lcgc.refine_at_test": ("refine_at_test", "bool", _D_LCGC.refine_at_test),
-    "lcgc.ig_steps": ("ig_steps", "int", _D_LCGC.ig_steps),
+    "lcgc.ig_steps": ("ig_steps", "int", 128),
     "lcgc.double_subtract": ("double_subtract", "bool", _D_LCGC.double_subtract),
     "remix.temperature": ("remix_temperature", "float", _D_TRAIN.remix_temperature),
     "remix.ema_decay": ("remix_ema_decay", "float", _D_TRAIN.remix_ema_decay),
@@ -205,6 +205,8 @@ class ExperimentConfig:
             raise ConfigError(f"'model.hidden' widths must be >= 1: {self.hidden}")
         if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"'seeds' must be distinct and >= 0: {self.seeds}")
+        if self.ig_steps < 1:
+            raise ConfigError(f"'lcgc.ig_steps' must be >= 1: {self.ig_steps}")
         try:
             # Own floats first: a method pin can hide lam from LCGCConfig.
             require_finite_fields(self)
@@ -298,10 +300,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
-    """Parse a config file from disk."""
+    """Parse a config file from disk (UTF-8, with or without a byte-order
+    mark)."""
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {p}") from None
     except (OSError, UnicodeDecodeError) as e:

@@ -232,7 +232,6 @@ class LCGCConfig:
     baseline: str = "black"
     refine_pseudo_labels: bool = True
     refine_at_test: bool = True
-    ig_steps: int = 128
     double_subtract: bool = False
     disable_projection: bool = False
 
@@ -244,8 +243,6 @@ class LCGCConfig:
             raise ContractError(
                 f"unknown baseline color {self.baseline!r}"
             )
-        if self.ig_steps < 1:
-            raise ContractError("ig_steps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -672,42 +669,18 @@ def integrated_gradients(
     params: ModelParams,
     x: np.ndarray,
     baseline: np.ndarray,
-    target_class: int,
-    steps: int,
-) -> np.ndarray:
-    """Right-endpoint path attribution of one logit for one (d,) sample
-    ``x``, shape (d,).
-
-    Averages the input gradient of logit ``target_class`` at the points
-    I + (k/steps)(x - I), k = 1..steps, then multiplies by (x - I). As
-    steps grows the attribution sums converge to the logit gap
-    g(x)_c - g(I)_c; for a linear model one step is already exact.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != baseline.shape:
-        raise DimensionError(
-            f"sample has shape {x.shape}, baseline {baseline.shape}"
-        )
-    C = params.dims[-1]
-    if not 1 <= target_class <= C:
-        raise LabelError(f"target_class must lie in [1..{C}], got {target_class}")
-    return _path_attributions(
-        params, x[None, :], baseline, np.array([target_class]), steps
-    )[0]
-
-
-def _path_attributions(
-    params: ModelParams,
-    x: np.ndarray,
-    baseline: np.ndarray,
     labels: np.ndarray,
     steps: int,
 ) -> np.ndarray:
-    """``integrated_gradients`` of every row of a (n, d) batch, row i
-    attributing logit ``labels[i]``; shape (n, d).
+    """Right-endpoint path attributions of a (n, d) batch, row i
+    attributing logit ``labels[i]`` (n integers in [1..C]); shape (n, d).
 
-    The path I + a(x - I) is a straight line, so its points are never
-    formed:
+    Averages the input gradient of the target logit at the points
+    I + (k/steps)(x - I), k = 1..steps, then multiplies by (x - I). As
+    steps grows the attribution sums converge to the logit gap
+    g(x)_c - g(I)_c; for a linear model one step is already exact.
+
+    The path is a straight line, so its points are never formed:
 
     - the first layer's pre-activations along it are u + a v, with
       u = I W1 + b1 once per call and v = (x - I) W1 once per sample;
@@ -719,12 +692,26 @@ def _path_attributions(
 
     Samples go through in blocks of ``_IG_BLOCK_ROWS // steps`` (at
     least one), which bounds the (rows, hidden) temporaries. Raises
-    DimensionError on a batch the model cannot take and EvaluationError
-    on a non-finite x - I, as a forward of the path points would.
+    DimensionError on a batch or probe the model cannot take, LabelError
+    on labels that are not n integers in [1..C], and EvaluationError on
+    a non-finite x - I, as a forward of the path points would.
     """
     if steps < 1:
         raise ContractError(f"steps must be >= 1, got {steps}")
+    x = np.asarray(x, dtype=np.float64)
     check_batch(params, x)
+    if baseline.shape != (params.dims[0],):
+        raise DimensionError(
+            f"probe has shape {baseline.shape}, model input dim {params.dims[0]}"
+        )
+    n, C = x.shape[0], params.dims[-1]
+    labels = np.asarray(labels)
+    if labels.shape != (n,) or labels.dtype.kind not in "iu":
+        raise LabelError(
+            f"expected {n} integer labels, got {labels.dtype} of shape {labels.shape}"
+        )
+    if n and not 1 <= labels.min() <= labels.max() <= C:
+        raise LabelError(f"labels must lie in [1..{C}]")
     delta = x - baseline
     if not np.isfinite(delta).all():
         raise EvaluationError("attribution path contains non-finite values")
@@ -733,7 +720,6 @@ def _path_attributions(
     rows = ws[last].T[labels - 1]
     if not last:
         return delta * rows
-    n = x.shape[0]
     uv = np.empty((2, n, params.dims[1]))
     uv[0] = K.add_rowvec(K.matmul(baseline[None, :], ws[0]), params.biases[0])
     K.matmul(delta, ws[0], out=uv[1])
@@ -798,7 +784,7 @@ def verify_theorem1(
     logits = logits_array(params, x)
     labels = np.argmax(logits - base_row, axis=1).astype(np.int64) + 1
 
-    ig = _path_attributions(params, x, baseline, labels, steps)
+    ig = integrated_gradients(params, x, baseline, labels, steps)
     ig_sums = ig.sum(axis=1)
     gaps = logits[np.arange(x.shape[0]), labels - 1] - base_row[labels - 1]
     residuals = np.abs(ig_sums - gaps)

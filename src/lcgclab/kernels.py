@@ -6,8 +6,8 @@ plain-array forward and backwards that every training step runs
 (``model.forward_cached`` and the row-block backward in ``model``) and
 the path-point layers of the integrated-gradients audit in ``debias``,
 and the autodiff tape in ``lcgclab.tensor``, which is only the gradient
-reference of criterion 1 and the parity tests and no package API. A
-profiler can wrap them by name.
+reference of the parity tests and the audit's tests. A profiler can wrap
+them by name.
 
 All kernels take C-contiguous float64 arrays; callers are responsible
 for layout. Results are bit-stable from run to run on a given platform

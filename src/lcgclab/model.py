@@ -7,9 +7,8 @@ audit in ``debias`` runs neither: its straight-line path lets it run the
 layers on the kernels directly, without forming the path points.
 ``forward_logits`` records the same network on the autodiff tape, which
 takes the arrays as constants; it is only the gradient reference of
-criterion 1 and the parity tests, which wrap the parameters in leaves
-(``tape_leaves``) to get their gradients; like the tape, it is imported
-from its module (``lcgclab.model.forward_logits``), not the package.
+the parity tests and the audit's tests, which wrap the parameters in
+leaves (``tape_leaves``) to get their gradients.
 
 A training run allocates its large per-step arrays once, as a
 ``StepBuffers``, and every step writes into them: on a wide network

@@ -8,10 +8,9 @@ leaf.
 
 Training and the integrated-gradients audit do not record on it: they
 run ``model.forward_cached`` and hand-written backwards. The tape is the
-gradient reference of criterion 1 and the parity tests. The ops take
-model parameters, plain arrays, as constants; those tests wrap them in
-leaves (``tape_leaves``) to get their gradients. The package does not
-re-export the tape: import it from ``lcgclab.tensor``.
+gradient reference of the parity tests and the audit's tests. The ops
+take model parameters, plain arrays, as constants; those tests wrap them
+in leaves (``tape_leaves``) to get their gradients.
 """
 
 from __future__ import annotations

@@ -21,31 +21,27 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (
-    generic_net,
-    record_criterion,
-    relative_error,
-    tape_leaves,
-)
+from conftest import generic_net, record_criterion, relative_error
 from lcgclab.config import default_config
 from lcgclab.data import AugmentConfig, LongTailSpec, synthesize
 from lcgclab.debias import (
     GradientVector,
+    _grad_d_with_loss,
     baseline_logits,
     evaluate,
     grad_b,
     grad_d,
-    kl_consistency_loss,
+    kl_consistency_terms,
     lcgc_combine,
     make_baseline,
     run_training,
     verify_theorem1,
 )
-from lcgclab.losses import consistency_loss, pseudo_label, supervised_loss
+from lcgclab.losses import consistency_inputs, pseudo_label
 from lcgclab.metrics import bacc, gm, trajectory_trend
-from lcgclab.model import ModelParams, logits_array
+from lcgclab.model import ModelParams, StepBuffers, logits_array
 from lcgclab.runner import run
-from lcgclab.tensor import Tape, backward, finite_diff_grad, flatten_grads
+from lcgclab.tensor import cross_entropy_terms, finite_diff_grad
 
 GRID_METHODS = ("baseline", "cdmad", "lcgc")
 GRID_GAMMAS = (1.0, 100.0, 150.0)
@@ -74,8 +70,9 @@ def away_from_relu_kinks(params: ModelParams, x: np.ndarray, margin=1e-3):
 
 class TestCriterion1GradientOracles:
     def test_autodiff_matches_finite_differences(self):
-        """25 random small nets; supervised, consistency, and refinement
-        KL gradients each match central differences, rel err < 1e-5."""
+        """25 random small nets; the supervised, consistency, and
+        refinement KL gradients the training step applies each match
+        central differences of plain-array loss values, rel err < 1e-5."""
         t0 = time.perf_counter()
         rng = np.random.default_rng(2024)
         worst = 0.0
@@ -95,14 +92,12 @@ class TestCriterion1GradientOracles:
                     break
             pseudo = pseudo_label(logits_array(params, x), tau=0.0)
 
-            # L_Sup
-            leaves = tape_leaves(params)
-            with Tape():
-                loss = supervised_loss(leaves, x, y)
-            backward(loss)
-            g = flatten_grads(leaves.tensors())
+            # L_Sup: the supervised block of the step's one forward
+            bufs = StepBuffers(params, 2 * n + 1)
+            g = _grad_d_with_loss(params, x, baseline, x, y, bufs)[4].values
             fd = finite_diff_grad(
-                lambda: supervised_loss(params, x, y).item(), params.tensors()
+                lambda: cross_entropy_terms(logits_array(params, x), y)[0],
+                params.tensors(),
             )
             worst = max(worst, relative_error(g, fd))
 
@@ -110,12 +105,15 @@ class TestCriterion1GradientOracles:
             g = grad_b(
                 params, x, pseudo, IDENTITY_AUG, np.random.default_rng(0)
             ).values
-            fd = finite_diff_grad(
-                lambda: consistency_loss(
-                    params, x, pseudo, IDENTITY_AUG, np.random.default_rng(0)
-                ).item(),
-                params.tensors(),
-            )
+
+            def con_value():
+                strong, target, weights = consistency_inputs(
+                    x, pseudo, IDENTITY_AUG, np.random.default_rng(0)
+                )
+                logits = logits_array(params, strong)
+                return cross_entropy_terms(logits, target, weights=weights)[0]
+
+            fd = finite_diff_grad(con_value, params.tensors())
             worst = max(worst, relative_error(g, fd))
 
             # L_kl (raw vs refined logits of the weak views)
@@ -124,7 +122,7 @@ class TestCriterion1GradientOracles:
             def kl_value():
                 logits = logits_array(params, x)
                 base = baseline_logits(params, baseline)
-                return kl_consistency_loss(logits, logits - base).item()
+                return kl_consistency_terms(logits, logits - base)[0]
 
             fd = finite_diff_grad(kl_value, params.tensors())
             worst = max(worst, relative_error(g, fd))

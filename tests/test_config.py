@@ -190,6 +190,18 @@ class TestParsing:
         cfg = parse_config(path)
         assert cfg.steps == 4 and cfg.method == "baseline"
 
+    @pytest.mark.parametrize(
+        "text",
+        ["train.steps = 4\nmethod = baseline\n", "# a comment\ntrain.steps = 4\n"],
+    )
+    def test_byte_order_mark_is_accepted(self, tmp_path, text):
+        """A UTF-8 byte-order mark, before a key or a comment line, parses
+        as the same file without it."""
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert parse_config(marked) == parse_config(plain)
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "absent.cfg")
@@ -259,7 +271,7 @@ class TestMethodResolution:
                 value = next(c for c in choices[0] if c != default)
             lines.append(f"{key} = {str(value).lower()}")
             expected[name] = value
-        assert len(expected) == 16
+        assert len(expected) == 15
         st = parse_config_text("\n".join(lines)).train_settings()
         for name, value in expected.items():
             got = getattr(st, name) if name in train else getattr(st.lcgc, name)

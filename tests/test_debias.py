@@ -773,6 +773,14 @@ class TestRunTraining:
         assert rec.divergence_step is not None
         assert len(rec.steps) < 50
 
+    def test_evaluation_error_of_a_finite_run_is_raised(self):
+        """Only a diverged run turns non-finite test logits into null
+        metrics; a run that trained fine raises evaluate's error."""
+        ds = synthesize(small_spec())
+        ds.test_x[0, 0] = np.nan
+        with pytest.raises(EvaluationError, match="input batch contains non-finite"):
+            run_training(ds, (12,), small_settings(steps=2), seed=11)
+
     def test_remix_backbone_runs(self):
         ds = synthesize(small_spec())
         s = small_settings(steps=4, backbone="remix-lite")
@@ -850,25 +858,23 @@ class TestIntegratedGradients:
             biases=[rng.normal(size=3)],
         )
         b = make_baseline("gray", 6, 2.0)
-        x = rng.normal(size=6)
-        ig = integrated_gradients(p, x, b, target_class=2, steps=1)
+        x = rng.normal(size=(1, 6))
+        ig = integrated_gradients(p, x, b, np.array([2]), 1)
+        assert ig.shape == (1, 6)
         np.testing.assert_allclose(
-            ig, (x - b) * w[:, 1], atol=1e-12
+            ig[0], (x[0] - b) * w[:, 1], atol=1e-12
         )
-        gap = (x @ w + p.biases[0])[1] - (b @ w + p.biases[0])[1]
+        gap = (x[0] @ w + p.biases[0])[1] - (b @ w + p.biases[0])[1]
         np.testing.assert_allclose(ig.sum(), gap, atol=1e-10)
 
     def test_completeness_improves_with_steps(self):
         p = generic_net((8, 14, 14, 4), seed=17, wscale=0.2, bscale=0.1)
         b = make_baseline("black", 8, 1.0)
-        x = np.random.default_rng(18).normal(scale=0.4, size=8)
-        gap = (
-            logits_array(p, x[None, :])[0, 0]
-            - baseline_logits(p, b)[0]
-        )
+        x = np.random.default_rng(18).normal(scale=0.4, size=(1, 8))
+        gap = logits_array(p, x)[0, 0] - baseline_logits(p, b)[0]
         res = []
         for m in (4, 64, 512):
-            ig = integrated_gradients(p, x, b, target_class=1, steps=m)
+            ig = integrated_gradients(p, x, b, np.array([1]), m)
             res.append(abs(ig.sum() - gap))
         assert res[2] <= res[0]
         assert res[2] < 1e-3
@@ -876,28 +882,37 @@ class TestIntegratedGradients:
     def test_contracts(self):
         p = generic_net((4, 6, 3), seed=19)
         b = make_baseline("black", 4, 1.0)
-        x = np.zeros(4)
+        x = np.zeros((2, 4))
+        one = np.array([1, 1])
         with pytest.raises(LabelError):
-            integrated_gradients(p, x, b, target_class=0, steps=4)
+            integrated_gradients(p, x, b, np.array([0, 1]), 4)
         with pytest.raises(LabelError):
-            integrated_gradients(p, x, b, target_class=4, steps=4)
+            integrated_gradients(p, x, b, np.array([1, 4]), 4)
+        with pytest.raises(LabelError):  # not integers
+            integrated_gradients(p, x, b, np.array([1.0, 2.0]), 4)
+        with pytest.raises(LabelError):  # not one per sample
+            integrated_gradients(p, x, b, np.array([1]), 4)
+        with pytest.raises(LabelError):
+            integrated_gradients(p, x, b, 1, 4)
         with pytest.raises(ContractError):
-            integrated_gradients(p, x, b, target_class=1, steps=0)
-        with pytest.raises(DimensionError):
-            integrated_gradients(p, np.zeros(5), b, 1, 4)
-        with pytest.raises(DimensionError):  # d values, but not one sample
-            integrated_gradients(p, np.zeros((2, 2)), b, 1, 4)
+            integrated_gradients(p, x, b, one, 0)
+        with pytest.raises(DimensionError):  # not a batch
+            integrated_gradients(p, np.zeros(4), b, one[:1], 4)
+        with pytest.raises(DimensionError):  # samples too wide
+            integrated_gradients(p, np.zeros((2, 5)), b, one, 4)
+        with pytest.raises(DimensionError):  # probe too wide
+            integrated_gradients(p, x, np.zeros(5), one, 4)
         with pytest.raises(DimensionError):  # agree, but not with the model
-            integrated_gradients(p, np.zeros(5), np.zeros(5), 1, 4)
+            integrated_gradients(p, np.zeros((2, 5)), np.zeros(5), one, 4)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["sample", "baseline"])
     def test_non_finite_path_raises(self, where, bad):
         p = generic_net((4, 6, 3), seed=19)
-        x, b = np.ones(4), make_baseline("black", 4, 1.0)
-        (x if where == "sample" else b)[2] = bad
+        x, b = np.ones((1, 4)), make_baseline("black", 4, 1.0)
+        (x[0] if where == "sample" else b)[2] = bad
         with pytest.raises(EvaluationError):
-            integrated_gradients(p, x, b, target_class=1, steps=4)
+            integrated_gradients(p, x, b, np.array([1]), 4)
 
     def test_leaves_parameter_grads_clean(self):
         """Parameters are arrays, with no grad slot: the audit leaves
@@ -905,7 +920,7 @@ class TestIntegratedGradients:
         p = generic_net((4, 6, 3), seed=20)
         before = copy.deepcopy(p)
         b = make_baseline("black", 4, 1.0)
-        integrated_gradients(p, np.ones(4), b, 1, 8)
+        integrated_gradients(p, np.ones((2, 4)), b, np.array([1, 3]), 8)
         for t, t0 in zip(p.tensors(), before.tensors()):
             assert t.tobytes() == t0.tobytes()
 
@@ -995,7 +1010,7 @@ class TestVerifyTheorem1:
             assert steps > _IG_BLOCK_ROWS
         if case == "baseline-sample":
             assert report.ig_sums[2] == 0.0
-            ig = integrated_gradients(p, x[2], b, int(labels[2]), steps)
+            ig = integrated_gradients(p, x[2:3], b, labels[2:3], steps)
             assert not ig.any()
 
     def test_contracts(self):

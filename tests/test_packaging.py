@@ -1,12 +1,16 @@
 """Every declared runtime dependency is importable, every import in the
-package and its tests is used, and every private module-level name of
-the package is read."""
+package and its tests is used, every private module-level name of the
+package is read, the package namespace holds only its modules, and
+README's Python example runs."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,9 +63,9 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    """The package's ``__init__.py`` re-exports by importing, so it is
-    left out; every other module, test file and benchmark script is
-    scanned."""
+    """The package's ``__init__.py`` imports its modules into the
+    namespace without reading them, so it is left out; every other
+    module, test file and benchmark script is scanned."""
     package = ROOT / "src" / "lcgclab"
     files = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     files += (ROOT / "tests").glob("*.py")
@@ -118,29 +122,104 @@ def test_every_private_name_is_read():
     assert not unread, "private names nothing reads:\n" + "\n".join(unread)
 
 
-# The autodiff tape and its four wrappers, by the submodule that defines
-# each; none is package API.
-_TAPE_NAMES = {
+# Names the package namespace once re-exported, by the module that
+# defines each: the autodiff tape and its four wrappers, and the rest of
+# the API. Every one stays importable from its module.
+_MODULE_NAMES = {
+    "config": (
+        "ExperimentConfig", "default_config", "parse_config",
+        "parse_config_text",
+    ),
+    "data": (
+        "AugmentConfig", "LongTailSpec", "SynthDataset", "export_csv",
+        "load_dataset", "longtail_counts", "sample_minibatch", "save_dataset",
+        "strong_aug", "synthesize", "weak_aug",
+    ),
+    "debias": (
+        "BASELINE_COLORS", "EvalReport", "GradientVector", "LCGCConfig",
+        "RunRecord", "StepRecord", "TheoremReport", "TrainSettings",
+        "TrainState", "baseline_logits", "evaluate", "grad_b", "grad_d",
+        "integrated_gradients", "lcgc_combine", "make_baseline",
+        "run_training", "train_step", "verify_theorem1",
+        "kl_consistency_loss",
+    ),
+    "errors": (
+        "ConfigError", "ContractError", "DimensionError", "EvaluationError",
+        "InfeasibleSpecError", "LabelError", "SamplingError",
+        "TrainingDiverged",
+    ),
+    "losses": (
+        "PseudoLabelBatch", "distribution_alignment", "ema_update",
+        "pseudo_label", "sharpen", "supervised_loss", "consistency_loss",
+    ),
+    "metrics": ("TrendReport", "bacc", "confusion", "gm", "trajectory_trend"),
+    "model": (
+        "ModelParams", "init_mlp", "load_checkpoint", "logits_array",
+        "save_checkpoint", "forward_logits",
+    ),
+    "runner": (
+        "ablate_baseline_colors", "ablate_components", "run", "sweep_lambda",
+    ),
     "tensor": (
         "Tape", "Tensor", "backward", "cross_entropy", "finite_diff_grad",
         "flatten_grads", "flatten_values", "log_softmax", "matmul",
         "softmax", "zero_grads",
     ),
-    "model": ("forward_logits",),
-    "losses": ("supervised_loss", "consistency_loss"),
-    "debias": ("kl_consistency_loss",),
 }
 
+# What ``import lcgclab`` loads: every module but the CLI.
+_IMPORTED_MODULES = [
+    "lcgclab", "lcgclab.config", "lcgclab.data", "lcgclab.debias",
+    "lcgclab.errors", "lcgclab.fileio", "lcgclab.kernels", "lcgclab.losses",
+    "lcgclab.metrics", "lcgclab.model", "lcgclab.runner", "lcgclab.tensor",
+]
 
-def test_tape_is_not_package_api():
-    """The package does not re-export the tape; each name is imported
-    from the submodule that defines it."""
+
+def test_package_namespace_holds_only_modules():
+    """The package's public names are its submodules; every name lives
+    in the one module that defines it."""
     package = importlib.import_module("lcgclab")
-    exported = [
-        n for names in _TAPE_NAMES.values() for n in names if hasattr(package, n)
-    ]
-    assert not exported, f"re-exported by lcgclab: {exported}"
-    for module, names in _TAPE_NAMES.items():
+    public = {n for n in vars(package) if not n.startswith("_")}
+    # The CLI joins the namespace once something has imported it.
+    assert public - {"cli"} == {m.split(".")[1] for m in _IMPORTED_MODULES[1:]}
+    assert all(
+        getattr(package, n) is importlib.import_module(f"lcgclab.{n}")
+        for n in public
+    )
+    assert isinstance(package.__version__, str)
+    for module, names in _MODULE_NAMES.items():
         submodule = importlib.import_module(f"lcgclab.{module}")
-        assert all(callable(getattr(submodule, n)) for n in names), module
+        missing = [n for n in names if not hasattr(submodule, n)]
+        assert not missing, f"lcgclab.{module} lacks {missing}"
     assert not hasattr(importlib.import_module("lcgclab.tensor"), "__all__")
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_import_loads_every_module_but_the_cli():
+    """A fresh ``import lcgclab`` does the whole import work (the
+    benchmark times it) and leaves the CLI out."""
+    out = _run_python(
+        "import sys, lcgclab\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'lcgclab'))"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == str(_IMPORTED_MODULES)
+
+
+def test_readme_python_example_runs():
+    """README's "From Python" block runs as written and prints the final
+    balanced accuracy and G-mean."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    out = _run_python(blocks[0])
+    assert out.returncode == 0, out.stderr
+    bacc, gmean = (float(v) for v in out.stdout.split())
+    assert 0.0 <= gmean <= bacc <= 1.0

@@ -259,6 +259,7 @@ class TestCli:
             "augment.sigma_weak = nan",
             "dataset.noise_sigma = inf",
             "remix.temperature = inf",
+            "lcgc.ig_steps = 0",
         ],
     )
     def test_out_of_range_value_exits_two(self, tmp_path, capsys, line):
