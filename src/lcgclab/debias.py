@@ -16,7 +16,10 @@ ties the correction term to an attribution the model itself certifies.
 Their path from the baseline to a sample is a straight line, so the
 audit never forms its points: the first layer is affine along it, and
 its adjoint is averaged over the path before one input-layer backward
-per sample.
+per sample. With one hidden layer, each unit's pre-activation crosses
+zero at most once along the path, so its active path points are
+counted in closed form; with middle hidden layers, they are evaluated
+block by block.
 """
 
 from __future__ import annotations
@@ -72,7 +75,8 @@ BACKBONES = ("fixmatch", "remix-lite")
 # Below this norm the correction direction is numerically meaningless.
 _NORM_FLOOR = 1e-12
 
-# Path points per block of the attribution audit. The points themselves
+# Path points per block of the attribution audit of a net with middle
+# hidden layers (one hidden layer needs no blocks). The points themselves
 # are never formed: a block bounds the (rows, hidden) temporaries of its
 # hidden layers, whatever the batch size and step count. At 256 rows a
 # 64-wide layer's temporaries are 128 KiB, which stay in cache and are
@@ -686,12 +690,22 @@ def integrated_gradients(
       u = I W1 + b1 once per call and v = (x - I) W1 once per sample;
     - the target logit's adjoint at the last layer's input is a row of
       W_last^T, the same at every path point;
-    - middle hidden layers run forward and backward per path point;
     - the first hidden layer's adjoint is averaged over the path before
       one input-layer backward per sample.
 
-    Samples go through in blocks of ``_IG_BLOCK_ROWS // steps`` (at
-    least one), which bounds the (rows, hidden) temporaries. Raises
+    The two cases differ in how that average is taken:
+
+    - with no middle hidden layer, unit j of sample i is active where
+      u_j + (k/steps) v_ij > 0, which holds on one side of a single
+      crossing; the average is the adjoint row times the count c_ij of
+      active path points over steps, in O(n h) for any steps;
+    - with middle hidden layers, every path point runs forward and
+      backward through them, in blocks of ``_IG_BLOCK_ROWS // steps``
+      samples (at least one), which bounds the (rows, hidden)
+      temporaries.
+
+    The two agree except at a rounding tie, a crossing that falls
+    exactly on a path point, which each breaks its own way. Raises
     DimensionError on a batch or probe the model cannot take, LabelError
     on labels that are not n integers in [1..C], and EvaluationError on
     a non-finite x - I, as a forward of the path points would.
@@ -723,6 +737,19 @@ def integrated_gradients(
     uv = np.empty((2, n, params.dims[1]))
     uv[0] = K.add_rowvec(K.matmul(baseline[None, :], ws[0]), params.biases[0])
     K.matmul(delta, ws[0], out=uv[1])
+    if last == 1:
+        # u + (k/steps) v crosses zero at k = t = -u steps / v. Where
+        # v = 0 the unit is on or off along the whole path, and t (an
+        # inf or a NaN) is not read.
+        u, v = uv
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            t = -u * steps / v
+        count = np.where(
+            v > 0,
+            steps - np.floor(t).clip(0, steps),
+            np.where(v < 0, (np.ceil(t) - 1).clip(0, steps), (u > 0) * steps),
+        )
+        return delta * K.matmul_nt(rows * (count / steps), ws[0])
     # Row k of ``coef`` is (1, a_k); times a sample's (u; v) it gives the
     # first layer's pre-activations u + a_k v at path point k.
     coef = np.ones((steps, 2))

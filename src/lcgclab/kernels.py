@@ -4,10 +4,10 @@ Each kernel is a thin vectorized numpy expression. They live in one
 module so that both gradient paths share a single definition: the
 plain-array forward and backwards that every training step runs
 (``model.forward_cached`` and the row-block backward in ``model``) and
-the path-point layers of the integrated-gradients audit in ``debias``,
-and the autodiff tape in ``lcgclab.tensor``, which is only the gradient
-reference of the parity tests and the audit's tests. A profiler can wrap
-them by name.
+the layers of the integrated-gradients audit in ``debias`` (the
+path-point blocks of a net with middle hidden layers), and the autodiff
+tape in ``lcgclab.tensor``, which is only the gradient reference of the
+parity tests and the audit's tests. A profiler can wrap them by name.
 
 All kernels take C-contiguous float64 arrays; callers are responsible
 for layout. Results are bit-stable from run to run on a given platform

@@ -4,7 +4,8 @@ Parameters are plain arrays. Training runs on them: ``forward_cached``
 keeps each layer's input and ``backward_rows`` turns the logit adjoint
 of a row range into the flat parameter gradient. The integrated-gradients
 audit in ``debias`` runs neither: its straight-line path lets it run the
-layers on the kernels directly, without forming the path points.
+layers on the kernels directly, without forming the path points, and a
+net with one hidden layer needs only each unit's count of active points.
 ``forward_logits`` records the same network on the autodiff tape, which
 takes the arrays as constants; it is only the gradient reference of
 the parity tests and the audit's tests, which wrap the parameters in

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copy
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -924,6 +926,101 @@ class TestIntegratedGradients:
         for t, t0 in zip(p.tensors(), before.tensors()):
             assert t.tobytes() == t0.tobytes()
 
+    @pytest.mark.parametrize("steps", [1, 3, 48, 300])
+    @pytest.mark.parametrize("color", ["black", "gray", "red"])
+    def test_one_hidden_layer_matches_its_lift(self, monkeypatch, color, steps):
+        """A one-hidden-layer net counts its active path points; the same
+        function with an identity middle layer evaluates them block by
+        block. The two attributions agree."""
+        import lcgclab.kernels
+
+        calls = []
+        inner = lcgclab.kernels.relu_vjp
+
+        def counting(g, z, *, out=None):
+            calls.append(z.shape)
+            return inner(g, z, out=out)
+
+        monkeypatch.setattr(lcgclab.kernels, "relu_vjp", counting)
+        b = make_baseline(color, 8, 1.0)
+        for seed in (51, 52, 53):
+            p = generic_net((8, 12, 4), seed=seed)
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(7, 8))
+            labels = rng.integers(1, 5, size=7)
+            ig = integrated_gradients(p, x, b, labels, steps)
+            assert not calls
+            ref = integrated_gradients(_lift(p), x, b, labels, steps)
+            assert calls
+            calls.clear()
+            np.testing.assert_allclose(ig, ref, rtol=0, atol=1e-12)
+
+    def test_one_hidden_layer_takes_any_step_count(self):
+        """The counted path costs the same at any resolution: a million
+        path points finish in milliseconds, and close the logit gap."""
+        p = generic_net((8, 12, 4), seed=54)
+        b = make_baseline("black", 8, 1.0)
+        x = np.random.default_rng(55).normal(size=(8, 8))
+        t0 = time.perf_counter()
+        report = verify_theorem1(p, x, b, steps=2**20)
+        assert time.perf_counter() - t0 < 0.1
+        assert report.max_residual < 1e-4
+
+    def test_one_hidden_layer_zero_slopes_run_clean(self):
+        """Units flat along the path (v = 0) divide by zero in the
+        crossing, or take 0/0 where they also sit at zero on the probe
+        (u = 0): every unit on a sample at the probe, and units 3 to 5 on
+        a sample orthogonal to their incoming weights, on or off along
+        the whole path. None may warn, the counts match the lift's, and
+        the probe's own row attributes exactly nothing."""
+        p = generic_net((8, 12, 4), seed=56)
+        w1, b1 = p.weights[0], p.biases[0]
+        b1[:6] = 0.0, 0.0, 0.0, 0.0, 0.3, -0.3  # u = b1 at the black probe
+        w1[:, 3:6] = 0.0
+        w1[:2, 3:6] = [[0.4, 0.5, -0.7], [-0.4, -0.5, 0.7]]
+        b = make_baseline("black", 8, 1.0)
+        x = np.random.default_rng(57).normal(size=(4, 8))
+        x[1] = b
+        x[2] = 0.0
+        x[2, :2] = 1.0  # (x - I) . w1[:, j] = 0 for j = 3, 4, 5
+        labels = np.array([1, 2, 3, 4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ig = integrated_gradients(p, x, b, labels, 16)
+            ref = integrated_gradients(_lift(p), x, b, labels, 16)
+            report = verify_theorem1(p, x, b, steps=16)
+        np.testing.assert_allclose(ig, ref, rtol=0, atol=1e-12)
+        assert ig[2, :2].any()
+        assert report.ig_sums[1] == 0.0
+
+    def test_one_hidden_layer_completeness(self):
+        """Criterion 4's check on one-hidden-layer nets: 10 nets x 20
+        inputs close the logit gap within 1e-3 at 512 path steps."""
+        for trial in range(10):
+            p = generic_net(
+                (8, 14, 4), seed=4000 + trial, wscale=0.15, bscale=0.1
+            )
+            b = make_baseline("black", 8, 1.0)
+            x = np.random.default_rng(5000 + trial).normal(
+                scale=0.4, size=(20, 8)
+            )
+            report = verify_theorem1(p, x, b, steps=512)
+            assert report.max_residual < 1e-3
+
+
+def _lift(params):
+    """A one-hidden-layer net as a two-hidden-layer one with an identity
+    middle layer: relu(relu(z)) = relu(z), so it computes the same
+    function."""
+    d, h, c = params.dims
+    w1, w2 = params.weights
+    b1, b2 = params.biases
+    return ModelParams(
+        dims=(d, h, h, c),
+        weights=[w1, np.eye(h), w2],
+        biases=[b1, np.zeros(h), b2],
+    )
+
 
 def _tape_audit(params, x, base, steps):
     """verify_theorem1's (labels, ig_sums, logit_gaps) from one autodiff
@@ -959,7 +1056,9 @@ def _linear_net(seed):
 # at a single step; a batch of three row blocks, the last partial; a net
 # with two middle hidden layers; more path steps than a block has rows,
 # so each block holds one sample; and a batch whose third sample is the
-# baseline itself.
+# baseline itself. The "-one-hidden" twins run the last two batches
+# through a net with no middle layer, whose path points are counted, not
+# evaluated in blocks.
 _BLOCK_STEPS = 48
 _PER_BLOCK = _IG_BLOCK_ROWS // _BLOCK_STEPS
 _AUDIT_CASES = {
@@ -971,6 +1070,10 @@ _AUDIT_CASES = {
         lambda: _linear_net(42), make_baseline("white", 5, 0.5), 9, 1,
     ),
     "block-boundary": (
+        lambda: generic_net((8, 12, 10, 4), seed=43),
+        make_baseline("gray", 8, 1.0), 2 * _PER_BLOCK + 3, _BLOCK_STEPS,
+    ),
+    "block-boundary-one-hidden": (
         lambda: generic_net((8, 12, 4), seed=43),
         make_baseline("gray", 8, 1.0), 2 * _PER_BLOCK + 3, _BLOCK_STEPS,
     ),
@@ -983,6 +1086,10 @@ _AUDIT_CASES = {
         make_baseline("red", 8, 1.0), 3, _IG_BLOCK_ROWS + 44,
     ),
     "baseline-sample": (
+        lambda: generic_net((8, 12, 10, 4), seed=47),
+        make_baseline("gray", 8, 1.0), 5, 32,
+    ),
+    "baseline-sample-one-hidden": (
         lambda: generic_net((8, 12, 4), seed=47),
         make_baseline("gray", 8, 1.0), 5, 32,
     ),
@@ -995,7 +1102,7 @@ class TestVerifyTheorem1:
         make_net, b, n, steps = _AUDIT_CASES[case]
         p = make_net()
         x = np.random.default_rng(44).normal(size=(n, p.dims[0]))
-        if case == "baseline-sample":
+        if case.startswith("baseline-sample"):
             x[2] = b
         labels, ref_sums, ref_gaps = _tape_audit(p, x, b, steps)
         report = verify_theorem1(p, x, b, steps=steps)
@@ -1008,7 +1115,7 @@ class TestVerifyTheorem1:
             assert len(set(labels[:_PER_BLOCK])) > 1
         if case == "one-sample-blocks":
             assert steps > _IG_BLOCK_ROWS
-        if case == "baseline-sample":
+        if case.startswith("baseline-sample"):
             assert report.ig_sums[2] == 0.0
             ig = integrated_gradients(p, x[2:3], b, labels[2:3], steps)
             assert not ig.any()

@@ -310,6 +310,25 @@ class TestCli:
         assert not any(work.iterdir()) and not any(root.iterdir())
         assert not outside.exists()
 
+    @pytest.mark.parametrize(
+        "command",
+        ["train", "sweep-lambda", "ablate-baseline", "ablate-components"],
+    )
+    def test_empty_output_flag_exits_two_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        """--output "" would write into the working directory, as an
+        empty output_dir would; it is refused before anything runs."""
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        cfg = self.write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(cfg), "--output", ""])
+        assert exc.value.code == 2
+        assert "--output" in capsys.readouterr().err
+        assert not any(work.iterdir())
+
     def test_missing_config_exits_two(self, tmp_path, capsys):
         code = main(["train", str(tmp_path / "none.cfg")])
         assert code == 2
