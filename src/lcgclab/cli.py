@@ -24,12 +24,14 @@ from .runner import ablate_baseline_colors, ablate_components, run, sweep_lambda
 
 
 def _comma_list(item):
-    """argparse type: a non-empty comma list, each entry through ``item``."""
+    """argparse type: a comma list with no empty entry, each entry
+    through ``item``."""
 
     def parse(text: str) -> tuple:
-        values = tuple(item(s.strip()) for s in text.split(",") if s.strip())
-        if not values:
-            raise argparse.ArgumentTypeError("expected a non-empty comma list")
+        entries = [s.strip() for s in text.split(",")]
+        if "" in entries:
+            raise argparse.ArgumentTypeError("empty entry in the comma list")
+        values = tuple(item(s) for s in entries)
         if any(isinstance(v, float) and not math.isfinite(v) for v in values):
             raise argparse.ArgumentTypeError("values must be finite")
         return values

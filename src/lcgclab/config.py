@@ -155,7 +155,10 @@ def _convert(key: str, raw: str, lineno: int):
         if kind in ("str", "choice"):
             return raw  # choices are checked with the other values
         if kind == "int_list":
-            return tuple(int(s) for s in raw.split(",") if s.strip())
+            entries = [s.strip() for s in raw.split(",")]
+            if "" in entries:
+                raise ValueError("empty entry in the comma list")
+            return tuple(int(s) for s in entries)
     except ValueError as e:
         raise ConfigError(
             f"line {lineno}: bad value for {key!r}: {raw!r} ({e})"

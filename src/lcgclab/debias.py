@@ -120,8 +120,9 @@ def make_baseline(name: str, dim: int, scale: float) -> np.ndarray:
 
 
 def baseline_logits(params: ModelParams, baseline: np.ndarray) -> np.ndarray:
-    """Logits of the (d,) probe input, shape (C,). Recomputed per step;
-    the bias estimate must track the current parameters."""
+    """Logits of the (d,) probe input, shape (C,), from a forward of its
+    own. ``evaluate`` uses it; the training step and ``verify_theorem1``
+    stack the probe into the forward of their batch instead."""
     return logits_array(params, baseline[None, :])[0]
 
 
@@ -734,22 +735,21 @@ def integrated_gradients(
     rows = ws[last].T[labels - 1]
     if not last:
         return delta * rows
-    uv = np.empty((2, n, params.dims[1]))
-    uv[0] = K.add_rowvec(K.matmul(baseline[None, :], ws[0]), params.biases[0])
-    K.matmul(delta, ws[0], out=uv[1])
+    u = K.add_rowvec(K.matmul(baseline[None, :], ws[0]), params.biases[0])
+    v = K.matmul(delta, ws[0])
     if last == 1:
         # u + (k/steps) v crosses zero at k = t = -u steps / v. Where
-        # v = 0 the unit is on or off along the whole path, and t (an
-        # inf or a NaN) is not read.
-        u, v = uv
+        # v = 0, of either sign, the unit is on or off along the whole
+        # path; t is an inf or a NaN there, and its count is overwritten.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             t = -u * steps / v
-        count = np.where(
-            v > 0,
-            steps - np.floor(t).clip(0, steps),
-            np.where(v < 0, (np.ceil(t) - 1).clip(0, steps), (u > 0) * steps),
-        )
+        count = np.where(v > 0, steps - np.floor(t), np.ceil(t) - 1)
+        np.clip(count, 0, steps, out=count)
+        flat = v == 0
+        if flat.any():
+            np.copyto(count, (u > 0) * steps, where=flat)
         return delta * K.matmul_nt(rows * (count / steps), ws[0])
+    uv = np.stack((np.broadcast_to(u, v.shape), v))
     # Row k of ``coef`` is (1, a_k); times a sample's (u; v) it gives the
     # first layer's pre-activations u + a_k v at path point k.
     coef = np.ones((steps, 2))
@@ -800,20 +800,27 @@ def verify_theorem1(
     """Check completeness of the attribution term on a batch.
 
     For each sample, the target class is the refined prediction (the
-    pseudo-label the training step would use).
+    pseudo-label the training step would use). One forward of
+    ``[x; probe]`` gives the logits of both, as in the training step;
+    the refined logits z(x) - z(I), computed once, give the labels by
+    their argmax and the logit gaps at those labels.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise DimensionError("verify_theorem1 expects a nonempty (n, d) batch")
     if not 0.0 < tol < math.inf:
         raise ContractError(f"tol must be positive and finite, got {tol}")
-    base_row = baseline_logits(params, baseline)
-    logits = logits_array(params, x)
-    labels = np.argmax(logits - base_row, axis=1).astype(np.int64) + 1
+    probe = baseline[None, :]
+    for b in (x, probe):
+        check_batch(params, b)  # before concatenate, for a DimensionError
+    n = x.shape[0]
+    z = logits_array(params, np.concatenate([x, probe]))
+    refined = z[:n] - z[n]
+    idx = np.argmax(refined, axis=1)
 
-    ig = integrated_gradients(params, x, baseline, labels, steps)
+    ig = integrated_gradients(params, x, baseline, idx + 1, steps)
     ig_sums = ig.sum(axis=1)
-    gaps = logits[np.arange(x.shape[0]), labels - 1] - base_row[labels - 1]
+    gaps = refined[np.arange(n), idx]
     residuals = np.abs(ig_sums - gaps)
     mr = float(residuals.max())
     return TheoremReport(

@@ -172,6 +172,15 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config_text("seeds = ")
 
+    @pytest.mark.parametrize(
+        "line",
+        ["seeds = 1,,2", "model.hidden = 64,", "seeds = ,1", "seeds = 1, ,2"],
+    )
+    def test_empty_list_entry_names_line_and_key(self, line):
+        key = line.split(" =")[0]
+        with pytest.raises(ConfigError, match=rf"line 2: .*'{key}'.*empty entry"):
+            parse_config_text(f"# a list\n{line}\n")
+
     def test_domain_validation_becomes_config_error(self):
         """Out-of-domain values caught by the dataclasses surface as
         configuration errors, not raw tracebacks."""

@@ -993,6 +993,28 @@ class TestIntegratedGradients:
         assert ig[2, :2].any()
         assert report.ig_sums[1] == 0.0
 
+    def test_one_hidden_layer_exact_cancellation(self):
+        """A nonzero path step orthogonal to a unit's incoming weights
+        gives v = +0.0 exactly, on units with u > 0, u < 0 and u = 0; the
+        first stays active along the whole path, and the per-dimension
+        attributions match the lift's."""
+        w1 = np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]])
+        w2 = np.random.default_rng(58).normal(size=(3, 4))
+        p = ModelParams(
+            dims=(2, 3, 4),
+            weights=[w1, w2],
+            biases=[np.array([0.4, -0.4, 0.0]), np.zeros(4)],
+        )
+        b = make_baseline("black", 2, 1.0)
+        x = np.array([[0.5, 0.5], [-0.25, -0.25]])
+        labels = np.array([1, 3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ig = integrated_gradients(p, x, b, labels, 16)
+            ref = integrated_gradients(_lift(p), x, b, labels, 16)
+        np.testing.assert_allclose(ig, ref, rtol=0, atol=1e-12)
+        assert np.all(ig != 0.0)
+
     def test_one_hidden_layer_completeness(self):
         """Criterion 4's check on one-hidden-layer nets: 10 nets x 20
         inputs close the logit gap within 1e-3 at 512 path steps."""
@@ -1119,6 +1141,30 @@ class TestVerifyTheorem1:
             assert report.ig_sums[2] == 0.0
             ig = integrated_gradients(p, x[2:3], b, labels[2:3], steps)
             assert not ig.any()
+
+    @pytest.mark.parametrize("depth", ["one-hidden", "deeper", "linear"])
+    def test_matches_the_public_attributions(self, depth):
+        """The report's sums are the attribution function's, bit for bit,
+        at the refined argmax of one stacked forward; its gaps are the
+        logits' minus the probe's own forward, to rounding."""
+        make = {
+            "one-hidden": lambda: generic_net((8, 12, 4), seed=61),
+            "deeper": lambda: generic_net((8, 12, 10, 4), seed=62),
+            "linear": lambda: _linear_net(63),
+        }
+        p = make[depth]()
+        d = p.dims[0]
+        b = make_baseline("gray", d, 1.0)
+        x = np.random.default_rng(64).normal(size=(9, d))
+        report = verify_theorem1(p, x, b, steps=24)
+        z = logits_array(p, np.concatenate([x, b[None, :]]))
+        labels = np.argmax(z[:9] - z[9], axis=1) + 1
+        ig = integrated_gradients(p, x, b, labels, 24)
+        assert report.ig_sums.tobytes() == ig.sum(axis=1).tobytes()
+        logits, base_row = logits_array(p, x), baseline_logits(p, b)
+        assert np.array_equal(np.argmax(logits - base_row, axis=1) + 1, labels)
+        gaps = logits[np.arange(9), labels - 1] - base_row[labels - 1]
+        np.testing.assert_allclose(report.logit_gaps, gaps, rtol=0, atol=1e-15)
 
     def test_contracts(self):
         p = generic_net((4, 6, 3), seed=24)

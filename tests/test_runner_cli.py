@@ -260,6 +260,8 @@ class TestCli:
             "dataset.noise_sigma = inf",
             "remix.temperature = inf",
             "lcgc.ig_steps = 0",
+            "seeds = 1,,2",
+            "model.hidden = 64,",
         ],
     )
     def test_out_of_range_value_exits_two(self, tmp_path, capsys, line):
@@ -389,6 +391,8 @@ class TestCli:
             ["ablate-baseline", "--colors", ""],
             ["sweep-lambda", "--values", "0,nan"],
             ["sweep-lambda", "--values", "inf"],
+            ["sweep-lambda", "--values", "0.2,,0.4"],
+            ["ablate-baseline", "--colors", "black,"],
         ],
     )
     def test_bad_list_flag_exits_two(self, tmp_path, capsys, flags):

@@ -1,4 +1,4 @@
-"""Bit pins of the training step's lean expressions.
+"""Bit pins of the lean expressions of the training step and the audit.
 
 Each test keeps the plain expression the step's code replaces as a
 test-local reference and checks that the package's version gives the
@@ -22,8 +22,14 @@ from lcgclab.data import (
     synthesize,
     weak_aug,
 )
-from lcgclab.debias import GradientVector, kl_consistency_terms, lcgc_combine
+from lcgclab.debias import (
+    GradientVector,
+    integrated_gradients,
+    kl_consistency_terms,
+    lcgc_combine,
+)
 from lcgclab.losses import pseudo_label
+from lcgclab.model import ModelParams
 from lcgclab.tensor import cross_entropy_terms
 
 
@@ -83,6 +89,18 @@ def ref_kl_vjp(a, b, g):
     row = np.einsum("ij,ij->i", p, diff)
     s = float(g) / a.shape[0]
     return (p * (diff - row[:, None])) * s, (q - p) * s
+
+
+def ref_active_counts(u, v, steps):
+    """Active path points of each unit of a one-hidden-layer net, one
+    nested ``where`` per sign of the slope v."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = -u * steps / v
+    return np.where(
+        v > 0,
+        steps - np.floor(t).clip(0, steps),
+        np.where(v < 0, (np.ceil(t) - 1).clip(0, steps), (u > 0) * steps),
+    )
 
 
 # A zero-sum tie in the max, NaN, both infinities, a log-probability that
@@ -322,3 +340,55 @@ class TestVjpsAreRepeatable:
         self.check(vjp)
         for got, want in zip(vjp(0.75), ref_kl_vjp(a, b, 0.75)):
             assert same_bits(got, want)
+
+
+class TestActivePathCounts:
+    """The one-hidden-layer audit scales the adjoint rows by the count of
+    each unit's active path points; the array it hands ``matmul_nt`` must
+    be the nested-``where`` count's, bit for bit."""
+
+    @pytest.mark.parametrize("steps", [1, 2, 7, 128, 1000])
+    def test_count_matches_the_nested_where(self, monkeypatch, steps):
+        rng = np.random.default_rng(20 + steps)
+        n, d, h, c = 16, 3, 24, 5
+        # The first layer's two products, I W1 and (x - I) W1, are
+        # prescribed: a BLAS product never returns -0.0.
+        u0 = rng.normal(size=(1, h))
+        u0[0, :4] = 0.0, -0.0, 0.5, -0.5
+        v = rng.normal(scale=rng.choice([0.01, 1.0, 100.0], size=(n, 1)), size=(n, h))
+        v[0], v[1] = 0.0, -0.0
+        v[2], v[3] = 1e-320, -1e-320  # t overflows to +-inf
+        v[4], v[5] = 0.5, -0.5  # with u = -+0.5, the crossing is k = steps
+        products = iter([u0, v])
+
+        def prescribed(a, b, out=None):
+            if out is None:
+                return next(products).copy()
+            out[...] = next(products)
+            return out
+
+        monkeypatch.setattr(K, "matmul", prescribed)
+        seen = []
+        inner = K.matmul_nt
+
+        def spy(a, b, **kw):
+            seen.append(a.copy())
+            return inner(a, b, **kw)
+
+        monkeypatch.setattr(K, "matmul_nt", spy)
+        w1, w2 = rng.normal(size=(d, h)), rng.normal(size=(h, c))
+        b1 = np.zeros(h)
+        p = ModelParams(dims=(d, h, c), weights=[w1, w2], biases=[b1, np.zeros(c)])
+        labels = rng.integers(1, c + 1, size=n)
+        integrated_gradients(p, rng.normal(size=(n, d)), np.zeros(d), labels, steps)
+
+        u = u0 + b1
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            t = -u * steps / v
+        flat = v == 0
+        assert (flat & np.signbit(v)).any() and (flat & ~np.signbit(v)).any()
+        assert (u == 0).any() and (np.isinf(t) & ~flat).any()
+        assert (t == steps).any()
+        rows = w2.T[labels - 1]
+        [got] = seen
+        assert same_bits(got, rows * (ref_active_counts(u, v, steps) / steps))
