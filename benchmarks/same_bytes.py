@@ -47,6 +47,7 @@ CONFIGS = {
     "reversed-double-subtract": (
         "dataset.reversed_unlabeled = true\nlcgc.double_subtract = true\n"
     ),
+    "baseline-double-subtract": "method = baseline\nlcgc.double_subtract = true\n",
 }
 
 # (run name, config name, lcgclab arguments), where {cfg} stands for the

@@ -54,7 +54,10 @@ def _add_config(p: argparse.ArgumentParser) -> None:
         "--output",
         type=_output_dir,
         default=None,
-        help="override the config's output directory",
+        help=(
+            "override the config's output directory; used as given, "
+            "neither prefixed by nor checked against LCGCLAB_OUTPUT_ROOT"
+        ),
     )
 
 

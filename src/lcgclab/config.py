@@ -42,9 +42,12 @@ Keys and defaults:
     remix.ema_decay           float  0.99    running-average decay
     remix.align               bool   true    distribution alignment on/off
 
-``method`` resolves the refinement switches: baseline turns refinement
-off everywhere and pins lambda to 0, cdmad keeps refinement on with
-lambda 0, lcgc honors the lcgc.* keys. The LCGCLAB_OUTPUT_ROOT
+A run's TrainSettings gets every ExperimentConfig field of the same
+name: the train.*, augment.*, lcgc.* (but ig_steps), remix.* and
+backbone values. ``method`` then pins some of those fields: baseline turns
+refinement off everywhere and pins lambda to 0, cdmad keeps refinement
+on with lambda 0, lcgc honors the lcgc.* keys. Every value is checked
+as given, pinned or not. The LCGCLAB_OUTPUT_ROOT
 environment variable, when set, prefixes output_dir, which must then
 stay under it: neither absolute nor climbing out with '..'.
 """
@@ -58,34 +61,19 @@ from operator import attrgetter
 from pathlib import Path
 
 from .data import AugmentConfig, LongTailSpec
-from .debias import (
-    BACKBONES,
-    BASELINE_COLORS,
-    LCGCConfig,
-    TrainSettings,
-    make_baseline,
-)
-from .errors import ConfigError, require_finite_fields
+from .debias import BACKBONES, BASELINE_COLORS, TrainSettings, make_baseline
+from .errors import ConfigError
 
 _D_SPEC = LongTailSpec()
 _D_AUG = AugmentConfig()
 _D_TRAIN = TrainSettings()
-_D_LCGC = LCGCConfig()
 
-# LCGCConfig fields that each method pins, whatever the lcgc.* keys say.
+# TrainSettings fields that each method pins, whatever the lcgc.* keys say.
 _METHOD_PINS: dict[str, dict] = {
-    "baseline": {
-        "lam": 0.0,
-        "refine_pseudo_labels": False,
-        "refine_at_test": False,
-        "double_subtract": False,
-    },
+    "baseline": {"lam": 0.0, "refine_pseudo_labels": False, "refine_at_test": False},
     "cdmad": {"lam": 0.0, "refine_pseudo_labels": True, "refine_at_test": True},
     "lcgc": {},
 }
-
-# Settings field -> the ExperimentConfig attribute of another name.
-_RENAMES = {"baseline": "baseline_color"}
 
 # key -> (ExperimentConfig attribute, kind, default[, choices]). The one
 # table behind parsing, building and the resolved() echo; a dotted
@@ -126,14 +114,16 @@ _SCHEMA: dict[str, tuple] = {
     "train.consistency_weight": (
         "consistency_weight", "float", _D_TRAIN.consistency_weight
     ),
-    "lcgc.lambda": ("lam", "float", _D_LCGC.lam),
-    "lcgc.baseline": ("baseline_color", "choice", _D_LCGC.baseline, BASELINE_COLORS),
-    "lcgc.refine_pseudo_labels": (
-        "refine_pseudo_labels", "bool", _D_LCGC.refine_pseudo_labels
+    "lcgc.lambda": ("lam", "float", _D_TRAIN.lam),
+    "lcgc.baseline": (
+        "baseline_color", "choice", _D_TRAIN.baseline_color, BASELINE_COLORS
     ),
-    "lcgc.refine_at_test": ("refine_at_test", "bool", _D_LCGC.refine_at_test),
+    "lcgc.refine_pseudo_labels": (
+        "refine_pseudo_labels", "bool", _D_TRAIN.refine_pseudo_labels
+    ),
+    "lcgc.refine_at_test": ("refine_at_test", "bool", _D_TRAIN.refine_at_test),
     "lcgc.ig_steps": ("ig_steps", "int", 128),
-    "lcgc.double_subtract": ("double_subtract", "bool", _D_LCGC.double_subtract),
+    "lcgc.double_subtract": ("double_subtract", "bool", _D_TRAIN.double_subtract),
     "remix.temperature": ("remix_temperature", "float", _D_TRAIN.remix_temperature),
     "remix.ema_decay": ("remix_ema_decay", "float", _D_TRAIN.remix_ema_decay),
     "remix.align": ("remix_align", "bool", _D_TRAIN.remix_align),
@@ -211,22 +201,16 @@ class ExperimentConfig:
         if self.ig_steps < 1:
             raise ConfigError(f"'lcgc.ig_steps' must be >= 1: {self.ig_steps}")
         try:
-            # Own floats first: a method pin can hide lam from LCGCConfig.
-            require_finite_fields(self)
-            settings = self.train_settings()
-            make_baseline(settings.lcgc.baseline, self.spec.dim, 1.0)
+            # The values as given, before a method pin can hide them.
+            given = TrainSettings(**_shared_fields(self, TrainSettings))
+            make_baseline(given.baseline_color, self.spec.dim, 1.0)
         except ValueError as e:
             raise ConfigError(str(e)) from None
 
-    def effective_lcgc(self) -> LCGCConfig:
-        """Refinement switches after method resolution."""
-        return LCGCConfig(
-            **(_shared_fields(self, LCGCConfig) | _METHOD_PINS[self.method])
-        )
-
     def train_settings(self) -> TrainSettings:
+        """The run's settings, after the method's pins."""
         return TrainSettings(
-            **_shared_fields(self, TrainSettings), lcgc=self.effective_lcgc()
+            **(_shared_fields(self, TrainSettings) | _METHOD_PINS[self.method])
         )
 
     def output_root(self) -> Path:
@@ -244,23 +228,25 @@ class ExperimentConfig:
         return replace(self, **kw)
 
     def resolved(self) -> dict:
-        """Every config key with its effective value, for provenance."""
-        out = {}
+        """Every config key with its value as given, then one
+        ``effective.<name>`` key per pinned field with the value the run
+        uses, for provenance."""
+        settings = self.train_settings()
+        pinned = set().union(*_METHOD_PINS.values())
+        out, effective = {}, {}
         for key, (attr, kind, *_) in _SCHEMA.items():
             value = attrgetter(attr)(self)
             out[key] = list(value) if kind == "int_list" else value
-        eff = self.effective_lcgc()
-        out["effective.lambda"] = eff.lam
-        out["effective.refine_pseudo_labels"] = eff.refine_pseudo_labels
-        out["effective.refine_at_test"] = eff.refine_at_test
-        return out
+            if attr in pinned:
+                name = key.partition(".")[2]
+                effective[f"effective.{name}"] = getattr(settings, attr)
+        return out | effective
 
 
 def _shared_fields(config: ExperimentConfig, cls) -> dict:
     """The fields of dataclass ``cls`` that ``config`` holds, by name."""
     own = {f.name for f in fields(config)}
-    names = {f.name: _RENAMES.get(f.name, f.name) for f in fields(cls)}
-    return {n: getattr(config, a) for n, a in names.items() if a in own}
+    return {f.name: getattr(config, f.name) for f in fields(cls) if f.name in own}
 
 
 def _build(values: dict) -> ExperimentConfig:

@@ -224,35 +224,15 @@ def lcgc_combine(
 
 
 @dataclass(frozen=True)
-class LCGCConfig:
-    """Switches for refinement and projection.
+class TrainSettings:
+    """Every setting of one training run; the run also takes the data,
+    the hidden widths and a seed.
 
     lam scales the conflict correction (0 disables it while keeping
     refinement). ``disable_projection`` bypasses the combination step
     entirely and exists for equivalence diagnostics; it is not a config
     file key.
     """
-
-    lam: float = 1.0
-    baseline: str = "black"
-    refine_pseudo_labels: bool = True
-    refine_at_test: bool = True
-    double_subtract: bool = False
-    disable_projection: bool = False
-
-    def __post_init__(self):
-        require_finite_fields(self)
-        if self.lam < 0.0:
-            raise ContractError(f"lam must be nonnegative, got {self.lam}")
-        if self.baseline not in BASELINE_COLORS:
-            raise ContractError(
-                f"unknown baseline color {self.baseline!r}"
-            )
-
-
-@dataclass(frozen=True)
-class TrainSettings:
-    """Everything one training run needs besides data and seed."""
 
     steps: int = 3000
     batch_size: int = 64
@@ -265,7 +245,12 @@ class TrainSettings:
     remix_ema_decay: float = 0.99
     remix_align: bool = True
     aug: AugmentConfig = field(default_factory=AugmentConfig)
-    lcgc: LCGCConfig = field(default_factory=LCGCConfig)
+    lam: float = 1.0
+    baseline_color: str = "black"  # one of BASELINE_COLORS
+    refine_pseudo_labels: bool = True
+    refine_at_test: bool = True
+    double_subtract: bool = False
+    disable_projection: bool = False
 
     def __post_init__(self):
         require_finite_fields(self)
@@ -287,6 +272,12 @@ class TrainSettings:
             raise ContractError("remix_temperature must be positive")
         if not 0.0 <= self.remix_ema_decay < 1.0:
             raise ContractError("remix_ema_decay must lie in [0, 1)")
+        if self.lam < 0.0:
+            raise ContractError(f"lam must be nonnegative, got {self.lam}")
+        if self.baseline_color not in BASELINE_COLORS:
+            raise ContractError(
+                f"unknown baseline color {self.baseline_color!r}"
+            )
 
 
 @dataclass
@@ -486,7 +477,6 @@ def train_step(
     views, strong views), so trajectories replay exactly for a given
     seed. Raises TrainingDiverged before applying a non-finite update.
     """
-    cfg = settings.lcgc
     rng = state.rng
     xl, yl, xu = sample_minibatch(ds, settings.batch_size, settings.mu, rng)
     xlw = weak_aug(xl, settings.aug, rng)
@@ -504,7 +494,7 @@ def train_step(
     g_d, loss_kl, logits, refined, g_sup, loss_sup = _grad_d_with_loss(
         params, xuw, state.baseline, xlw, yl, bufs
     )
-    pseudo_src = refined if cfg.refine_pseudo_labels else logits
+    pseudo_src = refined if settings.refine_pseudo_labels else logits
     pseudo = pseudo_label(pseudo_src, settings.tau)
 
     if settings.backbone == "remix-lite":
@@ -525,10 +515,10 @@ def train_step(
     norm_prod = g_b.norm * g_d.norm
     cos_angle = dot / norm_prod if norm_prod > 0.0 else 0.0
 
-    if cfg.disable_projection:
+    if settings.disable_projection:
         g = g_b
     else:
-        g = lcgc_combine(g_b, g_d, cfg.lam)
+        g = lcgc_combine(g_b, g_d, settings.lam)
 
     # Accumulated in g_sup's buffer; its norm was taken before.
     update = np.add(g.values, g_sup.values, out=g_sup.values)
@@ -617,7 +607,7 @@ def run_training(
     state = TrainState(
         rng=np.random.default_rng(np.random.SeedSequence([seed, 1])),
         baseline=make_baseline(
-            settings.lcgc.baseline, ds.dim, ds.value_range()
+            settings.baseline_color, ds.dim, ds.value_range()
         ),
         target_dist=ds.labeled_distribution(),
         ema_avg=np.full(ds.classes, 1.0 / ds.classes),
@@ -649,8 +639,8 @@ def run_training(
                 params,
                 ds.test_x,
                 ds.test_y,
-                baseline=state.baseline if settings.lcgc.refine_at_test else None,
-                double_subtract=settings.lcgc.double_subtract,
+                baseline=state.baseline if settings.refine_at_test else None,
+                double_subtract=settings.double_subtract,
             )
     except EvaluationError:
         if not diverged:

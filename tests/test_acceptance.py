@@ -198,8 +198,7 @@ class TestCriterion3LambdaZeroEquivalence:
         ds = synthesize(cfg.spec)
         base_settings = cfg.train_settings()
 
-        def one_run(lcgc_cfg):
-            settings = replace(base_settings, lcgc=lcgc_cfg)
+        def one_run(settings):
             digests = []
 
             def capture(params, rec):
@@ -213,11 +212,9 @@ class TestCriterion3LambdaZeroEquivalence:
             )
             return params, record, digests
 
-        p_lam0, rec_lam0, hash_lam0 = one_run(
-            replace(base_settings.lcgc, lam=0.0)
-        )
+        p_lam0, rec_lam0, hash_lam0 = one_run(replace(base_settings, lam=0.0))
         p_off, rec_off, hash_off = one_run(
-            replace(base_settings.lcgc, disable_projection=True)
+            replace(base_settings, disable_projection=True)
         )
 
         trajectories_match = hash_lam0 == hash_off and len(hash_lam0) == 2000

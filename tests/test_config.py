@@ -9,11 +9,12 @@ import pytest
 from lcgclab import config as config_module
 from lcgclab.config import (
     _SCHEMA,
+    ExperimentConfig,
     default_config,
     parse_config,
     parse_config_text,
 )
-from lcgclab.debias import LCGCConfig, TrainSettings
+from lcgclab.debias import TrainSettings
 from lcgclab.errors import ConfigError
 
 
@@ -226,14 +227,14 @@ class TestParsing:
 class TestMethodResolution:
     def test_baseline_disables_all_refinement(self):
         cfg = parse_config_text("method = baseline\nlcgc.lambda = 2.0")
-        eff = cfg.effective_lcgc()
+        eff = cfg.train_settings()
         assert eff.lam == 0.0
         assert not eff.refine_pseudo_labels
         assert not eff.refine_at_test
 
     def test_cdmad_is_lambda_zero_with_refinement(self):
         cfg = parse_config_text("method = cdmad\nlcgc.lambda = 2.0")
-        eff = cfg.effective_lcgc()
+        eff = cfg.train_settings()
         assert eff.lam == 0.0
         assert eff.refine_pseudo_labels
         assert eff.refine_at_test
@@ -242,7 +243,7 @@ class TestMethodResolution:
         cfg = parse_config_text(
             "method = lcgc\nlcgc.lambda = 0.8\nlcgc.refine_at_test = false"
         )
-        eff = cfg.effective_lcgc()
+        eff = cfg.train_settings()
         assert eff.lam == 0.8
         assert eff.refine_pseudo_labels
         assert not eff.refine_at_test
@@ -255,20 +256,18 @@ class TestMethodResolution:
         assert st.steps == 9
         assert st.lr == 0.3
         assert st.aug.sigma_weak == 0.05
-        assert st.lcgc == cfg.effective_lcgc()
+        assert (st.lam, st.baseline_color) == (cfg.lam, cfg.baseline_color)
 
     def test_defaults_give_default_settings(self):
         assert default_config().train_settings() == TrainSettings()
 
     def test_every_settings_key_reaches_train_settings(self):
-        """Each key that sets a TrainSettings or LCGCConfig field, given
-        a value other than its default, arrives in train_settings()."""
+        """Each key that sets a TrainSettings field, given a value other
+        than its default, arrives in train_settings()."""
         train = {f.name for f in fields(TrainSettings)}
-        lcgc = {f.name for f in fields(LCGCConfig)}
         lines, expected = ["method = lcgc"], {}
-        for key, (attr, kind, default, *choices) in _SCHEMA.items():
-            name = "baseline" if attr == "baseline_color" else attr
-            if name not in train | lcgc or key == "method":
+        for key, (name, kind, default, *choices) in _SCHEMA.items():
+            if name not in train or key == "method":
                 continue
             if kind == "int":
                 value = default + 1
@@ -283,8 +282,15 @@ class TestMethodResolution:
         assert len(expected) == 15
         st = parse_config_text("\n".join(lines)).train_settings()
         for name, value in expected.items():
-            got = getattr(st, name) if name in train else getattr(st.lcgc, name)
-            assert got == value, name
+            assert getattr(st, name) == value, name
+
+    def test_every_settings_field_is_a_config_field(self):
+        """train_settings() hands settings over by name, so a
+        TrainSettings field with no ExperimentConfig field of that name
+        would silently run at its default."""
+        own = {f.name for f in fields(ExperimentConfig)}
+        missing = {f.name for f in fields(TrainSettings)} - own
+        assert missing == {"disable_projection"}
 
 
 class TestOverrideAndOutput:
@@ -322,6 +328,8 @@ class TestOverrideAndOutput:
             {"remix_temperature": float("inf")},
             {"method": "baseline", "lam": float("nan")},
             {"method": "cdmad", "lam": float("inf")},
+            {"method": "baseline", "lam": -1.0},
+            {"method": "cdmad", "lam": -0.5},
         ],
     )
     def test_override_validates_like_the_parser(self, bad):

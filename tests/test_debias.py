@@ -15,7 +15,6 @@ from lcgclab.debias import (
     _IG_BLOCK_ROWS,
     BASELINE_COLORS,
     GradientVector,
-    LCGCConfig,
     TrainSettings,
     TrainState,
     baseline_logits,
@@ -121,7 +120,7 @@ class TestBaselines:
         with pytest.raises(ContractError):
             make_baseline("purple", 4, 1.0)
         with pytest.raises(ContractError, match="unknown baseline color"):
-            LCGCConfig(baseline="purple")
+            TrainSettings(baseline_color="purple")
         assert set(BASELINE_COLORS) == {
             "red", "green", "blue", "gray", "white", "black"
         }
@@ -392,7 +391,7 @@ class TestTrainStep:
         produce byte-identical parameters from the same start."""
         ds = synthesize(small_spec())
 
-        def one_step(lcgc):
+        def one_step(**switches):
             p = init_mlp((8, 12, 4), seed=4)
             state = TrainState(
                 rng=np.random.default_rng(np.random.SeedSequence([4, 1])),
@@ -400,13 +399,13 @@ class TestTrainStep:
                 target_dist=ds.labeled_distribution(),
                 ema_avg=np.full(4, 0.25),
             )
-            settings = small_settings(lcgc=lcgc)
+            settings = small_settings(**switches)
             for _ in range(3):
                 train_step(p, ds, settings, state)
             return np.concatenate([t.ravel() for t in p.tensors()])
 
-        a = one_step(LCGCConfig(lam=0.0))
-        b = one_step(LCGCConfig(disable_projection=True))
+        a = one_step(lam=0.0)
+        b = one_step(disable_projection=True)
         assert a.tobytes() == b.tobytes()
 
     def test_divergence_raises_before_update(self):
@@ -470,9 +469,7 @@ class TestOneForwardPerView:
         for mod in (lcgclab.model, lcgclab.debias):
             monkeypatch.setattr(mod, "forward_cached", counting)
         ds = synthesize(small_spec())
-        settings = TrainSettings(
-            backbone=backbone, lcgc=LCGCConfig(refine_pseudo_labels=refine)
-        )
+        settings = TrainSettings(backbone=backbone, refine_pseudo_labels=refine)
         p = init_mlp((8, 12, 4), seed=8)
         train_step(p, ds, settings, _default_state(ds, 8))
         B, mu = settings.batch_size, settings.mu
@@ -494,9 +491,7 @@ class TestOneForwardPerView:
 
         monkeypatch.setattr(lcgclab.kernels, "softmax_rows", counting)
         ds = synthesize(small_spec())
-        settings = small_settings(
-            backbone=backbone, lcgc=LCGCConfig(refine_pseudo_labels=refine)
-        )
+        settings = small_settings(backbone=backbone, refine_pseudo_labels=refine)
         train_step(init_mlp((8, 12, 4), seed=8), ds, settings, _default_state(ds, 8))
         assert calls == [(settings.mu * settings.batch_size, 4)]
 
@@ -524,9 +519,7 @@ class TestOneForwardPerView:
         monkeypatch.setattr(lcgclab.debias, "weak_aug", spy_aug)
         monkeypatch.setattr(lcgclab.debias, "pseudo_label", spy_pl)
         ds = synthesize(small_spec())
-        settings = small_settings(
-            backbone=backbone, lcgc=LCGCConfig(refine_pseudo_labels=refine)
-        )
+        settings = small_settings(backbone=backbone, refine_pseudo_labels=refine)
         p = generic_net((8, 12, 4), seed=9)
         before = copy.deepcopy(p)
         state = _default_state(ds, 9)
@@ -849,6 +842,18 @@ class TestEvaluate:
             rep.confusion, confusion(ds.test_y, pred, 4)
         )
         assert rep.confusion.sum() == ds.test_x.shape[0]
+
+    def test_double_subtract_without_probe_is_inert(self):
+        """double_subtract only scales the probe's correction; with no
+        probe, evaluation reads the raw logits."""
+        ds = synthesize(small_spec())
+        p = generic_net((8, 12, 4), seed=15)
+        raw = evaluate(p, ds.test_x, ds.test_y)
+        twice = evaluate(
+            p, ds.test_x, ds.test_y, baseline=None, double_subtract=True
+        )
+        assert (twice.bacc, twice.gm) == (raw.bacc, raw.gm)
+        np.testing.assert_array_equal(twice.confusion, raw.confusion)
 
 class TestIntegratedGradients:
     def test_linear_model_exact_at_one_step(self):

@@ -136,9 +136,9 @@ _MODULE_NAMES = {
         "strong_aug", "synthesize", "weak_aug",
     ),
     "debias": (
-        "BASELINE_COLORS", "EvalReport", "GradientVector", "LCGCConfig",
-        "RunRecord", "StepRecord", "TheoremReport", "TrainSettings",
-        "TrainState", "baseline_logits", "evaluate", "grad_b", "grad_d",
+        "BASELINE_COLORS", "EvalReport", "GradientVector", "RunRecord",
+        "StepRecord", "TheoremReport", "TrainSettings", "TrainState",
+        "baseline_logits", "evaluate", "grad_b", "grad_d",
         "integrated_gradients", "lcgc_combine", "make_baseline",
         "run_training", "train_step", "verify_theorem1",
         "kl_consistency_loss",

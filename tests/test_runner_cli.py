@@ -262,6 +262,7 @@ class TestCli:
             "lcgc.ig_steps = 0",
             "seeds = 1,,2",
             "model.hidden = 64,",
+            "method = cdmad\nlcgc.lambda = -1",
         ],
     )
     def test_out_of_range_value_exits_two(self, tmp_path, capsys, line):
