@@ -48,6 +48,24 @@ CONFIGS = {
         "dataset.reversed_unlabeled = true\nlcgc.double_subtract = true\n"
     ),
     "baseline-double-subtract": "method = baseline\nlcgc.double_subtract = true\n",
+    # Every key off its default (COMMON sets the other two). Kinds come
+    # from the defaults, so the float keys given integral text would
+    # echo as 4, not 4.0, into aggregate.json if one parsed as an int.
+    "every-key": (
+        "dataset.classes = 4\ndataset.dim = 12\ndataset.n_max_labeled = 120\n"
+        "dataset.n_max_unlabeled = 240\ndataset.gamma_labeled = 10\n"
+        "dataset.gamma_unlabeled = 20\ndataset.reversed_unlabeled = true\n"
+        "dataset.class_separation = 4\ndataset.noise_sigma = 1\n"
+        "dataset.test_per_class = 30\ndataset.seed = 11\n"
+        "augment.sigma_weak = 0.2\naugment.sigma_strong = 0.4\n"
+        "augment.mask_fraction = 0.5\nmodel.hidden = 16, 8\n"
+        "backbone = remix-lite\nmethod = cdmad\noutput_dir = elsewhere\n"
+        "train.batch_size = 16\ntrain.mu = 3\ntrain.lr = 0.1\ntrain.tau = 0.5\n"
+        "train.consistency_weight = 2\nlcgc.lambda = 0.5\nlcgc.baseline = gray\n"
+        "lcgc.refine_pseudo_labels = false\nlcgc.refine_at_test = false\n"
+        "lcgc.ig_steps = 16\nlcgc.double_subtract = true\n"
+        "remix.temperature = 0.25\nremix.ema_decay = 0.9\nremix.align = false\n"
+    ),
 }
 
 # (run name, config name, lcgclab arguments), where {cfg} stands for the

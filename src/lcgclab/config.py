@@ -42,12 +42,17 @@ Keys and defaults:
     remix.ema_decay           float  0.99    running-average decay
     remix.align               bool   true    distribution alignment on/off
 
-A run's TrainSettings gets every ExperimentConfig field of the same
-name: the train.*, augment.*, lcgc.* (but ig_steps), remix.* and
-backbone values. ``method`` then pins some of those fields: baseline turns
-refinement off everywhere and pins lambda to 0, cdmad keeps refinement
-on with lambda 0, lcgc honors the lcgc.* keys. Every value is checked
-as given, pinned or not. The LCGCLAB_OUTPUT_ROOT
+Each key names one field: _SCHEMA maps it to an ExperimentConfig
+attribute (a dotted one is a field of the nested spec or aug), and the
+field's default in its dataclass is the key's default and gives its
+kind: bool, int, float, str (a choice key's str must be one of the
+names _SCHEMA lists), or a comma list of ints. The train.*,
+augment.*, lcgc.* (but ig_steps), remix.* and backbone keys set the
+debias.RunSettings fields that the config shares with TrainSettings.
+``method`` then pins some of those fields in the run's TrainSettings:
+baseline turns refinement off everywhere and pins lambda to 0, cdmad
+keeps refinement on with lambda 0, lcgc honors the lcgc.* keys. Every
+value is checked as given, pinned or not. The LCGCLAB_OUTPUT_ROOT
 environment variable, when set, prefixes output_dir, which must then
 stay under it: neither absolute nor climbing out with '..'.
 """
@@ -56,17 +61,19 @@ from __future__ import annotations
 
 import difflib
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
 from .data import AugmentConfig, LongTailSpec
-from .debias import BACKBONES, BASELINE_COLORS, TrainSettings, make_baseline
+from .debias import (
+    BACKBONES,
+    BASELINE_COLORS,
+    RunSettings,
+    TrainSettings,
+    make_baseline,
+)
 from .errors import ConfigError
-
-_D_SPEC = LongTailSpec()
-_D_AUG = AugmentConfig()
-_D_TRAIN = TrainSettings()
 
 # TrainSettings fields that each method pins, whatever the lcgc.* keys say.
 _METHOD_PINS: dict[str, dict] = {
@@ -75,125 +82,93 @@ _METHOD_PINS: dict[str, dict] = {
     "lcgc": {},
 }
 
-# key -> (ExperimentConfig attribute, kind, default[, choices]). The one
-# table behind parsing, building and the resolved() echo; a dotted
-# attribute names a field of the nested spec/aug dataclass.
+# key -> (ExperimentConfig attribute[, choices]). The one table behind
+# parsing, building and the resolved() echo; a dotted attribute names a
+# field of the nested spec/aug dataclass, whose default gives the key's
+# default and kind.
 _SCHEMA: dict[str, tuple] = {
-    "dataset.classes": ("spec.classes", "int", _D_SPEC.classes),
-    "dataset.dim": ("spec.dim", "int", _D_SPEC.dim),
-    "dataset.n_max_labeled": ("spec.n_max_labeled", "int", _D_SPEC.n_max_labeled),
-    "dataset.n_max_unlabeled": (
-        "spec.n_max_unlabeled", "int", _D_SPEC.n_max_unlabeled
-    ),
-    "dataset.gamma_labeled": ("spec.gamma_labeled", "float", _D_SPEC.gamma_labeled),
-    "dataset.gamma_unlabeled": (
-        "spec.gamma_unlabeled", "float", _D_SPEC.gamma_unlabeled
-    ),
-    "dataset.reversed_unlabeled": (
-        "spec.reversed_unlabeled", "bool", _D_SPEC.reversed_unlabeled
-    ),
-    "dataset.class_separation": (
-        "spec.class_separation", "float", _D_SPEC.class_separation
-    ),
-    "dataset.noise_sigma": ("spec.noise_sigma", "float", _D_SPEC.noise_sigma),
-    "dataset.test_per_class": ("spec.test_per_class", "int", _D_SPEC.test_per_class),
-    "dataset.seed": ("spec.seed", "int", _D_SPEC.seed),
-    "augment.sigma_weak": ("aug.sigma_weak", "float", _D_AUG.sigma_weak),
-    "augment.sigma_strong": ("aug.sigma_strong", "float", _D_AUG.sigma_strong),
-    "augment.mask_fraction": ("aug.mask_fraction", "float", _D_AUG.mask_fraction),
-    "model.hidden": ("hidden", "int_list", (64,)),
-    "backbone": ("backbone", "choice", "fixmatch", BACKBONES),
-    "method": ("method", "choice", "lcgc", tuple(_METHOD_PINS)),
-    "seeds": ("seeds", "int_list", (1, 2, 3, 4, 5)),
-    "output_dir": ("output_dir", "str", "runs"),
-    "train.steps": ("steps", "int", _D_TRAIN.steps),
-    "train.batch_size": ("batch_size", "int", _D_TRAIN.batch_size),
-    "train.mu": ("mu", "int", _D_TRAIN.mu),
-    "train.lr": ("lr", "float", _D_TRAIN.lr),
-    "train.tau": ("tau", "float", _D_TRAIN.tau),
-    "train.consistency_weight": (
-        "consistency_weight", "float", _D_TRAIN.consistency_weight
-    ),
-    "lcgc.lambda": ("lam", "float", _D_TRAIN.lam),
-    "lcgc.baseline": (
-        "baseline_color", "choice", _D_TRAIN.baseline_color, BASELINE_COLORS
-    ),
-    "lcgc.refine_pseudo_labels": (
-        "refine_pseudo_labels", "bool", _D_TRAIN.refine_pseudo_labels
-    ),
-    "lcgc.refine_at_test": ("refine_at_test", "bool", _D_TRAIN.refine_at_test),
-    "lcgc.ig_steps": ("ig_steps", "int", 128),
-    "lcgc.double_subtract": ("double_subtract", "bool", _D_TRAIN.double_subtract),
-    "remix.temperature": ("remix_temperature", "float", _D_TRAIN.remix_temperature),
-    "remix.ema_decay": ("remix_ema_decay", "float", _D_TRAIN.remix_ema_decay),
-    "remix.align": ("remix_align", "bool", _D_TRAIN.remix_align),
+    "dataset.classes": ("spec.classes",),
+    "dataset.dim": ("spec.dim",),
+    "dataset.n_max_labeled": ("spec.n_max_labeled",),
+    "dataset.n_max_unlabeled": ("spec.n_max_unlabeled",),
+    "dataset.gamma_labeled": ("spec.gamma_labeled",),
+    "dataset.gamma_unlabeled": ("spec.gamma_unlabeled",),
+    "dataset.reversed_unlabeled": ("spec.reversed_unlabeled",),
+    "dataset.class_separation": ("spec.class_separation",),
+    "dataset.noise_sigma": ("spec.noise_sigma",),
+    "dataset.test_per_class": ("spec.test_per_class",),
+    "dataset.seed": ("spec.seed",),
+    "augment.sigma_weak": ("aug.sigma_weak",),
+    "augment.sigma_strong": ("aug.sigma_strong",),
+    "augment.mask_fraction": ("aug.mask_fraction",),
+    "model.hidden": ("hidden",),
+    "backbone": ("backbone", BACKBONES),
+    "method": ("method", tuple(_METHOD_PINS)),
+    "seeds": ("seeds",),
+    "output_dir": ("output_dir",),
+    "train.steps": ("steps",),
+    "train.batch_size": ("batch_size",),
+    "train.mu": ("mu",),
+    "train.lr": ("lr",),
+    "train.tau": ("tau",),
+    "train.consistency_weight": ("consistency_weight",),
+    "lcgc.lambda": ("lam",),
+    "lcgc.baseline": ("baseline_color", BASELINE_COLORS),
+    "lcgc.refine_pseudo_labels": ("refine_pseudo_labels",),
+    "lcgc.refine_at_test": ("refine_at_test",),
+    "lcgc.ig_steps": ("ig_steps",),
+    "lcgc.double_subtract": ("double_subtract",),
+    "remix.temperature": ("remix_temperature",),
+    "remix.ema_decay": ("remix_ema_decay",),
+    "remix.align": ("remix_align",),
 }
 
 
 def _convert(key: str, raw: str, lineno: int):
-    kind = _SCHEMA[key][1]
+    default = attrgetter(_SCHEMA[key][0])(_DEFAULTS)
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
+        if isinstance(default, bool):
             low = raw.lower()
             if low not in ("true", "false"):
                 raise ValueError("expected true or false")
             return low == "true"
-        if kind in ("str", "choice"):
-            return raw  # choices are checked with the other values
-        if kind == "int_list":
+        if isinstance(default, tuple):
             entries = [s.strip() for s in raw.split(",")]
             if "" in entries:
                 raise ValueError("empty entry in the comma list")
             return tuple(int(s) for s in entries)
+        return type(default)(raw)  # int, float or str; choices are checked later
     except ValueError as e:
         raise ConfigError(
             f"line {lineno}: bad value for {key!r}: {raw!r} ({e})"
         ) from None
-    raise AssertionError(f"unhandled kind {kind}")
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully resolved experiment description (all defaults applied)."""
+class ExperimentConfig(RunSettings):
+    """Fully resolved experiment description: the RunSettings fields and
+    the experiment's own, each with its default."""
 
-    spec: LongTailSpec
-    aug: AugmentConfig
-    hidden: tuple[int, ...]
-    backbone: str
-    method: str
-    seeds: tuple[int, ...]
-    output_dir: str
-    steps: int
-    batch_size: int
-    mu: int
-    lr: float
-    tau: float
-    consistency_weight: float
-    lam: float
-    baseline_color: str
-    refine_pseudo_labels: bool
-    refine_at_test: bool
-    ig_steps: int
-    double_subtract: bool
-    remix_temperature: float
-    remix_ema_decay: float
-    remix_align: bool
+    spec: LongTailSpec = field(default_factory=LongTailSpec)
+    hidden: tuple[int, ...] = (64,)
+    method: str = "lcgc"
+    seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
+    output_dir: str = "runs"
+    ig_steps: int = 128
 
     def __post_init__(self):
         # One validation path for parsed configs and overrides alike.
-        for key, (attr, kind, _, *choices) in _SCHEMA.items():
+        for key, (attr, *choices) in _SCHEMA.items():
             value = attrgetter(attr)(self)
-            if kind == "choice" and value not in choices[0]:
+            if choices and value not in choices[0]:
                 raise ConfigError(
                     f"bad value for {key!r}: {value!r} "
                     f"(expected one of {', '.join(choices[0])})"
                 )
-            if kind in ("int_list", "str") and not value:
+            if isinstance(value, (tuple, str)) and not value:
                 raise ConfigError(f"{key!r} must not be empty")
+        if "\0" in self.output_dir:  # no file system path can hold one
+            raise ConfigError(f"'output_dir' holds a NUL byte: {self.output_dir!r}")
         if min(self.hidden) < 1:
             raise ConfigError(f"'model.hidden' widths must be >= 1: {self.hidden}")
         if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
@@ -201,17 +176,15 @@ class ExperimentConfig:
         if self.ig_steps < 1:
             raise ConfigError(f"'lcgc.ig_steps' must be >= 1: {self.ig_steps}")
         try:
-            # The values as given, before a method pin can hide them.
-            given = TrainSettings(**_shared_fields(self, TrainSettings))
-            make_baseline(given.baseline_color, self.spec.dim, 1.0)
+            super().__post_init__()  # as given, before a method pin can hide them
+            make_baseline(self.baseline_color, self.spec.dim, 1.0)
         except ValueError as e:
             raise ConfigError(str(e)) from None
 
     def train_settings(self) -> TrainSettings:
         """The run's settings, after the method's pins."""
-        return TrainSettings(
-            **(_shared_fields(self, TrainSettings) | _METHOD_PINS[self.method])
-        )
+        given = {f.name: getattr(self, f.name) for f in fields(RunSettings)}
+        return TrainSettings(**given | _METHOD_PINS[self.method])
 
     def output_root(self) -> Path:
         root = os.environ.get("LCGCLAB_OUTPUT_ROOT", "")
@@ -234,26 +207,25 @@ class ExperimentConfig:
         settings = self.train_settings()
         pinned = set().union(*_METHOD_PINS.values())
         out, effective = {}, {}
-        for key, (attr, kind, *_) in _SCHEMA.items():
+        for key, (attr, *_) in _SCHEMA.items():
             value = attrgetter(attr)(self)
-            out[key] = list(value) if kind == "int_list" else value
+            out[key] = list(value) if isinstance(value, tuple) else value
             if attr in pinned:
                 name = key.partition(".")[2]
                 effective[f"effective.{name}"] = getattr(settings, attr)
         return out | effective
 
 
-def _shared_fields(config: ExperimentConfig, cls) -> dict:
-    """The fields of dataclass ``cls`` that ``config`` holds, by name."""
-    own = {f.name for f in fields(config)}
-    return {f.name: getattr(config, f.name) for f in fields(cls) if f.name in own}
+_DEFAULTS = ExperimentConfig()
 
 
 def _build(values: dict) -> ExperimentConfig:
+    """The config with the parsed ``values`` (key -> value) set and every
+    other field at its default."""
     init: dict = {"spec": {}, "aug": {}}
-    for key, (attr, _, default, *_) in _SCHEMA.items():
-        section, _, name = attr.rpartition(".")
-        (init[section] if section else init)[name] = values.get(key, default)
+    for key, value in values.items():
+        section, _, name = _SCHEMA[key][0].rpartition(".")
+        (init[section] if section else init)[name] = value
     try:
         spec = LongTailSpec(**init.pop("spec"))
         aug = AugmentConfig(**init.pop("aug"))
@@ -303,4 +275,4 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 def default_config() -> ExperimentConfig:
     """The all-defaults configuration (equivalent to an empty file)."""
-    return _build({})
+    return ExperimentConfig()

@@ -224,14 +224,14 @@ def lcgc_combine(
 
 
 @dataclass(frozen=True)
-class TrainSettings:
-    """Every setting of one training run; the run also takes the data,
-    the hidden widths and a seed.
+class RunSettings:
+    """The run settings that a config file sets, each declared once,
+    here, with its default and its checks. ExperimentConfig adds the
+    experiment's own keys to them; TrainSettings adds
+    ``disable_projection``.
 
     lam scales the conflict correction (0 disables it while keeping
-    refinement). ``disable_projection`` bypasses the combination step
-    entirely and exists for equivalence diagnostics; it is not a config
-    file key.
+    refinement).
     """
 
     steps: int = 3000
@@ -250,7 +250,6 @@ class TrainSettings:
     refine_pseudo_labels: bool = True
     refine_at_test: bool = True
     double_subtract: bool = False
-    disable_projection: bool = False
 
     def __post_init__(self):
         require_finite_fields(self)
@@ -278,6 +277,19 @@ class TrainSettings:
             raise ContractError(
                 f"unknown baseline color {self.baseline_color!r}"
             )
+
+
+@dataclass(frozen=True)
+class TrainSettings(RunSettings):
+    """Every setting of one training run; the run also takes the data,
+    the hidden widths and a seed. ExperimentConfig.train_settings()
+    fills it from a config's RunSettings fields after the method's pins.
+
+    ``disable_projection`` bypasses the combination step entirely and
+    exists for equivalence diagnostics; it is not a config file key.
+    """
+
+    disable_projection: bool = False
 
 
 @dataclass

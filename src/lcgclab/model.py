@@ -225,12 +225,15 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict | None]:
     """
     meta, arrays = read_container(path, "mlp-checkpoint")
     try:
-        dims, extra = tuple(int(v) for v in meta["dims"]), meta["extra"]
-    except (KeyError, TypeError, ValueError):
+        dims, extra = tuple(meta["dims"]), meta["extra"]
+    except (KeyError, TypeError):
         dims, extra = (), None
     shapes = [s for i, o in zip(dims, dims[1:]) for s in ((i, o), (o,))]
     stored = [a.shape for a in arrays.values()]
-    if len(dims) < 2 or min(dims) < 1 or stored != shapes:
+    # type() rather than isinstance() or int(): a width is no bool, and
+    # 3.9 or "3" is no width.
+    widths = all(type(v) is int for v in dims) and len(dims) > 1
+    if not widths or min(dims) < 1 or stored != shapes:
         raise ContractError(f"{path}: layer widths {dims} do not fit the tensors")
     t = list(arrays.values())
     return ModelParams(dims=dims, weights=t[0::2], biases=t[1::2]), extra

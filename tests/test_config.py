@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
+from operator import attrgetter
 
 import pytest
 
@@ -14,7 +15,7 @@ from lcgclab.config import (
     parse_config,
     parse_config_text,
 )
-from lcgclab.debias import TrainSettings
+from lcgclab.debias import RunSettings, TrainSettings
 from lcgclab.errors import ConfigError
 
 
@@ -66,9 +67,30 @@ class TestKeyTable:
         assert list(_documented_keys()) == list(_SCHEMA)
 
     def test_docstring_kinds_match_schema(self):
-        doc_kind = {"ints": "int_list"}
+        """A key's kind is the type of its field's default; a choice key
+        is a str with listed choices."""
+        doc_kind = {"ints": tuple, "choice": str, "str": str, "int": int,
+                    "float": float, "bool": bool}
+        cfg = default_config()
         for key, (kind, _) in _documented_keys().items():
-            assert doc_kind.get(kind, kind) == _SCHEMA[key][1], key
+            attr, *choices = _SCHEMA[key]
+            assert type(attrgetter(attr)(cfg)) is doc_kind[kind], key
+            assert bool(choices) == (kind == "choice"), key
+
+    def test_every_field_has_exactly_one_key(self):
+        """Each leaf field of ExperimentConfig, those of spec and aug
+        included, is named by exactly one key, and every key's attribute
+        resolves."""
+        cfg = default_config()
+        leaves = []
+        for f in fields(ExperimentConfig):
+            value = getattr(cfg, f.name)
+            nested = fields(value) if is_dataclass(value) else ()
+            leaves += [f"{f.name}.{g.name}" for g in nested] or [f.name]
+        attrs = [attr for attr, *_ in _SCHEMA.values()]
+        assert sorted(attrs) == sorted(leaves)
+        for attr in attrs:
+            attrgetter(attr)(cfg)
 
     def test_documented_defaults_parse_to_default_config(self):
         text = "\n".join(
@@ -265,16 +287,18 @@ class TestMethodResolution:
         """Each key that sets a TrainSettings field, given a value other
         than its default, arrives in train_settings()."""
         train = {f.name for f in fields(TrainSettings)}
+        cfg = default_config()
         lines, expected = ["method = lcgc"], {}
-        for key, (name, kind, default, *choices) in _SCHEMA.items():
+        for key, (name, *choices) in _SCHEMA.items():
             if name not in train or key == "method":
                 continue
-            if kind == "int":
-                value = default + 1
-            elif kind == "float":
-                value = default / 2 if default else 0.5
-            elif kind == "bool":
+            default = getattr(cfg, name)
+            if isinstance(default, bool):
                 value = not default
+            elif isinstance(default, int):
+                value = default + 1
+            elif isinstance(default, float):
+                value = default / 2 if default else 0.5
             else:
                 value = next(c for c in choices[0] if c != default)
             lines.append(f"{key} = {str(value).lower()}")
@@ -285,12 +309,14 @@ class TestMethodResolution:
             assert getattr(st, name) == value, name
 
     def test_every_settings_field_is_a_config_field(self):
-        """train_settings() hands settings over by name, so a
-        TrainSettings field with no ExperimentConfig field of that name
-        would silently run at its default."""
-        own = {f.name for f in fields(ExperimentConfig)}
-        missing = {f.name for f in fields(TrainSettings)} - own
-        assert missing == {"disable_projection"}
+        """train_settings() hands the RunSettings fields over, so a
+        TrainSettings field outside RunSettings would silently run at
+        its default: only disable_projection, no config key, may be."""
+        shared = {f.name for f in fields(RunSettings)}
+        added = {f.name for f in fields(TrainSettings)} - shared
+        assert added == {"disable_projection"}
+        assert issubclass(ExperimentConfig, RunSettings)
+        assert not issubclass(ExperimentConfig, TrainSettings)
 
 
 class TestOverrideAndOutput:

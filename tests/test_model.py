@@ -149,7 +149,10 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         p = init_mlp((4, 8, 3), seed=2)
         arrays = {str(i): t for i, t in enumerate(p.tensors())}
-        for dims in ([4, 8, 2], [4, 3], [4], [4, 0, 3]):
+        # int() would load the last four as (4, 8, 3).
+        bad = ([4, 8, 2], [4, 3], [4], [4, 0, 3],
+               [4.9, 8, 3], ["4", "8", "3"], [4, 8, 3.5], [4.0, 8, 3])
+        for dims in bad:
             meta = {"dims": dims, "extra": None}
             write_container(path, "mlp-checkpoint", meta, arrays)
             with pytest.raises(ContractError, match="layer widths"):

@@ -293,19 +293,24 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "sweep-lambda"])
-    @pytest.mark.parametrize("case", ["empty", "outside-root"])
+    @pytest.mark.parametrize("case", ["empty", "outside-root", "nul"])
     def test_bad_output_dir_exits_two_and_writes_nothing(
         self, tmp_path, capsys, monkeypatch, command, case
     ):
         """An empty output_dir would write into the working directory,
-        and an absolute one would leave LCGCLAB_OUTPUT_ROOT; both stop
-        the command before it creates anything."""
+        an absolute one would leave LCGCLAB_OUTPUT_ROOT, and one with a
+        NUL byte names no path; each stops the command before it
+        creates anything."""
         work, root, outside = (tmp_path / d for d in ("work", "root", "abs"))
         for d in (work, root):
             d.mkdir()
         monkeypatch.chdir(work)
         monkeypatch.setenv("LCGCLAB_OUTPUT_ROOT", str(root))
-        line = "output_dir =" if case == "empty" else f"output_dir = {outside}"
+        line = {
+            "empty": "output_dir =",
+            "outside-root": f"output_dir = {outside}",
+            "nul": "output_dir = out\0x",
+        }[case]
         cfg = self.write_cfg(tmp_path, line + "\n")
         code = main([command, str(cfg)])
         assert code == 2

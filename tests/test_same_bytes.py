@@ -15,7 +15,7 @@ sys.path.remove(str(_DIR))
 
 from lcgclab import runner  # noqa: E402
 from lcgclab.cli import _build_parser  # noqa: E402
-from lcgclab.config import _SCHEMA, parse_config_text  # noqa: E402
+from lcgclab.config import _SCHEMA, default_config, parse_config_text  # noqa: E402
 
 RUN = {"seed": 1, "final_bacc": 0.5, "wall_time_s": 1.25, "steps": [1.0, 2.0]}
 AGGREGATE = {"per_seed": [RUN], "bacc_mean": 0.5, "wall_time_s": 3.5}
@@ -102,7 +102,11 @@ def test_every_bool_key_is_flipped_in_the_gate(monkeypatch):
         if args[0] == "ablate-components":
             runner.ablate_components(configs[name])
     assert variants
-    bools = {key: spec[2] for key, spec in _SCHEMA.items() if spec[1] == "bool"}
+    bools = {
+        key: value for key, value in default_config().resolved().items()
+        if key in _SCHEMA and isinstance(value, bool)
+    }
+    assert len(bools) == 5
     flipped = {
         key
         for cfg in [*configs.values(), *variants]
@@ -110,3 +114,11 @@ def test_every_bool_key_is_flipped_in_the_gate(monkeypatch):
         if key in bools and value != bools[key]
     }
     assert flipped == set(bools)
+
+
+def test_every_key_config_moves_every_key():
+    """The ``every-key`` config gives each key a value other than its
+    default, so a key whose kind or default changed shows in the gate."""
+    cfg = parse_config_text(same_bytes.COMMON + same_bytes.CONFIGS["every-key"])
+    default = default_config().resolved()
+    assert [k for k in _SCHEMA if cfg.resolved()[k] == default[k]] == []
