@@ -43,6 +43,8 @@ CONFIGS = {
     ),
     "remix-lite-no-align": "backbone = remix-lite\nremix.align = false\n",
     "remix-lite-tau-0.9": "backbone = remix-lite\ntrain.tau = 0.9\n",
+    # Pseudo-labels from the raw logits, under a confidence mask.
+    "no-refine-tau-0.9": "lcgc.refine_pseudo_labels = false\ntrain.tau = 0.9\n",
     "diverging": "train.lr = 1e6\n",
     "reversed-double-subtract": (
         "dataset.reversed_unlabeled = true\nlcgc.double_subtract = true\n"

@@ -169,6 +169,13 @@ class ExperimentConfig(RunSettings):
                 raise ConfigError(f"{key!r} must not be empty")
         if "\0" in self.output_dir:  # no file system path can hold one
             raise ConfigError(f"'output_dir' holds a NUL byte: {self.output_dir!r}")
+        # What a config file cannot say: its values are stripped lines.
+        out = self.output_dir
+        if out != out.strip() or len(out.splitlines()) != 1:
+            raise ConfigError(
+                f"'output_dir' has a line break or leading or trailing "
+                f"whitespace: {out!r}"
+            )
         if min(self.hidden) < 1:
             raise ConfigError(f"'model.hidden' widths must be >= 1: {self.hidden}")
         if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):

@@ -216,27 +216,45 @@ def synthesize(spec: LongTailSpec) -> SynthDataset:
     )
 
 
-def weak_aug(x: np.ndarray, cfg: AugmentConfig, rng) -> np.ndarray:
-    """Additive Gaussian jitter at sigma_weak; shape-preserving."""
+def _jitter(x: np.ndarray, sigma: float, rng, out) -> np.ndarray:
+    """x + sigma * N(0, 1) noise of x's shape, drawn into ``out`` (a
+    fresh array when None), which must have x's shape."""
     x = np.asarray(x, dtype=np.float64)
-    out = rng.normal(size=x.shape)
-    out *= cfg.sigma_weak
+    if out is None:
+        out = np.empty(x.shape)
+    elif out.shape != x.shape:
+        raise DimensionError(f"views of a {x.shape} batch into a {out.shape} array")
+    rng.standard_normal(out=out)
+    out *= sigma
     out += x  # IEEE addition commutes: the bits of x + sigma * noise
     return out
 
 
-def strong_aug(x: np.ndarray, cfg: AugmentConfig, rng) -> np.ndarray:
+def weak_aug(x: np.ndarray, cfg: AugmentConfig, rng, *, out=None) -> np.ndarray:
+    """Additive Gaussian jitter at sigma_weak; shape-preserving.
+
+    The views are drawn into ``out`` when given, a C-contiguous float64
+    array of x's shape, and returned there. The draws are
+    ``rng.standard_normal``'s, which consume the generator's stream as
+    ``rng.normal(size=x.shape)`` does and give its values, with one
+    exception: ``normal`` computes 0.0 + 1.0 * z, so a drawn -0.0
+    becomes +0.0. A view differs from that of ``normal``'s draws only
+    where a draw is exactly -0.0 (probability about 2^-52) and the
+    coordinate of x is -0.0 too. The same holds for ``strong_aug``.
+    """
+    return _jitter(x, cfg.sigma_weak, rng, out)
+
+
+def strong_aug(x: np.ndarray, cfg: AugmentConfig, rng, *, out=None) -> np.ndarray:
     """Heavy jitter at sigma_strong plus random coordinate masking.
 
     Per sample, round(mask_fraction * d) coordinates chosen without
     replacement are zeroed after the jitter. Draw order is fixed (noise,
-    then mask positions) so streams replay identically.
+    then mask positions) so streams replay identically. ``out`` and the
+    noise draws are those of ``weak_aug``.
     """
-    x = np.asarray(x, dtype=np.float64)
-    n, d = x.shape
-    out = rng.normal(size=(n, d))
-    out *= cfg.sigma_strong
-    out += x
+    out = _jitter(x, cfg.sigma_strong, rng, out)
+    n, d = out.shape
     k = int(cfg.mask_fraction * d + 0.5)
     if k > 0:
         # The k smallest of each row's unit uniforms mark its masked

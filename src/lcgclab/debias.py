@@ -64,7 +64,7 @@ from .model import (
     init_mlp,
     logits_array,
 )
-from .tensor import Tensor, apply_op, cross_entropy_terms
+from .tensor import Tensor, _cross_entropy_lsm, apply_op, cross_entropy_terms
 
 # Ablation palette: solid-color probe inputs, scaled to the data range.
 BASELINE_COLORS = ("red", "green", "blue", "gray", "white", "black")
@@ -74,6 +74,11 @@ BACKBONES = ("fixmatch", "remix-lite")
 
 # Below this norm the correction direction is numerically meaningless.
 _NORM_FLOOR = 1e-12
+
+# Elements per partial sum of a gradient dot product. OpenBLAS splits a
+# ddot of more than 10,000 elements across its threads, which changes
+# the bits with the thread count; no chunk of this size is split.
+_DOT_CHUNK = 8192
 
 # Path points per block of the attribution audit of a net with middle
 # hidden layers (one hidden layer needs no blocks). The points themselves
@@ -147,15 +152,20 @@ def kl_consistency_terms(a: np.ndarray, b: np.ndarray):
         raise DimensionError("kl_consistency_loss expects (n, C) tensors")
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         raise ContractError("kl_consistency_loss on an empty batch")
-    lp = K.log_softmax_rows(a)
-    lq = K.log_softmax_rows(b)
+    return _kl_terms(K.log_softmax_rows(a), K.log_softmax_rows(b))
+
+
+def _kl_terms(lp: np.ndarray, lq: np.ndarray):
+    """``kl_consistency_terms`` from the log-probabilities of its two
+    arguments; the training step takes the first from a log-softmax
+    pass it shares."""
+    n = lp.shape[0]
     p, q = np.exp(lp), np.exp(lq)
     diff = lp - lq
     row = np.einsum("ij,ij->i", p, diff)
-    value = float(np.maximum(row, 0.0).mean())
+    value = float(np.add.reduce(np.maximum(row, 0.0))) / n  # the mean's bits
 
     def vjp(g):
         # In place on arrays of this call only: the tape may call again.
@@ -170,21 +180,34 @@ def kl_consistency_terms(a: np.ndarray, b: np.ndarray):
     return value, vjp
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a @ b of two 1-D arrays, whatever the BLAS thread count: the dot
+    of each ``_DOT_CHUNK``-element chunk, added in order. Up to one
+    chunk, that is the one ``a @ b``."""
+    if a.size <= _DOT_CHUNK:
+        return float(a @ b)
+    total = float(a[:_DOT_CHUNK] @ b[:_DOT_CHUNK])
+    for i in range(_DOT_CHUNK, a.size, _DOT_CHUNK):
+        total += float(a[i : i + _DOT_CHUNK] @ b[i : i + _DOT_CHUNK])
+    return total
+
+
 class GradientVector:
     """A flattened parameter-space gradient with its squared norm and
-    norm precomputed (the norm has the bits of ``np.linalg.norm``, which
-    is the square root of the same dot product)."""
+    norm precomputed. Both dots are ``_dot``'s; up to ``_DOT_CHUNK``
+    elements the norm has the bits of ``np.linalg.norm``, which is the
+    square root of the same dot product."""
 
     __slots__ = ("values", "sqnorm", "norm")
 
     def __init__(self, values: np.ndarray):
         v = np.asarray(values, dtype=np.float64).reshape(-1)
         self.values = v
-        self.sqnorm = float(v @ v)
+        self.sqnorm = _dot(v, v)
         self.norm = math.sqrt(self.sqnorm)
 
     def dot(self, other: "GradientVector") -> float:
-        return float(self.values @ other.values)
+        return _dot(self.values, other.values)
 
     def __len__(self) -> int:
         return self.values.size
@@ -375,9 +398,12 @@ def grad_b(
 
 def _grad_b_with_loss(params, x_unlabeled, pseudo, aug, rng, weight, bufs):
     """grad_b plus the unweighted consistency loss: one forward of the
-    strong views drawn from ``rng``, into ``bufs`` (a ``StepBuffers``);
-    the gradient is written into its third flat gradient."""
-    strong, target, weights = consistency_inputs(x_unlabeled, pseudo, aug, rng)
+    strong views drawn from ``rng`` into ``bufs`` (a ``StepBuffers``),
+    through its activations; the gradient is written into its third
+    flat gradient."""
+    strong, target, weights = consistency_inputs(
+        x_unlabeled, pseudo, aug, rng, out=bufs.strong
+    )
     logits, inputs = forward_cached(params, strong, out=bufs.acts)
     loss, vjp = cross_entropy_terms(logits, target, weights=weights)
     g = backward_rows(
@@ -395,31 +421,34 @@ def grad_d(
     grows; the loss it differentiates is the one whose trajectory the
     step records expose.
     """
-    bufs = StepBuffers(params, len(x_weak) + 1)
-    return _kl_grad(params, x_weak, baseline, bufs)[0]
+    x_weak = np.asarray(x_weak, dtype=np.float64)
+    check_batch(params, x_weak)
+    n = x_weak.shape[0]
+    bufs = StepBuffers(params, n, probe=baseline)
+    bufs.stacked[:n] = x_weak
+    return _kl_grad(params, bufs.stacked, n, bufs)[0]
 
 
-def _kl_grad(params, x_weak, baseline, bufs, *more_rows):
-    """One forward of ``[x_weak; probe; *more_rows]`` into ``bufs`` (a
-    ``StepBuffers``) and the KL gradient, whose adjoint lives on the weak
-    and probe rows only; it is written into the buffers' first flat
-    gradient.
+def _kl_grad(params, x, n, bufs, refine=True):
+    """One forward of ``x`` (n weak views, the probe, any more rows)
+    into ``bufs`` (a ``StepBuffers``) and the KL gradient, whose adjoint
+    lives on the weak and probe rows only; it is written into the
+    buffers' first flat gradient.
 
-    Returns (grad_d, KL value, raw and refined logits of the weak views,
-    the forward's logits, its cached layer inputs), so a caller that
-    stacked more rows can backprop their block from the same forward.
-    The raw and refined logits are fresh arrays; the forward's logits
-    and inputs live in the buffers.
+    Returns (grad_d, KL value, pseudo-label source, its row softmax, the
+    log-probabilities of every row of the forward, its cached layer
+    inputs), so a caller that stacked more rows takes their block from
+    the same forward and log-softmax pass. The source is the weak views'
+    refined logits, or with ``refine`` false their raw ones; its softmax
+    comes from the log-softmax pass taken of it anyway. All but the
+    inputs are fresh arrays.
     """
-    blocks = [np.asarray(x_weak, dtype=np.float64), baseline[None, :], *more_rows]
-    for b in blocks:
-        check_batch(params, b)  # before concatenate, for a DimensionError
-    x = np.concatenate(blocks)
     z, inputs = forward_cached(params, x, out=bufs.acts)
-    n = blocks[0].shape[0]
-    logits = z[:n].copy()  # outlives the buffers' next forward
-    refined = logits - z[n]
-    loss_kl, vjp = kl_consistency_terms(logits, refined)
+    raw_probs = None if refine else np.empty(z.shape)
+    lsm = K.log_softmax_rows(z, probs=raw_probs)
+    refined = np.subtract(z[:n], z[n])
+    ref_probs = np.empty(refined.shape) if refine else None
+    loss_kl, vjp = _kl_terms(lsm[:n], K.log_softmax_rows(refined, probs=ref_probs))
     ga, gb = vjp(1.0)
     g_rows = np.empty((n + 1, z.shape[1]))
     np.add(ga, gb, out=g_rows[:n])
@@ -427,31 +456,28 @@ def _kl_grad(params, x_weak, baseline, bufs, *more_rows):
     g_d = backward_rows(
         params, inputs, g_rows, out=bufs.grads[0], adjoints=bufs.adjoints
     )
-    return GradientVector(g_d), loss_kl, logits, refined, z, inputs
+    if refine:
+        src, probs = refined, ref_probs
+    else:
+        src, probs = z[:n].copy(), raw_probs[:n]
+    return GradientVector(g_d), loss_kl, src, probs, lsm, inputs
 
 
-def _grad_d_with_loss(params, x_weak, baseline, x_labeled, y_labeled, bufs):
-    """grad_d and the KL value, the raw and refined logits of the weak
-    views (so the caller builds pseudo-labels without a second forward),
-    and the supervised gradient and loss of the labeled batch.
-
-    One forward of ``[x_weak; probe; x_labeled]`` into ``bufs`` (the
-    run's ``StepBuffers``) serves everything; the supervised cross
-    entropy's adjoint lives on the labeled rows, so their block's
-    backward gives its own gradient, written into the buffers' second
-    flat gradient.
+def _grad_d_with_loss(params, x, n, y_labeled, bufs, refine):
+    """``_kl_grad``'s first four values, then the supervised gradient
+    and loss of the labeled views stacked after the probe in ``x``
+    (``bufs.stacked`` of the run's ``StepBuffers``): their block's
+    backward gives the gradient, written into the buffers' second flat
+    gradient and returned as that array (only a diverged step reads its
+    norm).
     """
-    g_d, loss_kl, logits, refined, z, inputs = _kl_grad(
-        params, x_weak, baseline, bufs, np.asarray(x_labeled, dtype=np.float64)
-    )
-    start = logits.shape[0] + 1
-    loss_sup, vjp = cross_entropy_terms(
-        z[start:], np.asarray(y_labeled, dtype=np.int64)
-    )
+    g_d, loss_kl, src, probs, lsm, inputs = _kl_grad(params, x, n, bufs, refine)
+    y = np.asarray(y_labeled, dtype=np.int64)
+    loss_sup, vjp = _cross_entropy_lsm(lsm[n + 1 :], y)
     g_sup = backward_rows(
-        params, inputs, vjp(1.0), start, out=bufs.grads[1], adjoints=bufs.adjoints
+        params, inputs, vjp(1.0), n + 1, out=bufs.grads[1], adjoints=bufs.adjoints
     )
-    return g_d, loss_kl, logits, refined, GradientVector(g_sup), loss_sup
+    return g_d, loss_kl, src, probs, g_sup, loss_sup
 
 
 def _divergence_diagnostics(losses: dict, grads: dict, update) -> dict:
@@ -491,23 +517,22 @@ def train_step(
     """
     rng = state.rng
     xl, yl, xu = sample_minibatch(ds, settings.batch_size, settings.mu, rng)
-    xlw = weak_aug(xl, settings.aug, rng)
-    xuw = weak_aug(xu, settings.aug, rng)
+    n = xu.shape[0]
     if state.buffers is None:
-        # Sized to the larger forward: weak views, probe, labeled views.
-        rows = xuw.shape[0] + 1 + xlw.shape[0]
-        state.buffers = StepBuffers(params, rows)
+        state.buffers = StepBuffers(params, n, xl.shape[0], state.baseline)
     bufs = state.buffers
+    x = bufs.stacked  # [unlabeled weak views; probe; labeled weak views]
+    weak_aug(xl, settings.aug, rng, out=x[n + 1 :])
+    weak_aug(xu, settings.aug, rng, out=x[:n])
 
     # One forward of the weak views, the probe and the labeled views
     # serves the bias gradient, the supervised gradient and the
     # pseudo-labels, which are debiased by the current baseline
     # response when refinement is on.
-    g_d, loss_kl, logits, refined, g_sup, loss_sup = _grad_d_with_loss(
-        params, xuw, state.baseline, xlw, yl, bufs
+    g_d, loss_kl, pseudo_src, probs, g_sup, loss_sup = _grad_d_with_loss(
+        params, x, n, yl, bufs, settings.refine_pseudo_labels
     )
-    pseudo_src = refined if settings.refine_pseudo_labels else logits
-    pseudo = pseudo_label(pseudo_src, settings.tau)
+    pseudo = pseudo_label(pseudo_src, settings.tau, probs=probs)
 
     if settings.backbone == "remix-lite":
         q = pseudo.probs
@@ -532,8 +557,9 @@ def train_step(
     else:
         g = lcgc_combine(g_b, g_d, settings.lam)
 
-    # Accumulated in g_sup's buffer; its norm was taken before.
-    update = np.add(g.values, g_sup.values, out=g_sup.values)
+    # Accumulated in g's scratch values, whose norm was taken before;
+    # g_sup stays whole for the diagnostics.
+    update = np.add(g.values, g_sup, out=g.values)
     if not (
         np.isfinite(update).all()
         and math.isfinite(loss_sup)
@@ -544,7 +570,7 @@ def train_step(
             state.step,
             _divergence_diagnostics(
                 dict(loss_sup=loss_sup, loss_con=loss_con, loss_kl=loss_kl),
-                dict(g_b=g_b, g_d=g_d, g_sup=g_sup),
+                dict(g_b=g_b, g_d=g_d, g_sup=GradientVector(g_sup)),
                 update,
             ),
         )

@@ -22,6 +22,13 @@ must never be one of its inputs. ``out`` is keyword-only so that a
 wrapper that reads the operands positionally, such as a cost model
 taking ``(a, b)``, sees the same arguments either way.
 
+``log_softmax_rows`` takes a keyword-only ``probs`` instead: given an
+array of ``z``'s shape, it also writes the row softmax there, from the
+exponentials and row sums the log-softmax computes anyway, with the
+bits of ``softmax_rows(z)``. The two softmaxes work row by row, so one
+call on a stack of row blocks gives each block the bits of a call on
+that block alone.
+
 ``row_max``, which the two softmaxes use, reduces along axis 0 of a
 C-contiguous copy of ``z.T``: on a short, wide-batch array such as
 (128, 10) that runs about twice as fast as the reduction along axis 1.
@@ -80,10 +87,13 @@ def row_max(z):
     return np.maximum.reduce(np.ascontiguousarray(z.T), axis=0)
 
 
-def log_softmax_rows(z):
+def log_softmax_rows(z, *, probs=None):
     m = row_max(z)
     shifted = np.subtract(z, m[:, None])
-    s = np.add.reduce(np.exp(shifted), axis=1, keepdims=True)
+    e = np.exp(shifted, out=probs)
+    s = np.add.reduce(e, axis=1, keepdims=True)
+    if probs is not None:
+        np.divide(probs, s, out=probs)
     return np.subtract(shifted, np.log(s, out=s), out=shifted)
 
 

@@ -39,20 +39,28 @@ class PseudoLabelBatch:
     soft_labels: np.ndarray | None = None  # (n, C)
 
 
-def pseudo_label(logits, tau: float) -> PseudoLabelBatch:
+def pseudo_label(logits, tau: float, *, probs=None) -> PseudoLabelBatch:
     """Hard pseudo labels with a confidence mask at threshold tau.
 
     tau = 0 keeps every row (confidences are always positive). Ties in
     the argmax resolve to the smallest class index. A row's confidence
     is its largest softmax mass, taken with ``kernels.row_max``: the
     same element as the mass at the argmax.
+
+    ``probs``, when given, is the row softmax of ``logits`` that the
+    caller already holds, with the bits of ``kernels.softmax_rows``
+    (the training step takes it from a log-softmax pass); it becomes
+    the batch's ``probs`` as it is.
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] < 2:
         raise DimensionError(f"expected (n, C) logits with C >= 2, got {z.shape}")
     if not 0.0 <= tau <= 1.0:
         raise ContractError(f"tau must lie in [0, 1], got {tau}")
-    probs = K.softmax_rows(np.ascontiguousarray(z))
+    if probs is None:
+        probs = K.softmax_rows(np.ascontiguousarray(z))
+    elif probs.shape != z.shape:
+        raise DimensionError(f"probs of shape {probs.shape} for logits {z.shape}")
     labels = np.argmax(probs, axis=1).astype(np.int64) + 1
     conf = K.row_max(probs)
     return PseudoLabelBatch(
@@ -88,10 +96,12 @@ def consistency_inputs(
     pseudo: PseudoLabelBatch,
     aug: AugmentConfig,
     rng,
+    *,
+    out=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The strong views, targets and row weights of ``consistency_loss``
     (whose checks and rng draw these are); the denominator is the row
-    count."""
+    count. The views are drawn into ``out`` as ``strong_aug`` draws."""
     x_unlabeled = np.asarray(x_unlabeled, dtype=np.float64)
     n = x_unlabeled.shape[0]
     if n == 0:
@@ -100,7 +110,7 @@ def consistency_inputs(
         raise ContractError(
             f"pseudo labels cover {pseudo.labels.shape[0]} rows, batch has {n}"
         )
-    strong = strong_aug(x_unlabeled, aug, rng)
+    strong = strong_aug(x_unlabeled, aug, rng, out=out)
     target = pseudo.soft_labels if pseudo.soft_labels is not None else pseudo.labels
     return strong, target, pseudo.mask.astype(np.float64)
 

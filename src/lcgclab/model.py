@@ -23,7 +23,12 @@ and page-fault them in again on the next one. The buffers hold
 - one adjoint array per hidden layer, the scratch of ``backward_rows``;
 - three flat parameter gradients, each with views shaped like the
   tensors of ``ModelParams.tensors()``, into which ``backward_rows``
-  writes every weight and bias gradient directly.
+  writes every weight and bias gradient directly;
+- the inputs of the step's two forwards: the stacked rows of the first
+  (the unlabeled weak views, the probe input and the labeled weak
+  views), whose probe row is written once per run, and the strong
+  views of the second. ``data.weak_aug`` and ``data.strong_aug`` draw
+  the views into them.
 
 Only ``forward_cached`` also runs without buffers, allocating its
 layers with the same bits (the inference forwards); ``backward_rows``
@@ -69,16 +74,20 @@ class ModelParams:
         return views
 
     def apply_update(self, flat: np.ndarray, lr: float) -> None:
-        """In-place gradient step: theta <- theta - lr * flat."""
+        """In-place gradient step: theta <- theta - lr * flat, with the
+        bits of ``t -= lr * u`` per tensor. ``flat`` is scratch: it holds
+        lr * flat on return."""
         if flat.shape != (self.n_params,):
             raise DimensionError(
                 f"update has {flat.shape}, model has {self.n_params} params"
             )
-        # Per tensor: one flat ``lr * flat`` temporary page-faults in on
-        # every step of a wide net (train-wide: 15.1k against 8.7k minor
-        # faults over 200 steps).
+        # Scaled in place: a flat ``lr * flat`` temporary page-faults in
+        # on every step of a wide net (train-wide: 15.1k against 8.7k
+        # minor faults over 200 steps), and per-tensor ones are
+        # allocated on every step.
+        np.multiply(flat, lr, out=flat)
         for t, u in zip(self.tensors(), self.views(flat)):
-            t -= lr * u
+            t -= u
 
 
 def init_mlp(dims, seed: int) -> ModelParams:
@@ -124,13 +133,31 @@ def forward_logits(params: ModelParams, x) -> Tensor:
 
 
 class StepBuffers:
-    """The arrays of one training step of ``params``' network, for
-    ``rows`` rows at most (see the module docstring)."""
+    """The arrays of one training step of ``params``' network, whose
+    first forward stacks ``unlabeled`` weak views, the probe input and
+    ``labeled`` weak views (see the module docstring). ``probe``, a (d,)
+    input, is written into row ``unlabeled`` of ``stacked``; without
+    one that row holds zeros. ``strong`` holds ``unlabeled`` rows."""
 
-    def __init__(self, params: ModelParams, rows: int):
+    def __init__(
+        self,
+        params: ModelParams,
+        unlabeled: int,
+        labeled: int = 0,
+        probe: np.ndarray | None = None,
+    ):
+        d, rows = params.dims[0], unlabeled + 1 + labeled
         self.acts = [np.empty((rows, w)) for w in params.dims[1:]]
         self.adjoints = [np.empty((rows, w)) for w in params.dims[1:-1]]
         self.grads = [grad_buffer(params) for _ in range(3)]
+        self.stacked = np.zeros((rows, d))
+        if probe is not None:
+            if np.shape(probe) != (d,):
+                raise DimensionError(
+                    f"probe of shape {np.shape(probe)} for input width {d}"
+                )
+            self.stacked[unlabeled] = probe
+        self.strong = np.empty((unlabeled, d))
 
 
 def grad_buffer(params: ModelParams) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -318,16 +318,14 @@ def _targets(target, n: int, C: int) -> np.ndarray:
     """Hard (n,) int labels in [1..C] as one-hot rows, or soft (n, C)
     rows, as an (n, C) array."""
     labels = np.asarray(target)
-    if labels.ndim == 1 and np.issubdtype(labels.dtype, np.integer):
+    if labels.ndim == 1 and labels.dtype.kind in "iu":  # an integer dtype
         if labels.shape[0] != n:
             raise DimensionError(
                 f"expected {n} labels, got {labels.shape[0]}"
             )
-        if labels.min() < 1 or labels.max() > C:
-            raise LabelError(
-                f"labels must lie in [1..{C}], got range "
-                f"[{labels.min()}..{labels.max()}]"
-            )
+        lo, hi = np.minimum.reduce(labels), np.maximum.reduce(labels)
+        if lo < 1 or hi > C:
+            raise LabelError(f"labels must lie in [1..{C}], got range [{lo}..{hi}]")
         t = np.zeros((n, C))
         t[np.arange(n), labels - 1] = 1.0
         return t
@@ -365,8 +363,17 @@ def cross_entropy_terms(
     formula. The loss is not finite whenever the log-probabilities are
     not all finite, a zero-weighted row's included: 0 * -inf is NaN.
     """
-    p2 = _class_rows(logits, "cross_entropy")
-    n, C = p2.shape
+    lsm = K.log_softmax_rows(_class_rows(logits, "cross_entropy"))
+    return _cross_entropy_lsm(lsm, target, weights)
+
+
+def _cross_entropy_lsm(
+    lsm: np.ndarray, target, weights: np.ndarray | None = None
+) -> tuple[float, Callable[[float], np.ndarray]]:
+    """``cross_entropy_terms`` from the (n, C) log-probabilities of its
+    logits, with its checks of the batch, the targets and the weights;
+    the training step takes them from a log-softmax pass it shares."""
+    n, C = lsm.shape
     if n == 0:
         raise ContractError("cross_entropy on an empty batch")
     t = _targets(target, n, C)
@@ -377,10 +384,10 @@ def cross_entropy_terms(
         if w.shape[0] != n:
             raise DimensionError(f"expected {n} weights, got {w.shape[0]}")
 
-    lsm = K.log_softmax_rows(p2)
-    loss = -float((w * (t * lsm).sum(axis=1)).sum()) / n
+    # np.add.reduce is what ndarray.sum runs, without its wrapper.
+    loss = -float(np.add.reduce(w * np.add.reduce(t * lsm, axis=1))) / n
     sm = np.exp(lsm)
-    t_mass = t.sum(axis=1, keepdims=True)
+    t_mass = np.add.reduce(t, axis=1, keepdims=True)
 
     def vjp(g):
         return (sm * t_mass - t) * (w[:, None] * (float(g) / n))

@@ -93,8 +93,9 @@ class TestCriterion1GradientOracles:
             pseudo = pseudo_label(logits_array(params, x), tau=0.0)
 
             # L_Sup: the supervised block of the step's one forward
-            bufs = StepBuffers(params, 2 * n + 1)
-            g = _grad_d_with_loss(params, x, baseline, x, y, bufs)[4].values
+            bufs = StepBuffers(params, n, n, baseline)
+            bufs.stacked[:n] = bufs.stacked[n + 1 :] = x
+            g = _grad_d_with_loss(params, bufs.stacked, n, y, bufs, True)[4]
             fd = finite_diff_grad(
                 lambda: cross_entropy_terms(logits_array(params, x), y)[0],
                 params.tensors(),

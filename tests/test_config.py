@@ -397,6 +397,11 @@ class TestOverrideAndOutput:
         with pytest.raises(ConfigError, match="'output_dir' must not be empty"):
             default_config().override(output_dir="")
 
+    @pytest.mark.parametrize("out", [" runs ", "runs\r", "\truns", "a\nb"])
+    def test_output_dir_a_config_file_cannot_hold_rejected(self, out):
+        with pytest.raises(ConfigError, match="'output_dir' has a line break"):
+            default_config().override(output_dir=out)
+
     def test_config_is_hashable_and_frozen(self):
         cfg = default_config()
         with pytest.raises(AttributeError):

@@ -478,22 +478,43 @@ class TestOneForwardPerView:
 
     @pytest.mark.parametrize("backbone,refine", _PSEUDO_PATHS)
     def test_one_softmax_per_step(self, monkeypatch, backbone, refine):
-        """remix-lite's soft targets start from the softmax that
-        ``pseudo_label`` already took, not from a second one."""
+        """The step's one softmax, the pseudo-labels', comes out of the
+        log-softmax pass of its source: no softmax pass runs, and three
+        log-softmax passes do (the first forward's logits, the refined
+        weak logits, the strong logits). The probabilities are bitwise
+        ``softmax_rows`` of the source, and remix-lite's soft targets
+        start from them, not from a second softmax."""
+        import lcgclab.debias
         import lcgclab.kernels
 
-        calls = []
-        inner = lcgclab.kernels.softmax_rows
+        softmaxes, log_softmaxes, seen = [], [], []
+        inner_sm = lcgclab.kernels.softmax_rows
+        inner_lsm = lcgclab.kernels.log_softmax_rows
+        inner_pl = lcgclab.debias.pseudo_label
 
-        def counting(z):
-            calls.append(z.shape)
-            return inner(z)
+        def counting_sm(z):
+            softmaxes.append(z.shape)
+            return inner_sm(z)
 
-        monkeypatch.setattr(lcgclab.kernels, "softmax_rows", counting)
+        def counting_lsm(z, **kw):
+            log_softmaxes.append(z.shape)
+            return inner_lsm(z, **kw)
+
+        def spy_pl(logits, tau, **kw):
+            seen.append((np.array(logits, copy=True), kw["probs"].copy()))
+            return inner_pl(logits, tau, **kw)
+
+        monkeypatch.setattr(lcgclab.kernels, "softmax_rows", counting_sm)
+        monkeypatch.setattr(lcgclab.kernels, "log_softmax_rows", counting_lsm)
+        monkeypatch.setattr(lcgclab.debias, "pseudo_label", spy_pl)
         ds = synthesize(small_spec())
         settings = small_settings(backbone=backbone, refine_pseudo_labels=refine)
         train_step(init_mlp((8, 12, 4), seed=8), ds, settings, _default_state(ds, 8))
-        assert calls == [(settings.mu * settings.batch_size, 4)]
+        n, B = settings.mu * settings.batch_size, settings.batch_size
+        assert softmaxes == []
+        assert log_softmaxes == [(n + 1 + B, 4), (n, 4), (n, 4)]
+        [(src, probs)] = seen
+        assert probs.tobytes() == inner_sm(src).tobytes()
 
     @pytest.mark.parametrize("backbone,refine", _PSEUDO_PATHS)
     def test_pseudo_labels_from_recorded_logits(
@@ -508,13 +529,14 @@ class TestOneForwardPerView:
         inner_aug = lcgclab.debias.weak_aug
         inner_pl = lcgclab.debias.pseudo_label
 
-        def spy_aug(x, cfg, rng):
-            weak_views.append(inner_aug(x, cfg, rng))
+        def spy_aug(x, cfg, rng, **kw):
+            # A copy: the views are drawn into the step's buffers.
+            weak_views.append(inner_aug(x, cfg, rng, **kw).copy())
             return weak_views[-1]
 
-        def spy_pl(logits, tau):
+        def spy_pl(logits, tau, **kw):
             seen.append(np.array(logits, copy=True))
-            return inner_pl(logits, tau)
+            return inner_pl(logits, tau, **kw)
 
         monkeypatch.setattr(lcgclab.debias, "weak_aug", spy_aug)
         monkeypatch.setattr(lcgclab.debias, "pseudo_label", spy_pl)
@@ -582,6 +604,7 @@ class TestRowBlockParity:
     )
     def test_blocks_match_the_tape(self, monkeypatch, hidden, overrides):
         import lcgclab.debias as D
+        from lcgclab import kernels as K
         from lcgclab.losses import consistency_loss, supervised_loss
         from lcgclab.model import forward_logits
         from lcgclab.tensor import add_rowvec, scale
@@ -589,9 +612,12 @@ class TestRowBlockParity:
         errors = []
         real_d, real_b = D._grad_d_with_loss, D._grad_b_with_loss
 
-        def check_d(params, x_weak, baseline, x_labeled, y_labeled, bufs):
-            out = real_d(params, x_weak, baseline, x_labeled, y_labeled, bufs)
-            g_d, loss_kl, _, _, g_sup, loss_sup = out
+        def check_d(params, x, n, y_labeled, bufs, refine):
+            x_weak, baseline = x[:n].copy(), x[n].copy()
+            x_labeled = x[n + 1 :].copy()
+            out = real_d(params, x, n, y_labeled, bufs, refine)
+            g_d, loss_kl, src, probs, g_sup, loss_sup = out
+            assert probs.tobytes() == K.softmax_rows(src).tobytes()
 
             def kl(leaves):
                 logits = forward_logits(leaves, x_weak)
@@ -606,7 +632,7 @@ class TestRowBlockParity:
             ref, ref_loss = _tape_grad(
                 params, lambda q: supervised_loss(q, x_labeled, y_labeled)
             )
-            errors.append(("g_sup", _rel_err(g_sup.values, ref)))
+            errors.append(("g_sup", _rel_err(g_sup, ref)))
             errors.append(("loss_sup", _rel_err(loss_sup, ref_loss)))
             return out
 
@@ -686,21 +712,25 @@ class TestStepBuffers:
 
         ds = synthesize(small_spec())
         p = generic_net((8, 12, 10, 4), seed=34)
-        rng = np.random.default_rng(34)
         xu, xl, yl = ds.unlabeled_x[:16], ds.labeled_x[:8], ds.labeled_y[:8]
         baseline = make_baseline("gray", 8, ds.value_range())
-        bufs = StepBuffers(p, 16 + 1 + 8)
-        _, _, logits, refined, _, _ = D._grad_d_with_loss(
-            p, xu, baseline, xl, yl, bufs
-        )
-        held = [*bufs.acts, *bufs.adjoints, *(flat for flat, _ in bufs.grads)]
-        for out in (logits, refined):
-            assert not any(np.shares_memory(out, a) for a in held)
-        before = logits.tobytes(), refined.tobytes()
-        pseudo = pseudo_label(refined, 0.0)
-        aug = AugmentConfig()
-        D._grad_b_with_loss(p, xu, pseudo, aug, rng, 1.0, bufs)
-        assert (logits.tobytes(), refined.tobytes()) == before
+        bufs = StepBuffers(p, 16, 8, baseline)
+        held = [
+            *bufs.acts, *bufs.adjoints, *(flat for flat, _ in bufs.grads),
+            bufs.stacked, bufs.strong,
+        ]
+        for refine in (True, False):
+            bufs.stacked[:16], bufs.stacked[17:] = xu, xl
+            _, _, src, probs, _, _ = D._grad_d_with_loss(
+                p, bufs.stacked, 16, yl, bufs, refine
+            )
+            for out in (src, probs):
+                assert not any(np.shares_memory(out, a) for a in held)
+            before = src.tobytes(), probs.tobytes()
+            pseudo = pseudo_label(src, 0.0, probs=probs)
+            rng = np.random.default_rng(34)
+            D._grad_b_with_loss(p, xu, pseudo, AugmentConfig(), rng, 1.0, bufs)
+            assert (src.tobytes(), probs.tobytes()) == before
 
     def test_public_wrappers_return_fresh_arrays(self):
         ds = synthesize(small_spec())

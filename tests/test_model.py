@@ -103,9 +103,10 @@ class TestStepBuffers:
         p = init_mlp((5, 7, 6, 3), seed=12)
         x = rng.normal(size=(9, 5))
         g = rng.normal(size=(4, 3))
-        bufs = StepBuffers(p, 11)
+        bufs = StepBuffers(p, 6, 4)
         assert [a.shape for a in bufs.acts] == [(11, 7), (11, 6), (11, 3)]
         assert [a.shape for a in bufs.adjoints] == [(11, 7), (11, 6)]
+        assert (bufs.stacked.shape, bufs.strong.shape) == ((11, 5), (6, 5))
         z_ref, inputs_ref = forward_cached(p, x)
         z, inputs = forward_cached(p, x, out=bufs.acts)
         assert z.tobytes() == z_ref.tobytes()
@@ -114,7 +115,7 @@ class TestStepBuffers:
             assert h.tobytes() == h_ref.tobytes()
             assert np.shares_memory(h, act)
         for start in (0, 5):
-            fresh = StepBuffers(p, 11)
+            fresh = StepBuffers(p, 6, 4)
             ref = backward_rows(
                 p, inputs_ref, g, start, out=fresh.grads[0], adjoints=fresh.adjoints
             )
@@ -123,6 +124,17 @@ class TestStepBuffers:
             )
             assert flat is bufs.grads[0][0]
             assert flat.tobytes() == ref.tobytes()
+
+
+    def test_probe_row(self):
+        p = init_mlp((5, 7, 3), seed=13)
+        probe = np.arange(5.0)
+        bufs = StepBuffers(p, 4, 2, probe)
+        assert bufs.stacked[4].tobytes() == probe.tobytes()
+        assert not StepBuffers(p, 4, 2).stacked[4].any()
+        for wrong in (np.zeros(4), np.zeros((1, 5)), 0.0):
+            with pytest.raises(DimensionError):
+                StepBuffers(p, 4, 2, wrong)
 
 
 class TestCheckpoint:

@@ -29,7 +29,7 @@ from lcgclab.debias import (
     lcgc_combine,
 )
 from lcgclab.losses import pseudo_label
-from lcgclab.model import ModelParams
+from lcgclab.model import ModelParams, init_mlp
 from lcgclab.tensor import cross_entropy_terms
 
 
@@ -143,6 +143,43 @@ class TestSoftmaxKernels:
         K.softmax_rows(z)
         assert same_bits(z, before)
 
+    @pytest.mark.parametrize("z", [*random_rows(), SPECIAL_ROWS])
+    def test_probs_from_the_log_softmax_pass_are_softmax_rows(self, z):
+        probs = np.full(z.shape, 7.0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            lsm = K.log_softmax_rows(z, probs=probs)
+            assert same_bits(lsm, K.log_softmax_rows(z))
+            assert same_bits(probs, K.softmax_rows(z))
+
+    @pytest.mark.parametrize("cut", [(1, 2), (2, 5), (4, 9), (128, 129)])
+    def test_a_stack_gives_each_block_its_own_rows(self, cut):
+        """One pass over the stacked rows of a forward gives every block
+        the log-probabilities (and probabilities) of a pass over that
+        block alone; the stack mixes special rows, ties included, into
+        random ones."""
+        rng = np.random.default_rng(21)
+        z = rng.normal(scale=3.0, size=(193, 3))
+        z[::19][: len(SPECIAL_ROWS)] = SPECIAL_ROWS
+        z[cut[0] - 1] = SPECIAL_ROWS[0]  # a tie of zeros at a block edge
+        probs = np.empty(z.shape)
+        with np.errstate(invalid="ignore", over="ignore"):
+            lsm = K.log_softmax_rows(z, probs=probs)
+            for rows in np.split(np.arange(193), cut):
+                block = np.ascontiguousarray(z[rows])
+                assert same_bits(lsm[rows], K.log_softmax_rows(block))
+                assert same_bits(probs[rows], K.softmax_rows(block))
+
+    def test_pseudo_label_keeps_the_probs_it_is_given(self):
+        z = np.random.default_rng(22).normal(size=(128, 10))
+        probs = np.empty(z.shape)
+        K.log_softmax_rows(z, probs=probs)
+        for tau in (0.0, 0.3):
+            got, want = pseudo_label(z, tau, probs=probs), pseudo_label(z, tau)
+            assert got.probs is probs and same_bits(got.probs, want.probs)
+            assert np.array_equal(got.labels, want.labels)
+            assert same_bits(got.confidences, want.confidences)
+            assert np.array_equal(got.mask, want.mask)
+
     def test_pseudo_label_confidence_is_the_mass_at_the_label(self):
         rng = np.random.default_rng(6)
         z = rng.normal(size=(128, 10))
@@ -231,13 +268,19 @@ class TestAugmentation:
             r[3, [0, 5]] = 1e-3  # the two smallest tie; the count stays k
         x = np.random.default_rng(11).normal(size=(n, d))
 
+        # normal(size=) and standard_normal(out=) draw the same stream
+        # (TestStandardNormal), so both count as one Gaussian draw.
         class Stub:
             def __init__(self):
                 self.calls = []
 
             def normal(self, size):
-                self.calls.append(("normal", size))
+                self.calls.append(("gaussian", size))
                 return np.linspace(-1.0, 1.0, n * d).reshape(size)
+
+            def standard_normal(self, *, out):
+                out[...] = self.normal(out.shape)
+                return out
 
             def random(self, size):
                 self.calls.append(("random", size))
@@ -256,7 +299,7 @@ class TestAugmentation:
         fallback_calls = len(argsorts)
         want = ref_strong_aug(x, AugmentConfig(), ref_stub)
         assert same_bits(got, want)
-        draws = [("normal", (n, d)), ("random", (n, d))]
+        draws = [("gaussian", (n, d)), ("random", (n, d))]
         assert stub.calls == ref_stub.calls == draws
         assert fallback_calls == (1 if tie == "at_kth" else 0)
 
@@ -268,6 +311,32 @@ class TestAugmentation:
             got = weak_aug(x, cfg, a)
             assert same_bits(got, x + cfg.sigma_weak * b.normal(size=x.shape))
             assert a.bit_generator.state == b.bit_generator.state
+
+    # The view shapes of the default, the wide and the every-key configs.
+    @pytest.mark.parametrize(
+        "shape", [(128, 32), (64, 32), (256, 64), (128, 64), (48, 12), (16, 12)]
+    )
+    def test_standard_normal_draws_what_normal_draws(self, shape):
+        for seed in range(3):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = np.empty(shape)
+            got = a.standard_normal(out=out)
+            assert got is out
+            assert same_bits(out, b.normal(size=shape))
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_views_drawn_into_out_match_fresh_ones(self):
+        x = np.random.default_rng(23).normal(size=(64, 32))
+        x[0, :3] = [-0.0, 0.0, -0.0]
+        cfg = AugmentConfig()
+        for aug in (weak_aug, strong_aug):
+            a, b = np.random.default_rng(24), np.random.default_rng(24)
+            stack = np.full((70, 32), 5.0)
+            got = aug(x, cfg, a, out=stack[3:67])
+            assert np.shares_memory(got, stack)
+            assert same_bits(got, aug(x, cfg, b))
+            assert a.bit_generator.state == b.bit_generator.state
+            assert (stack[:3] == 5.0).all() and (stack[67:] == 5.0).all()
 
     def test_sample_minibatch_matches_fancy_indexing(self):
         spec = LongTailSpec(
@@ -286,14 +355,42 @@ class TestAugmentation:
 
 
 class TestUpdateGlue:
-    @pytest.mark.parametrize("n", [1, 7, 8, 330, 2762, 100_001])
+    @pytest.mark.parametrize("n", [1, 7, 8, 330, 2762, 8192, 8193, 100_001])
     def test_gradient_norm_matches_linalg(self, n):
+        """Up to 8192 elements, the norm is ``np.linalg.norm``'s and the
+        dots are ``@``'s. Past that, OpenBLAS may split one ``@`` across
+        its threads, so the dots are the in-order sums of the dots of
+        8192-element chunks."""
+
+        def chunked(a, b):
+            total = 0.0
+            for i in range(0, n, 8192):
+                total += float(a[i : i + 8192] @ b[i : i + 8192])
+            return total
+
         rng = np.random.default_rng(n)
         for scale in (1e-150, 1.0, 1e150):
             v = rng.normal(scale=scale, size=n)
+            w = rng.normal(scale=scale, size=n)
             g = GradientVector(v)
-            assert g.norm.hex() == float(np.linalg.norm(v)).hex()
-            assert g.sqnorm.hex() == float(v @ v).hex()
+            assert g.sqnorm.hex() == chunked(v, v).hex()
+            assert g.norm.hex() == math.sqrt(chunked(v, v)).hex()
+            assert g.dot(GradientVector(w)).hex() == chunked(v, w).hex()
+            if n <= 8192:
+                assert g.norm.hex() == float(np.linalg.norm(v)).hex()
+                assert g.sqnorm.hex() == float(v @ v).hex()
+
+    @pytest.mark.parametrize("dims", [(32, 64, 10), (64, 256, 256, 10)])
+    def test_update_scaled_in_place_matches_per_tensor_steps(self, dims):
+        rng = np.random.default_rng(25)
+        p, ref = init_mlp(dims, seed=25), init_mlp(dims, seed=25)
+        for lr in (0.2, 0.05, 1e6):
+            flat = rng.normal(size=p.n_params)
+            for t, u in zip(ref.tensors(), ref.views(flat.copy())):
+                t -= lr * u
+            p.apply_update(flat, lr)
+            for got, want in zip(p.tensors(), ref.tensors()):
+                assert same_bits(got, want)
 
     def test_combine_matches_its_formula(self):
         rng = np.random.default_rng(15)
@@ -310,6 +407,18 @@ class TestUpdateGlue:
         for n in (1, 3, 128, 1000):
             mask = rng.random(n) < 0.37
             assert (np.count_nonzero(mask) / n).hex() == float(mask.mean()).hex()
+
+
+class TestKlValue:
+    @pytest.mark.parametrize("shape", [(1, 2), (7, 3), (128, 10), (1000, 4)])
+    def test_value_is_the_clamped_mean(self, shape):
+        rng = np.random.default_rng(26)
+        a, b = rng.normal(scale=2.0, size=(2, *shape))
+        b[0] = a[0]  # a zero row, clamped from a hair below zero or not
+        lp, lq = ref_log_softmax_rows(a), ref_log_softmax_rows(b)
+        row = np.einsum("ij,ij->i", np.exp(lp), lp - lq)
+        want = float(np.maximum(row, 0.0).mean())
+        assert kl_consistency_terms(a, b)[0].hex() == want.hex()
 
 
 class TestVjpsAreRepeatable:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -122,3 +124,24 @@ def test_every_key_config_moves_every_key():
     cfg = parse_config_text(same_bytes.COMMON + same_bytes.CONFIGS["every-key"])
     default = default_config().resolved()
     assert [k for k in _SCHEMA if cfg.resolved()[k] == default[k]] == []
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """A net of 85k parameters trains to the same artifacts under one
+    BLAS thread and two: OpenBLAS splits a dot product of more than
+    10,000 elements across its threads, so the step's dots must not
+    hand it one."""
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(
+        same_bytes.CONFIGS["remix-lite-wide"] + "train.steps = 5\nseeds = 1\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(_DIR.parent / "src")}
+    env.pop("LCGCLAB_OUTPUT_ROOT", None)
+    for threads in ("1", "2"):
+        cmd = [sys.executable, "-m", "lcgclab.cli", "train", str(cfg)]
+        cmd += ["--output", str(tmp_path / threads)]
+        subprocess.run(
+            cmd, env={**env, "OPENBLAS_NUM_THREADS": threads}, check=True,
+            capture_output=True,
+        )
+    assert same_bytes.compare_trees(tmp_path / "1", tmp_path / "2") == []
