@@ -17,11 +17,16 @@ the output directories file by file. Every file must exist on both
 sides; a JSON file is compared after every ``wall_time_s`` key, at any
 depth, is dropped, and any other file byte for byte. Each difference is
 printed; the exit status is 1 if there is any, else 0.
+
+Last it prints the size of ``src/lcgclab/`` on both sides, in lines and
+in ``ast`` statements (the count a simplification is judged by); the
+sizes do not change the exit status.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import subprocess
@@ -132,6 +137,17 @@ def compare_trees(base: Path, head: Path) -> list[str]:
     return out
 
 
+def source_size(tree: Path) -> tuple[int, int]:
+    """(lines, ``ast`` statements) of the ``.py`` files under
+    ``tree/src/lcgclab``."""
+    lines = statements = 0
+    for path in sorted((tree / "src" / "lcgclab").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines += len(text.splitlines())
+        statements += sum(isinstance(n, ast.stmt) for n in ast.walk(ast.parse(text)))
+    return lines, statements
+
+
 def _lcgclab(
     tree: Path, args: list[str], cfg: Path, out: Path
 ) -> tuple[int, str, str]:
@@ -176,7 +192,10 @@ def main(argv=None) -> int:
             found += compare_trees(tmp / "base" / name, tmp / "head" / name)
             print(f"{name}: exit {runs['head'][0]}, {len(found)} difference(s)")
             diffs += [f"  {name}: {d}" for d in found]
+        sizes = {"base": source_size(base_tree), "head": source_size(ROOT)}
     print("\n".join(diffs) if diffs else f"same bytes as {args.base_rev}")
+    for side, (lines, statements) in sizes.items():
+        print(f"src/lcgclab/ at {side}: {lines} lines, {statements} statements")
     return 1 if diffs else 0
 
 

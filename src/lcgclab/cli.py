@@ -164,10 +164,11 @@ def main(argv=None) -> int:
         # export-dataset, the one command left
         ds = synthesize(config.spec)
         path = Path(args.path)
-        if path.suffix.lower() == ".csv":
-            export_csv(ds, path)
-        else:
-            save_dataset(ds, path)
+        write = export_csv if path.suffix.lower() == ".csv" else save_dataset
+        try:
+            write(ds, path)
+        except OSError as e:
+            raise ConfigError(f"cannot write '{path}': {e.strerror or e}") from e
         print(
             f"wrote {path} ({ds.labeled_x.shape[0]} labeled, "
             f"{ds.unlabeled_x.shape[0]} unlabeled, "

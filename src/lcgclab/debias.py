@@ -243,7 +243,10 @@ def lcgc_combine(
     if dot >= 0.0:
         return g_b
     coeff = lam * dot / g_d.sqnorm
-    return GradientVector(g_b.values + coeff * g_d.values)
+    # g_b + coeff * g_d in one temporary; IEEE * and + commute: same bits.
+    combined = np.multiply(g_d.values, coeff)
+    combined += g_b.values
+    return GradientVector(combined)
 
 
 @dataclass(frozen=True)
@@ -435,13 +438,13 @@ def _kl_grad(params, x, n, bufs, refine=True):
     lives on the weak and probe rows only; it is written into the
     buffers' first flat gradient.
 
-    Returns (grad_d, KL value, pseudo-label source, its row softmax, the
-    log-probabilities of every row of the forward, its cached layer
+    Returns (grad_d, KL value, the pseudo-labels' row probabilities,
+    the log-probabilities of every row of the forward, its cached layer
     inputs), so a caller that stacked more rows takes their block from
-    the same forward and log-softmax pass. The source is the weak views'
-    refined logits, or with ``refine`` false their raw ones; its softmax
-    comes from the log-softmax pass taken of it anyway. All but the
-    inputs are fresh arrays.
+    the same forward and log-softmax pass. The probabilities are the
+    softmax of the weak views' refined logits, or with ``refine`` false
+    of their raw ones, taken from the log-softmax pass of those logits.
+    All but the inputs are fresh arrays.
     """
     z, inputs = forward_cached(params, x, out=bufs.acts)
     raw_probs = None if refine else np.empty(z.shape)
@@ -456,28 +459,25 @@ def _kl_grad(params, x, n, bufs, refine=True):
     g_d = backward_rows(
         params, inputs, g_rows, out=bufs.grads[0], adjoints=bufs.adjoints
     )
-    if refine:
-        src, probs = refined, ref_probs
-    else:
-        src, probs = z[:n].copy(), raw_probs[:n]
-    return GradientVector(g_d), loss_kl, src, probs, lsm, inputs
+    probs = ref_probs if refine else raw_probs[:n]
+    return GradientVector(g_d), loss_kl, probs, lsm, inputs
 
 
 def _grad_d_with_loss(params, x, n, y_labeled, bufs, refine):
-    """``_kl_grad``'s first four values, then the supervised gradient
+    """``_kl_grad``'s first three values, then the supervised gradient
     and loss of the labeled views stacked after the probe in ``x``
     (``bufs.stacked`` of the run's ``StepBuffers``): their block's
     backward gives the gradient, written into the buffers' second flat
     gradient and returned as that array (only a diverged step reads its
     norm).
     """
-    g_d, loss_kl, src, probs, lsm, inputs = _kl_grad(params, x, n, bufs, refine)
+    g_d, loss_kl, probs, lsm, inputs = _kl_grad(params, x, n, bufs, refine)
     y = np.asarray(y_labeled, dtype=np.int64)
     loss_sup, vjp = _cross_entropy_lsm(lsm[n + 1 :], y)
     g_sup = backward_rows(
         params, inputs, vjp(1.0), n + 1, out=bufs.grads[1], adjoints=bufs.adjoints
     )
-    return g_d, loss_kl, src, probs, g_sup, loss_sup
+    return g_d, loss_kl, probs, g_sup, loss_sup
 
 
 def _divergence_diagnostics(losses: dict, grads: dict, update) -> dict:
@@ -529,10 +529,10 @@ def train_step(
     # serves the bias gradient, the supervised gradient and the
     # pseudo-labels, which are debiased by the current baseline
     # response when refinement is on.
-    g_d, loss_kl, pseudo_src, probs, g_sup, loss_sup = _grad_d_with_loss(
+    g_d, loss_kl, probs, g_sup, loss_sup = _grad_d_with_loss(
         params, x, n, yl, bufs, settings.refine_pseudo_labels
     )
-    pseudo = pseudo_label(pseudo_src, settings.tau, probs=probs)
+    pseudo = pseudo_label(probs, settings.tau)
 
     if settings.backbone == "remix-lite":
         q = pseudo.probs

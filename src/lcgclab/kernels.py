@@ -24,12 +24,12 @@ taking ``(a, b)``, sees the same arguments either way.
 
 ``log_softmax_rows`` takes a keyword-only ``probs`` instead: given an
 array of ``z``'s shape, it also writes the row softmax there, from the
-exponentials and row sums the log-softmax computes anyway, with the
-bits of ``softmax_rows(z)``. The two softmaxes work row by row, so one
-call on a stack of row blocks gives each block the bits of a call on
-that block alone.
+exponentials and row sums the log-softmax computes anyway. That is the
+one softmax formula: ``softmax_rows(z)`` is this ``probs`` of a fresh
+array. Both work row by row, so one call on a stack of row blocks gives
+each block the bits of a call on that block alone.
 
-``row_max``, which the two softmaxes use, reduces along axis 0 of a
+``row_max``, which the log-softmax uses, reduces along axis 0 of a
 C-contiguous copy of ``z.T``: on a short, wide-batch array such as
 (128, 10) that runs about twice as fast as the reduction along axis 1.
 A max does not depend on the order it visits its operands, so the
@@ -98,6 +98,6 @@ def log_softmax_rows(z, *, probs=None):
 
 
 def softmax_rows(z):
-    e = np.subtract(z, row_max(z)[:, None])
-    np.exp(e, out=e)
-    return np.divide(e, np.add.reduce(e, axis=1, keepdims=True), out=e)
+    probs = np.empty(z.shape)
+    log_softmax_rows(z, probs=probs)
+    return probs

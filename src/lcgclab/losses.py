@@ -26,46 +26,38 @@ class PseudoLabelBatch:
     """Targets inferred from weak views of one unlabeled batch.
 
     probs holds the row softmax of the weak-view logits, labels the
-    argmax class per row (1-based), confidences the winning softmax
-    mass, and mask which rows cleared the threshold. soft_labels, when
-    set, replaces the hard labels as the consistency target while the
-    mask still applies.
+    argmax class per row (1-based), and mask which rows' winning
+    softmax mass cleared the threshold. soft_labels, when set, replaces
+    the hard labels as the consistency target while the mask still
+    applies.
     """
 
     probs: np.ndarray  # (n, C) float64
     labels: np.ndarray  # (n,) int64 in [1..C]
-    confidences: np.ndarray  # (n,) float64
     mask: np.ndarray  # (n,) bool
     soft_labels: np.ndarray | None = None  # (n, C)
 
 
-def pseudo_label(logits, tau: float, *, probs=None) -> PseudoLabelBatch:
-    """Hard pseudo labels with a confidence mask at threshold tau.
+def pseudo_label(probs, tau: float) -> PseudoLabelBatch:
+    """Hard pseudo labels of the (n, C) row probabilities ``probs``,
+    with a confidence mask at threshold tau.
 
-    tau = 0 keeps every row (confidences are always positive). Ties in
-    the argmax resolve to the smallest class index. A row's confidence
-    is its largest softmax mass, taken with ``kernels.row_max``: the
-    same element as the mass at the argmax.
-
-    ``probs``, when given, is the row softmax of ``logits`` that the
-    caller already holds, with the bits of ``kernels.softmax_rows``
-    (the training step takes it from a log-softmax pass); it becomes
-    the batch's ``probs`` as it is.
+    ``probs`` is the row softmax of the weak-view logits, which the
+    training step takes from its log-softmax pass (a caller that holds
+    logits passes ``kernels.softmax_rows`` of them); it becomes the
+    batch's ``probs`` as it is. A row is kept when its largest mass,
+    taken with ``kernels.row_max`` (the same element as the mass at the
+    argmax), is at least tau, so tau = 0 keeps every row. Ties in the
+    argmax resolve to the smallest class index.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] < 2:
-        raise DimensionError(f"expected (n, C) logits with C >= 2, got {z.shape}")
+    if probs.ndim != 2 or probs.shape[1] < 2:
+        raise DimensionError(
+            f"expected (n, C) probabilities with C >= 2, got {probs.shape}"
+        )
     if not 0.0 <= tau <= 1.0:
         raise ContractError(f"tau must lie in [0, 1], got {tau}")
-    if probs is None:
-        probs = K.softmax_rows(np.ascontiguousarray(z))
-    elif probs.shape != z.shape:
-        raise DimensionError(f"probs of shape {probs.shape} for logits {z.shape}")
     labels = np.argmax(probs, axis=1).astype(np.int64) + 1
-    conf = K.row_max(probs)
-    return PseudoLabelBatch(
-        probs=probs, labels=labels, confidences=conf, mask=conf >= tau
-    )
+    return PseudoLabelBatch(probs=probs, labels=labels, mask=K.row_max(probs) >= tau)
 
 
 def supervised_loss(params: ModelParams, x, y) -> Tensor:

@@ -55,11 +55,17 @@ def run(
 
     Returns the aggregate dict (also written to aggregate.json). A
     reusable dataset can be passed in to share one realization across
-    sweep points; by default it is synthesized from the config.
+    sweep points; by default it is synthesized from the config. An
+    output directory that cannot be created raises ConfigError.
     """
     t0 = time.perf_counter()
     out = Path(out_dir) if out_dir is not None else config.output_root()
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(
+            f"cannot create the output directory '{out}': {e.strerror or e}"
+        ) from e
     ds = dataset if dataset is not None else synthesize(config.spec)
     settings = config.train_settings()
 

@@ -37,6 +37,7 @@ from lcgclab.debias import (
     run_training,
     verify_theorem1,
 )
+from lcgclab.kernels import softmax_rows
 from lcgclab.losses import consistency_inputs, pseudo_label
 from lcgclab.metrics import bacc, gm, trajectory_trend
 from lcgclab.model import ModelParams, StepBuffers, logits_array
@@ -90,12 +91,12 @@ class TestCriterion1GradientOracles:
                 probe = baseline[None, :]
                 if away_from_relu_kinks(params, np.vstack([x, probe])):
                     break
-            pseudo = pseudo_label(logits_array(params, x), tau=0.0)
+            pseudo = pseudo_label(softmax_rows(logits_array(params, x)), tau=0.0)
 
             # L_Sup: the supervised block of the step's one forward
             bufs = StepBuffers(params, n, n, baseline)
             bufs.stacked[:n] = bufs.stacked[n + 1 :] = x
-            g = _grad_d_with_loss(params, bufs.stacked, n, y, bufs, True)[4]
+            g = _grad_d_with_loss(params, bufs.stacked, n, y, bufs, True)[3]
             fd = finite_diff_grad(
                 lambda: cross_entropy_terms(logits_array(params, x), y)[0],
                 params.tensors(),

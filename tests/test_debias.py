@@ -36,6 +36,7 @@ from lcgclab.errors import (
     LabelError,
     TrainingDiverged,
 )
+from lcgclab.kernels import softmax_rows
 from lcgclab.losses import pseudo_label
 from lcgclab.model import ModelParams, forward_logits, init_mlp, logits_array
 from lcgclab.tensor import (
@@ -304,7 +305,7 @@ class TestGradComponents:
         ds = synthesize(small_spec())
         p = generic_net((8, 12, 4), seed=12)
         x = ds.unlabeled_x[:6]
-        pseudo = pseudo_label(logits_array(p, x), tau=0.0)
+        pseudo = pseudo_label(softmax_rows(logits_array(p, x)), tau=0.0)
         aug = AugmentConfig(sigma_weak=0.0, sigma_strong=0.0, mask_fraction=0.0)
         g = grad_b(p, x, pseudo, aug, np.random.default_rng(0), weight=0.8)
 
@@ -322,7 +323,7 @@ class TestGradComponents:
         """The empty batch is the consistency loss's ContractError,
         although grad_b sizes its buffers before the loss checks it."""
         p = generic_net((8, 12, 4), seed=12)
-        pseudo = pseudo_label(np.zeros((1, 4)), tau=0.0)
+        pseudo = pseudo_label(np.full((1, 4), 0.25), tau=0.0)
         with pytest.raises(ContractError, match="empty batch"):
             grad_b(p, np.empty((0, 8)), pseudo, AugmentConfig(),
                    np.random.default_rng(0))
@@ -481,9 +482,10 @@ class TestOneForwardPerView:
         """The step's one softmax, the pseudo-labels', comes out of the
         log-softmax pass of its source: no softmax pass runs, and three
         log-softmax passes do (the first forward's logits, the refined
-        weak logits, the strong logits). The probabilities are bitwise
-        ``softmax_rows`` of the source, and remix-lite's soft targets
-        start from them, not from a second softmax."""
+        weak logits, the strong logits). The pseudo-labeller gets those
+        probabilities, bitwise ``softmax_rows`` of the source
+        (``test_pseudo_labels_from_recorded_logits``), and remix-lite's
+        soft targets start from them, not from a second softmax."""
         import lcgclab.debias
         import lcgclab.kernels
 
@@ -500,9 +502,9 @@ class TestOneForwardPerView:
             log_softmaxes.append(z.shape)
             return inner_lsm(z, **kw)
 
-        def spy_pl(logits, tau, **kw):
-            seen.append((np.array(logits, copy=True), kw["probs"].copy()))
-            return inner_pl(logits, tau, **kw)
+        def spy_pl(probs, tau):
+            seen.append(probs.shape)
+            return inner_pl(probs, tau)
 
         monkeypatch.setattr(lcgclab.kernels, "softmax_rows", counting_sm)
         monkeypatch.setattr(lcgclab.kernels, "log_softmax_rows", counting_lsm)
@@ -513,16 +515,15 @@ class TestOneForwardPerView:
         n, B = settings.mu * settings.batch_size, settings.batch_size
         assert softmaxes == []
         assert log_softmaxes == [(n + 1 + B, 4), (n, 4), (n, 4)]
-        [(src, probs)] = seen
-        assert probs.tobytes() == inner_sm(src).tobytes()
+        assert seen == [(n, 4)]
 
     @pytest.mark.parametrize("backbone,refine", _PSEUDO_PATHS)
     def test_pseudo_labels_from_recorded_logits(
         self, monkeypatch, backbone, refine
     ):
-        """The pseudo-label input is bitwise the weak rows (minus the
-        probe row when refining) of one inference forward of the stacked
-        weak, probe and labeled rows."""
+        """The pseudo-label probabilities are bitwise ``softmax_rows`` of
+        the weak rows (minus the probe row when refining) of one
+        inference forward of the stacked weak, probe and labeled rows."""
         import lcgclab.debias
 
         weak_views, seen = [], []
@@ -534,9 +535,9 @@ class TestOneForwardPerView:
             weak_views.append(inner_aug(x, cfg, rng, **kw).copy())
             return weak_views[-1]
 
-        def spy_pl(logits, tau, **kw):
-            seen.append(np.array(logits, copy=True))
-            return inner_pl(logits, tau, **kw)
+        def spy_pl(probs, tau):
+            seen.append(probs.copy())
+            return inner_pl(probs, tau)
 
         monkeypatch.setattr(lcgclab.debias, "weak_aug", spy_aug)
         monkeypatch.setattr(lcgclab.debias, "pseudo_label", spy_pl)
@@ -554,7 +555,7 @@ class TestOneForwardPerView:
         )
         expected = z[:n] - z[n] if refine else z[:n]
         assert len(seen) == 1
-        assert seen[0].tobytes() == expected.tobytes()
+        assert seen[0].tobytes() == softmax_rows(expected).tobytes()
 
 
 # Training branches for the parity and no-tape tests: (label, config
@@ -615,8 +616,10 @@ class TestRowBlockParity:
         def check_d(params, x, n, y_labeled, bufs, refine):
             x_weak, baseline = x[:n].copy(), x[n].copy()
             x_labeled = x[n + 1 :].copy()
+            z = logits_array(params, x.copy())
+            src = z[:n] - z[n] if refine else z[:n]
             out = real_d(params, x, n, y_labeled, bufs, refine)
-            g_d, loss_kl, src, probs, g_sup, loss_sup = out
+            g_d, loss_kl, probs, g_sup, loss_sup = out
             assert probs.tobytes() == K.softmax_rows(src).tobytes()
 
             def kl(leaves):
@@ -721,23 +724,24 @@ class TestStepBuffers:
         ]
         for refine in (True, False):
             bufs.stacked[:16], bufs.stacked[17:] = xu, xl
-            _, _, src, probs, _, _ = D._grad_d_with_loss(
+            z = logits_array(p, bufs.stacked.copy())
+            want = softmax_rows(z[:16] - z[16] if refine else z[:16]).tobytes()
+            _, _, probs, _, _ = D._grad_d_with_loss(
                 p, bufs.stacked, 16, yl, bufs, refine
             )
-            for out in (src, probs):
-                assert not any(np.shares_memory(out, a) for a in held)
-            before = src.tobytes(), probs.tobytes()
-            pseudo = pseudo_label(src, 0.0, probs=probs)
+            assert not any(np.shares_memory(probs, a) for a in held)
+            assert probs.tobytes() == want
+            pseudo = pseudo_label(probs, 0.0)
             rng = np.random.default_rng(34)
             D._grad_b_with_loss(p, xu, pseudo, AugmentConfig(), rng, 1.0, bufs)
-            assert (src.tobytes(), probs.tobytes()) == before
+            assert probs.tobytes() == want
 
     def test_public_wrappers_return_fresh_arrays(self):
         ds = synthesize(small_spec())
         p = generic_net((8, 12, 4), seed=35)
         x = ds.unlabeled_x[:6]
         baseline = make_baseline("gray", 8, ds.value_range())
-        pseudo = pseudo_label(logits_array(p, x), 0.0)
+        pseudo = pseudo_label(softmax_rows(logits_array(p, x)), 0.0)
         aug = AugmentConfig()
         for call in (
             lambda xs: grad_d(p, xs, baseline),

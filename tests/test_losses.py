@@ -15,6 +15,7 @@ from lcgclab.losses import (
     sharpen,
     supervised_loss,
 )
+from lcgclab.kernels import softmax_rows
 from lcgclab.model import init_mlp
 from lcgclab.tensor import cross_entropy_terms
 
@@ -24,29 +25,27 @@ IDENTITY_AUG = AugmentConfig(sigma_weak=0.0, sigma_strong=0.0, mask_fraction=0.0
 class TestPseudoLabel:
     def test_confidence_oracle(self):
         """softmax([10, 0]) head prob = e^10/(e^10+1) = 0.9999546021312976."""
-        batch = pseudo_label(np.array([[10.0, 0.0]]), tau=0.5)
-        np.testing.assert_allclose(
-            batch.confidences[0], 0.9999546021312976, rtol=1e-13
-        )
+        batch = pseudo_label(softmax_rows(np.array([[10.0, 0.0]])), tau=0.5)
+        np.testing.assert_allclose(batch.probs[0, 0], 0.9999546021312976, rtol=1e-13)
         assert batch.labels[0] == 1
         assert batch.mask[0]
 
     def test_threshold_keeps_boundary(self):
         """Rows whose confidence equals tau are retained."""
-        logits = np.array([[0.0, 0.0]])  # confidence exactly 0.5
-        batch = pseudo_label(logits, tau=0.5)
+        probs = softmax_rows(np.array([[0.0, 0.0]]))  # confidence exactly 0.5
+        batch = pseudo_label(probs, tau=0.5)
         assert batch.mask[0]
-        batch = pseudo_label(logits, tau=0.5 + 1e-12)
+        batch = pseudo_label(probs, tau=0.5 + 1e-12)
         assert not batch.mask[0]
 
     def test_default_threshold_keeps_everything(self):
         rng = np.random.default_rng(0)
-        batch = pseudo_label(rng.normal(size=(50, 4)), tau=0.0)
+        batch = pseudo_label(softmax_rows(rng.normal(size=(50, 4))), tau=0.0)
         assert batch.mask.all()
 
     def test_labels_are_argmax_one_based(self):
         logits = np.array([[0.0, 3.0, 1.0], [5.0, 0.0, 0.0]])
-        batch = pseudo_label(logits, tau=0.0)
+        batch = pseudo_label(softmax_rows(logits), tau=0.0)
         np.testing.assert_array_equal(batch.labels, [2, 1])
 
     def test_rejects_bad_tau(self):
@@ -59,6 +58,26 @@ class TestPseudoLabel:
     def test_rejects_logits_that_are_not_n_by_c(self, shape):
         with pytest.raises(DimensionError, match="C >= 2"):
             pseudo_label(np.zeros(shape), tau=0.0)
+
+    def test_takes_the_probs_as_given_and_runs_no_softmax(self, monkeypatch):
+        """The probabilities are the caller's: no softmax kernel runs,
+        they become the batch's ``probs`` as they are, and probabilities
+        that are not (n, C >= 2) raise DimensionError."""
+        import lcgclab.kernels as K
+
+        def refuse(*args, **kw):
+            raise AssertionError("pseudo_label ran a softmax")
+
+        probs = softmax_rows(np.random.default_rng(3).normal(size=(6, 4)))
+        monkeypatch.setattr(K, "softmax_rows", refuse)
+        monkeypatch.setattr(K, "log_softmax_rows", refuse)
+        batch = pseudo_label(probs, tau=0.3)
+        assert batch.probs is probs
+        np.testing.assert_array_equal(batch.labels, probs.argmax(axis=1) + 1)
+        np.testing.assert_array_equal(batch.mask, probs.max(axis=1) >= 0.3)
+        for shape in [(6,), (6, 1), (1, 6, 4)]:
+            with pytest.raises(DimensionError, match="probabilities"):
+                pseudo_label(np.full(shape, 0.5), tau=0.3)
 
 
 _Z = np.zeros((3, 4))
@@ -122,8 +141,7 @@ class TestConsistencyLoss:
         from lcgclab.model import logits_array
         from lcgclab.tensor import cross_entropy
 
-        weak_logits = logits_array(p, x)
-        pseudo = pseudo_label(weak_logits, tau=0.0)
+        pseudo = pseudo_label(softmax_rows(logits_array(p, x)), tau=0.0)
         loss = consistency_loss(p, x, pseudo, IDENTITY_AUG, rng)
         expected = cross_entropy(logits_array(p, x), pseudo.labels).item()
         np.testing.assert_allclose(loss.item(), expected, rtol=1e-12)
@@ -132,7 +150,7 @@ class TestConsistencyLoss:
         p = init_mlp((3, 5, 4), seed=3)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 3))
-        pseudo = pseudo_label(np.zeros((5, 4)), tau=0.9)  # conf 0.25 < 0.9
+        pseudo = pseudo_label(np.full((5, 4), 0.25), tau=0.9)  # 0.25 < 0.9
         assert not pseudo.mask.any()
         loss = consistency_loss(p, x, pseudo, IDENTITY_AUG, rng)
         assert loss.item() == 0.0
@@ -144,7 +162,7 @@ class TestConsistencyLoss:
         x = rng.normal(size=(4, 3))
         conf = np.array([[9.0, 0.0, 0.0, 0.0]])
         weak = np.vstack([conf, np.zeros((3, 4))])
-        pseudo = pseudo_label(weak, tau=0.9)
+        pseudo = pseudo_label(softmax_rows(weak), tau=0.9)
         assert pseudo.mask.sum() == 1
         loss = consistency_loss(p, x, pseudo, IDENTITY_AUG, rng)
         from lcgclab.model import logits_array
@@ -156,7 +174,7 @@ class TestConsistencyLoss:
     def test_row_count_mismatch_rejected(self):
         p = init_mlp((3, 5, 4), seed=7)
         rng = np.random.default_rng(8)
-        pseudo = pseudo_label(np.zeros((3, 4)), tau=0.0)
+        pseudo = pseudo_label(np.full((3, 4), 0.25), tau=0.0)
         with pytest.raises(ContractError):
             consistency_loss(p, np.zeros((5, 3)), pseudo, IDENTITY_AUG, rng)
 

@@ -319,6 +319,40 @@ class TestCli:
         assert not outside.exists()
 
     @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["train", "{cfg}", "--output", "f"], "f"),
+            (["train", "{file_cfg}"], "f"),
+            (["sweep-lambda", "{cfg}", "--output", "f"], "f/lambda_0"),
+            (["export-dataset", "{cfg}", "d"], "d"),
+            (["export-dataset", "{cfg}", "f/x.bin"], "f/x.bin"),
+        ],
+        ids=["train-flag", "train-config", "sweep", "export-dir", "export-under-file"],
+    )
+    def test_unwritable_output_exits_two_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, argv, named
+    ):
+        """An output directory that names an existing file, an export
+        that names a directory or a path under a file: the command ends
+        in one config error line that names the path, and creates
+        nothing."""
+        work = tmp_path / "work"
+        (work / "d").mkdir(parents=True)
+        (work / "f").write_text("kept\n")
+        (tmp_path / "c").mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.delenv("LCGCLAB_OUTPUT_ROOT", raising=False)
+        cfg = self.write_cfg(tmp_path)
+        file_cfg = self.write_cfg(tmp_path / "c", "output_dir = f\n")
+        code = main([a.format(cfg=cfg, file_cfg=file_cfg) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f"'{named}'" in err
+        assert sorted(p.name for p in work.rglob("*")) == ["d", "f"]
+        assert (work / "f").read_text() == "kept\n"
+
+    @pytest.mark.parametrize(
         "command",
         ["train", "sweep-lambda", "ablate-baseline", "ablate-components"],
     )

@@ -173,12 +173,12 @@ class TestSoftmaxKernels:
         z = np.random.default_rng(22).normal(size=(128, 10))
         probs = np.empty(z.shape)
         K.log_softmax_rows(z, probs=probs)
+        want = ref_softmax_rows(z)
         for tau in (0.0, 0.3):
-            got, want = pseudo_label(z, tau, probs=probs), pseudo_label(z, tau)
-            assert got.probs is probs and same_bits(got.probs, want.probs)
-            assert np.array_equal(got.labels, want.labels)
-            assert same_bits(got.confidences, want.confidences)
-            assert np.array_equal(got.mask, want.mask)
+            got = pseudo_label(probs, tau)
+            assert got.probs is probs and same_bits(got.probs, want)
+            assert np.array_equal(got.labels, np.argmax(want, axis=1) + 1)
+            assert np.array_equal(got.mask, want.max(axis=1) >= tau)
 
     def test_pseudo_label_confidence_is_the_mass_at_the_label(self):
         rng = np.random.default_rng(6)
@@ -186,12 +186,12 @@ class TestSoftmaxKernels:
         z[:4] = 1.5  # all-way ties: label 1, confidence 1/C
         z[4, 2:4] = 9.0  # a two-way tie at the top
         for tau in (0.0, 0.3):
-            pb = pseudo_label(z, tau)
+            pb = pseudo_label(K.softmax_rows(z), tau)
             probs = ref_softmax_rows(z)
             labels = np.argmax(probs, axis=1).astype(np.int64) + 1
             conf = probs[np.arange(z.shape[0]), labels - 1]
+            assert same_bits(pb.probs, probs)
             assert np.array_equal(pb.labels, labels)
-            assert same_bits(pb.confidences, conf)
             assert np.array_equal(pb.mask, conf >= tau)
 
 
@@ -401,6 +401,24 @@ class TestUpdateGlue:
             dot = float(d @ b)
             want = b if dot >= 0.0 else b + lam * dot / float(d @ d) * d
             assert same_bits(got, want)
+
+    @pytest.mark.parametrize("n", [8, 8192, 85_002])
+    def test_combine_under_conflict_matches_the_sum(self, n):
+        """The conflicting combine builds ``coeff * g_d`` and adds
+        ``g_b`` into it: the bits of ``g_b + coeff * g_d``, signed zeros
+        included."""
+        rng = np.random.default_rng(27 + n)
+        for lam in (0.0, 0.5, 1.4):
+            d = rng.normal(size=n)
+            b = rng.normal(scale=0.5, size=n) - d
+            d[:2], b[:4] = (0.0, -0.0), (0.0, -0.0, 0.0, -0.0)
+            g_b, g_d = GradientVector(b), GradientVector(d)
+            dot = g_d.dot(g_b)
+            assert dot < 0.0
+            want = b + lam * dot / g_d.sqnorm * d
+            got = lcgc_combine(g_b, g_d, lam)
+            assert same_bits(got.values, want)
+            assert got.sqnorm.hex() == GradientVector(want).sqnorm.hex()
 
     def test_mask_rate_matches_the_mean(self):
         rng = np.random.default_rng(17)
