@@ -50,6 +50,8 @@ CONFIGS = {
     "remix-lite-tau-0.9": "backbone = remix-lite\ntrain.tau = 0.9\n",
     # Pseudo-labels from the raw logits, under a confidence mask.
     "no-refine-tau-0.9": "lcgc.refine_pseudo_labels = false\ntrain.tau = 0.9\n",
+    # Hard-label consistency with its adjoint scaled off 1.
+    "fixmatch-weighted": "train.consistency_weight = 0.3\ntrain.tau = 0.7\n",
     "diverging": "train.lr = 1e6\n",
     "reversed-double-subtract": (
         "dataset.reversed_unlabeled = true\nlcgc.double_subtract = true\n"

@@ -248,26 +248,18 @@ def weak_aug(x: np.ndarray, cfg: AugmentConfig, rng, *, out=None) -> np.ndarray:
 def strong_aug(x: np.ndarray, cfg: AugmentConfig, rng, *, out=None) -> np.ndarray:
     """Heavy jitter at sigma_strong plus random coordinate masking.
 
-    Per sample, round(mask_fraction * d) coordinates chosen without
-    replacement are zeroed after the jitter. Draw order is fixed (noise,
-    then mask positions) so streams replay identically. ``out`` and the
-    noise draws are those of ``weak_aug``.
+    Per sample, the k = round(mask_fraction * d) coordinates whose unit
+    uniforms come first in ``np.argsort`` order are zeroed after the
+    jitter. Draw order is fixed (noise, then uniforms if k > 0) so
+    streams replay identically. ``out`` and the noise draws are those
+    of ``weak_aug``.
     """
     out = _jitter(x, cfg.sigma_strong, rng, out)
     n, d = out.shape
     k = int(cfg.mask_fraction * d + 0.5)
     if k > 0:
-        # The k smallest of each row's unit uniforms mark its masked
-        # coords. Without a tie at the k-th smallest value they are the
-        # entries up to it; with one, argsort's ranking picks which of
-        # the tied entries are masked.
-        r = rng.random(size=(n, d))
-        mask = r <= np.partition(r, k - 1, axis=1)[:, k - 1 : k]
-        if np.count_nonzero(mask) == n * k:
-            np.putmask(out, mask, 0.0)
-        else:
-            order = np.argsort(r, axis=1)[:, :k]
-            out[np.arange(n)[:, None], order] = 0.0
+        order = np.argsort(rng.random(size=(n, d)), axis=1)[:, :k]
+        out[np.arange(n)[:, None], order] = 0.0
     return out
 
 

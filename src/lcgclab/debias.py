@@ -64,7 +64,7 @@ from .model import (
     init_mlp,
     logits_array,
 )
-from .tensor import Tensor, _cross_entropy_lsm, apply_op, cross_entropy_terms
+from .tensor import Tensor, apply_op, cross_entropy_terms
 
 # Ablation palette: solid-color probe inputs, scaled to the data range.
 BASELINE_COLORS = ("red", "green", "blue", "gray", "white", "black")
@@ -141,43 +141,41 @@ def kl_consistency_loss(logits, refined) -> Tensor:
     """
     a = logits if isinstance(logits, Tensor) else Tensor(logits)
     b = refined if isinstance(refined, Tensor) else Tensor(refined)
-    value, vjp = kl_consistency_terms(a.data, b.data)
-    return apply_op(np.asarray(value), (a, b), vjp)
+    _check_pair(a.data, b.data)
+    value, ga, gb = kl_consistency_terms(
+        K.log_softmax_rows(a.data), K.log_softmax_rows(b.data)
+    )
+    return apply_op(
+        np.asarray(value), (a, b), lambda g: (ga * float(g), gb * float(g))
+    )
 
 
-def kl_consistency_terms(a: np.ndarray, b: np.ndarray):
-    """Value of ``kl_consistency_loss`` on plain (n, C) arrays and its
-    VJP, which maps the loss adjoint to the adjoints of ``a`` and ``b``."""
+def _check_pair(a: np.ndarray, b: np.ndarray) -> None:
     if a.ndim != 2 or b.ndim != 2:
         raise DimensionError("kl_consistency_loss expects (n, C) tensors")
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
     if a.shape[0] == 0:
         raise ContractError("kl_consistency_loss on an empty batch")
-    return _kl_terms(K.log_softmax_rows(a), K.log_softmax_rows(b))
 
 
-def _kl_terms(lp: np.ndarray, lq: np.ndarray):
-    """``kl_consistency_terms`` from the log-probabilities of its two
-    arguments; the training step takes the first from a log-softmax
-    pass it shares."""
+def kl_consistency_terms(lp: np.ndarray, lq: np.ndarray, scale: float = 1.0):
+    """Value of ``kl_consistency_loss`` from the (n, C) log-probabilities
+    of its two arguments, and the adjoints of ``scale`` times it with
+    respect to the two arguments' logits: (value, ga, gb)."""
+    _check_pair(lp, lq)
     n = lp.shape[0]
     p, q = np.exp(lp), np.exp(lq)
     diff = lp - lq
     row = np.einsum("ij,ij->i", p, diff)
     value = float(np.add.reduce(np.maximum(row, 0.0))) / n  # the mean's bits
-
-    def vjp(g):
-        # In place on arrays of this call only: the tape may call again.
-        s = float(g) / n
-        ga = np.subtract(diff, row[:, None])
-        ga *= p
-        ga *= s
-        gb = np.subtract(q, p)
-        gb *= s
-        return ga, gb
-
-    return value, vjp
+    s = scale / n
+    ga = np.subtract(diff, row[:, None], out=diff)
+    ga *= p
+    ga *= s
+    gb = np.subtract(q, p, out=q)
+    gb *= s
+    return value, ga, gb
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -402,15 +400,18 @@ def grad_b(
 def _grad_b_with_loss(params, x_unlabeled, pseudo, aug, rng, weight, bufs):
     """grad_b plus the unweighted consistency loss: one forward of the
     strong views drawn from ``rng`` into ``bufs`` (a ``StepBuffers``),
-    through its activations; the gradient is written into its third
-    flat gradient."""
+    through its activations; ``cross_entropy_terms`` scales the logit
+    adjoint by ``weight``, and the gradient is written into the
+    buffers' third flat gradient."""
     strong, target, weights = consistency_inputs(
         x_unlabeled, pseudo, aug, rng, out=bufs.strong
     )
     logits, inputs = forward_cached(params, strong, out=bufs.acts)
-    loss, vjp = cross_entropy_terms(logits, target, weights=weights)
+    loss, adj = cross_entropy_terms(
+        K.log_softmax_rows(logits), target, weights=weights, scale=weight
+    )
     g = backward_rows(
-        params, inputs, vjp(weight), out=bufs.grads[2], adjoints=bufs.adjoints
+        params, inputs, adj, out=bufs.grads[2], adjoints=bufs.adjoints
     )
     return GradientVector(g), loss
 
@@ -436,7 +437,8 @@ def _kl_grad(params, x, n, bufs, refine=True):
     """One forward of ``x`` (n weak views, the probe, any more rows)
     into ``bufs`` (a ``StepBuffers``) and the KL gradient, whose adjoint
     lives on the weak and probe rows only; it is written into the
-    buffers' first flat gradient.
+    buffers' first flat gradient. ``kl_consistency_terms`` gives it from
+    the weak views' log-probabilities, raw and refined.
 
     Returns (grad_d, KL value, the pseudo-labels' row probabilities,
     the log-probabilities of every row of the forward, its cached layer
@@ -451,8 +453,9 @@ def _kl_grad(params, x, n, bufs, refine=True):
     lsm = K.log_softmax_rows(z, probs=raw_probs)
     refined = np.subtract(z[:n], z[n])
     ref_probs = np.empty(refined.shape) if refine else None
-    loss_kl, vjp = _kl_terms(lsm[:n], K.log_softmax_rows(refined, probs=ref_probs))
-    ga, gb = vjp(1.0)
+    loss_kl, ga, gb = kl_consistency_terms(
+        lsm[:n], K.log_softmax_rows(refined, probs=ref_probs)
+    )
     g_rows = np.empty((n + 1, z.shape[1]))
     np.add(ga, gb, out=g_rows[:n])
     np.negative(K.sum_rows(gb, out=g_rows[n]), out=g_rows[n])
@@ -466,16 +469,17 @@ def _kl_grad(params, x, n, bufs, refine=True):
 def _grad_d_with_loss(params, x, n, y_labeled, bufs, refine):
     """``_kl_grad``'s first three values, then the supervised gradient
     and loss of the labeled views stacked after the probe in ``x``
-    (``bufs.stacked`` of the run's ``StepBuffers``): their block's
-    backward gives the gradient, written into the buffers' second flat
-    gradient and returned as that array (only a diverged step reads its
-    norm).
+    (``bufs.stacked`` of the run's ``StepBuffers``): their block of the
+    log-probabilities gives ``cross_entropy_terms`` the loss and logit
+    adjoint, and that block's backward gives the gradient, written into
+    the buffers' second flat gradient and returned as that array (only
+    a diverged step reads its norm).
     """
     g_d, loss_kl, probs, lsm, inputs = _kl_grad(params, x, n, bufs, refine)
     y = np.asarray(y_labeled, dtype=np.int64)
-    loss_sup, vjp = _cross_entropy_lsm(lsm[n + 1 :], y)
+    loss_sup, adj = cross_entropy_terms(lsm[n + 1 :], y)
     g_sup = backward_rows(
-        params, inputs, vjp(1.0), n + 1, out=bufs.grads[1], adjoints=bufs.adjoints
+        params, inputs, adj, n + 1, out=bufs.grads[1], adjoints=bufs.adjoints
     )
     return g_d, loss_kl, probs, g_sup, loss_sup
 

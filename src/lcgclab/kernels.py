@@ -6,7 +6,8 @@ plain-array forward and backwards that every training step runs
 (``model.forward_cached`` and the row-block backward in ``model``) and
 the layers of the integrated-gradients audit in ``debias`` (the
 path-point blocks of a net with middle hidden layers), and the autodiff
-tape in ``lcgclab.tensor``, which is only the gradient reference of the
+tape in ``lcgclab.tensor`` (whose losses run ``log_softmax_rows`` and
+the step's loss functions), which is only the gradient reference of the
 parity tests and the audit's tests. A profiler can wrap them by name.
 
 All kernels take C-contiguous float64 arrays; callers are responsible

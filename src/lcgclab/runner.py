@@ -46,6 +46,15 @@ def _mean_se(vals) -> tuple[float | None, float | None]:
     return float(v.mean()), float(v.std(ddof=1) / np.sqrt(v.size))
 
 
+def _write(write, path: Path, payload) -> None:
+    """``write(path, payload)``; an OSError, such as a directory in the
+    artifact's place, raises ConfigError naming the path."""
+    try:
+        write(path, payload)
+    except OSError as e:
+        raise ConfigError(f"cannot write '{path}': {e.strerror or e}") from e
+
+
 def run(
     config: ExperimentConfig,
     out_dir: str | Path | None = None,
@@ -56,7 +65,7 @@ def run(
     Returns the aggregate dict (also written to aggregate.json). A
     reusable dataset can be passed in to share one realization across
     sweep points; by default it is synthesized from the config. An
-    output directory that cannot be created raises ConfigError.
+    output directory or artifact that cannot be written raises ConfigError.
     """
     t0 = time.perf_counter()
     out = Path(out_dir) if out_dir is not None else config.output_root()
@@ -84,10 +93,10 @@ def run(
                 }
             )
             continue
-        atomic_write_text(out / f"steps_seed{seed}.csv", _steps_csv(record))
+        _write(atomic_write_text, out / f"steps_seed{seed}.csv", _steps_csv(record))
         entry = record.to_dict()
         entry["failed"] = False
-        dump_json(out / f"run_seed{seed}.json", entry)
+        _write(dump_json, out / f"run_seed{seed}.json", entry)
         per_seed.append(entry)
         if not record.diverged:
             baccs.append(record.final_bacc)
@@ -108,7 +117,7 @@ def run(
         "gm_se": gm_se,
         "wall_time_s": time.perf_counter() - t0,
     }
-    dump_json(out / "aggregate.json", aggregate)
+    _write(dump_json, out / "aggregate.json", aggregate)
     return aggregate
 
 
@@ -153,10 +162,9 @@ def _sweep(
     for label, subdir, sub in variants:
         agg = run(sub, out_dir=out / subdir, dataset=ds)
         rows.append({column: label, **{k: agg[k] for k in _TABLE_STATS}})
-    atomic_write_text(
-        out / f"{table_name}.csv", _table_csv(rows, (column, *_TABLE_STATS))
-    )
-    dump_json(out / f"{table_name}.json", rows)
+    table = _table_csv(rows, (column, *_TABLE_STATS))
+    _write(atomic_write_text, out / f"{table_name}.csv", table)
+    _write(dump_json, out / f"{table_name}.json", rows)
     return rows
 
 

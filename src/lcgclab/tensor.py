@@ -10,7 +10,9 @@ Training and the integrated-gradients audit do not record on it: they
 run ``model.forward_cached`` and hand-written backwards. The tape is the
 gradient reference of the parity tests and the audit's tests. The ops
 take model parameters, plain arrays, as constants; those tests wrap them
-in leaves (``tape_leaves``) to get their gradients.
+in leaves (``tape_leaves``) to get their gradients. Its loss ops wrap
+the step's loss functions (``cross_entropy_terms``, and
+``debias.kl_consistency_terms``) on the log-softmax of their logits.
 """
 
 from __future__ import annotations
@@ -348,31 +350,23 @@ def cross_entropy(pred, target, *, weights: np.ndarray | None = None) -> Tensor:
     a row weighted 0 still counts in the mean's n.
     """
     pred = _as_tensor(pred)
-    loss, vjp = cross_entropy_terms(pred.data, target, weights=weights)
-    return apply_op(np.asarray(loss), (pred,), lambda g: (vjp(g),))
+    lsm = K.log_softmax_rows(_class_rows(pred.data, "cross_entropy"))
+    loss, adj = cross_entropy_terms(lsm, target, weights=weights)
+    return apply_op(np.asarray(loss), (pred,), lambda g: (adj * float(g),))
 
 
 def cross_entropy_terms(
-    logits: np.ndarray, target, *, weights: np.ndarray | None = None
-) -> tuple[float, Callable[[float], np.ndarray]]:
-    """Value of ``cross_entropy`` on plain (n, C) logits and its VJP,
-    which maps the loss adjoint to the (n, C) logit adjoint. Arguments
-    and checks are those of ``cross_entropy``.
+    lsm: np.ndarray, target, *, weights: np.ndarray | None = None, scale: float = 1.0
+) -> tuple[float, np.ndarray]:
+    """Value of ``cross_entropy`` from the (n, C) log-probabilities of
+    its logits, and the (n, C) logit adjoint of ``scale`` times it.
+    Targets, weights and checks are those of ``cross_entropy``.
 
     Hard labels enter as one-hot rows, so both kinds of target share one
     formula. The loss is not finite whenever the log-probabilities are
     not all finite, a zero-weighted row's included: 0 * -inf is NaN.
     """
-    lsm = K.log_softmax_rows(_class_rows(logits, "cross_entropy"))
-    return _cross_entropy_lsm(lsm, target, weights)
-
-
-def _cross_entropy_lsm(
-    lsm: np.ndarray, target, weights: np.ndarray | None = None
-) -> tuple[float, Callable[[float], np.ndarray]]:
-    """``cross_entropy_terms`` from the (n, C) log-probabilities of its
-    logits, with its checks of the batch, the targets and the weights;
-    the training step takes them from a log-softmax pass it shares."""
+    lsm = _class_rows(lsm, "cross_entropy")
     n, C = lsm.shape
     if n == 0:
         raise ContractError("cross_entropy on an empty batch")
@@ -386,13 +380,8 @@ def _cross_entropy_lsm(
 
     # np.add.reduce is what ndarray.sum runs, without its wrapper.
     loss = -float(np.add.reduce(w * np.add.reduce(t * lsm, axis=1))) / n
-    sm = np.exp(lsm)
     t_mass = np.add.reduce(t, axis=1, keepdims=True)
-
-    def vjp(g):
-        return (sm * t_mass - t) * (w[:, None] * (float(g) / n))
-
-    return loss, vjp
+    return loss, (np.exp(lsm) * t_mass - t) * (w[:, None] * (scale / n))
 
 
 def finite_diff_grad(

@@ -37,7 +37,7 @@ from lcgclab.debias import (
     run_training,
     verify_theorem1,
 )
-from lcgclab.kernels import softmax_rows
+from lcgclab.kernels import log_softmax_rows, softmax_rows
 from lcgclab.losses import consistency_inputs, pseudo_label
 from lcgclab.metrics import bacc, gm, trajectory_trend
 from lcgclab.model import ModelParams, StepBuffers, logits_array
@@ -98,7 +98,9 @@ class TestCriterion1GradientOracles:
             bufs.stacked[:n] = bufs.stacked[n + 1 :] = x
             g = _grad_d_with_loss(params, bufs.stacked, n, y, bufs, True)[3]
             fd = finite_diff_grad(
-                lambda: cross_entropy_terms(logits_array(params, x), y)[0],
+                lambda: cross_entropy_terms(
+                    log_softmax_rows(logits_array(params, x)), y
+                )[0],
                 params.tensors(),
             )
             worst = max(worst, relative_error(g, fd))
@@ -112,8 +114,8 @@ class TestCriterion1GradientOracles:
                 strong, target, weights = consistency_inputs(
                     x, pseudo, IDENTITY_AUG, np.random.default_rng(0)
                 )
-                logits = logits_array(params, strong)
-                return cross_entropy_terms(logits, target, weights=weights)[0]
+                lsm = log_softmax_rows(logits_array(params, strong))
+                return cross_entropy_terms(lsm, target, weights=weights)[0]
 
             fd = finite_diff_grad(con_value, params.tensors())
             worst = max(worst, relative_error(g, fd))
@@ -124,7 +126,9 @@ class TestCriterion1GradientOracles:
             def kl_value():
                 logits = logits_array(params, x)
                 base = baseline_logits(params, baseline)
-                return kl_consistency_terms(logits, logits - base)[0]
+                return kl_consistency_terms(
+                    log_softmax_rows(logits), log_softmax_rows(logits - base)
+                )[0]
 
             fd = finite_diff_grad(kl_value, params.tensors())
             worst = max(worst, relative_error(g, fd))

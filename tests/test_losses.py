@@ -84,7 +84,7 @@ _Z = np.zeros((3, 4))
 
 
 @pytest.mark.parametrize(
-    "logits, target, weights, error, match",
+    "lsm, target, weights, error, match",
     [
         (_Z, np.array([1, 2]), None, DimensionError, "expected 3 labels"),
         (_Z, np.array([0, 1, 2]), None, LabelError, "must lie in"),
@@ -104,11 +104,11 @@ _Z = np.zeros((3, 4))
         "soft-rows", "soft-negative", "empty", "weight-count", "1-d", "one-class",
     ],
 )
-def test_cross_entropy_terms_checks(logits, target, weights, error, match):
+def test_cross_entropy_terms_checks(lsm, target, weights, error, match):
     """The loss every step differentiates validates its plain-array
     arguments itself, with no tape in the way."""
     with pytest.raises(error, match=match):
-        cross_entropy_terms(logits, target, weights=weights)
+        cross_entropy_terms(lsm, target, weights=weights)
 
 
 class TestSupervisedLoss:

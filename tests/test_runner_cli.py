@@ -353,6 +353,26 @@ class TestCli:
         assert (work / "f").read_text() == "kept\n"
 
     @pytest.mark.parametrize(
+        "command,artifact",
+        [("train", "run_seed1.json"), ("sweep-lambda", "lambda_sweep.csv")],
+        ids=["train", "sweep"],
+    )
+    def test_unwritable_artifact_exits_two(
+        self, tmp_path, capsys, command, artifact
+    ):
+        """A directory in an artifact's place: the command ends in one
+        config error line that names the artifact, not a traceback."""
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        cfg = self.write_cfg(tmp_path)
+        code = main([command, str(cfg), "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f"cannot write '{out / artifact}': " in err
+        assert (out / artifact).is_dir()
+
+    @pytest.mark.parametrize(
         "command",
         ["train", "sweep-lambda", "ablate-baseline", "ablate-components"],
     )
