@@ -52,6 +52,12 @@ CONFIGS = {
     "no-refine-tau-0.9": "lcgc.refine_pseudo_labels = false\ntrain.tau = 0.9\n",
     # Hard-label consistency with its adjoint scaled off 1.
     "fixmatch-weighted": "train.consistency_weight = 0.3\ntrain.tau = 0.7\n",
+    # The same on 112 unlabeled rows, not a power of two, where
+    # 0.3 / n and (1 / n) * 0.3 round apart (at 96 rows they do not):
+    # it shows where the weight enters the adjoint.
+    "fixmatch-weighted-112": (
+        "train.batch_size = 56\ntrain.consistency_weight = 0.3\ntrain.tau = 0.7\n"
+    ),
     "diverging": "train.lr = 1e6\n",
     "reversed-double-subtract": (
         "dataset.reversed_unlabeled = true\nlcgc.double_subtract = true\n"

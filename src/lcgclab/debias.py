@@ -18,8 +18,14 @@ audit never forms its points: the first layer is affine along it, and
 its adjoint is averaged over the path before one input-layer backward
 per sample. With one hidden layer, each unit's pre-activation crosses
 zero at most once along the path, so its active path points are
-counted in closed form; with middle hidden layers, they are evaluated
-block by block.
+counted in closed form, from one ceil(u steps / |v|) per unit; with
+middle hidden layers, they are evaluated block by block.
+
+``integrated_gradients`` is the checked entry: it validates every input
+and runs the unchecked core ``_path_attributions``. ``verify_theorem1``
+validates each of its inputs once, in a fixed order, and calls the core
+directly with the labels its forward produced, which lie in [1..C] by
+construction; the core checks only that x - I is finite.
 """
 
 from __future__ import annotations
@@ -702,6 +708,29 @@ def run_training(
     return params, run
 
 
+def _step_count(steps) -> int:
+    """steps as a Python int; ContractError unless it is a Python or
+    numpy integer >= 1.
+
+    type() rather than isinstance() for Python's: a bool is no step
+    count, and 2.5 or np.float64(3.0) would put path points off the grid
+    k / steps. The int keeps a narrow numpy type from wrapping around in
+    the block arithmetic."""
+    if not (type(steps) is int or isinstance(steps, np.integer)) or steps < 1:
+        raise ContractError(f"steps must be an integer >= 1, got {steps!r}")
+    return int(steps)
+
+
+def _checked_probe(params: ModelParams, baseline) -> np.ndarray:
+    """The probe as an array; DimensionError unless it is one (d,) input."""
+    baseline = np.asarray(baseline)
+    if baseline.shape != (params.dims[0],):
+        raise DimensionError(
+            f"probe has shape {baseline.shape}, model input dim {params.dims[0]}"
+        )
+    return baseline
+
+
 def integrated_gradients(
     params: ModelParams,
     x: np.ndarray,
@@ -717,6 +746,41 @@ def integrated_gradients(
     steps grows the attribution sums converge to the logit gap
     g(x)_c - g(I)_c; for a linear model one step is already exact.
 
+    This is the checked entry: it validates every input, then runs the
+    unchecked core ``_path_attributions`` (whose docstring gives the
+    method). Raises ContractError unless steps is an integer >= 1 (a
+    bool or a float is none), DimensionError on a batch or probe the
+    model cannot take, LabelError on labels that are not n integers in
+    [1..C], and EvaluationError on a non-finite x - I, as a forward of
+    the path points would.
+    """
+    steps = _step_count(steps)
+    x = np.asarray(x, dtype=np.float64)
+    check_batch(params, x)
+    baseline = _checked_probe(params, baseline)
+    n, C = x.shape[0], params.dims[-1]
+    labels = np.asarray(labels)
+    if labels.shape != (n,) or labels.dtype.kind not in "iu":
+        raise LabelError(
+            f"expected {n} integer labels, got {labels.dtype} of shape {labels.shape}"
+        )
+    if n and not 1 <= labels.min() <= labels.max() <= C:
+        raise LabelError(f"labels must lie in [1..{C}]")
+    return _path_attributions(params, x, baseline, labels, steps)
+
+
+def _path_attributions(
+    params: ModelParams,
+    x: np.ndarray,
+    baseline: np.ndarray,
+    labels: np.ndarray,
+    steps: int,
+) -> np.ndarray:
+    """``integrated_gradients`` on inputs its caller has checked: x a
+    float (n, d) batch, baseline (d,), labels n integers in [1..C] and
+    steps an integer >= 1. It checks only what no caller knows in
+    advance, that x - I is finite (EvaluationError otherwise).
+
     The path is a straight line, so its points are never formed:
 
     - the first layer's pre-activations along it are u + a v, with
@@ -731,34 +795,16 @@ def integrated_gradients(
     - with no middle hidden layer, unit j of sample i is active where
       u_j + (k/steps) v_ij > 0, which holds on one side of a single
       crossing; the average is the adjoint row times the count c_ij of
-      active path points over steps, in O(n h) for any steps;
+      active path points over steps, in O(n h) for any steps, from one
+      ceil of u steps / |v| per unit;
     - with middle hidden layers, every path point runs forward and
       backward through them, in blocks of ``_IG_BLOCK_ROWS // steps``
       samples (at least one), which bounds the (rows, hidden)
       temporaries.
 
     The two agree except at a rounding tie, a crossing that falls
-    exactly on a path point, which each breaks its own way. Raises
-    DimensionError on a batch or probe the model cannot take, LabelError
-    on labels that are not n integers in [1..C], and EvaluationError on
-    a non-finite x - I, as a forward of the path points would.
+    exactly on a path point, which each breaks its own way.
     """
-    if steps < 1:
-        raise ContractError(f"steps must be >= 1, got {steps}")
-    x = np.asarray(x, dtype=np.float64)
-    check_batch(params, x)
-    if baseline.shape != (params.dims[0],):
-        raise DimensionError(
-            f"probe has shape {baseline.shape}, model input dim {params.dims[0]}"
-        )
-    n, C = x.shape[0], params.dims[-1]
-    labels = np.asarray(labels)
-    if labels.shape != (n,) or labels.dtype.kind not in "iu":
-        raise LabelError(
-            f"expected {n} integer labels, got {labels.dtype} of shape {labels.shape}"
-        )
-    if n and not 1 <= labels.min() <= labels.max() <= C:
-        raise LabelError(f"labels must lie in [1..{C}]")
     delta = x - baseline
     if not np.isfinite(delta).all():
         raise EvaluationError("attribution path contains non-finite values")
@@ -770,22 +816,30 @@ def integrated_gradients(
     u = K.add_rowvec(K.matmul(baseline[None, :], ws[0]), params.biases[0])
     v = K.matmul(delta, ws[0])
     if last == 1:
-        # u + (k/steps) v crosses zero at k = t = -u steps / v. Where
-        # v = 0, of either sign, the unit is on or off along the whole
-        # path; t is an inf or a NaN there, and its count is overwritten.
+        # u + (k/steps) v crosses zero at k = t = -u steps / v, and
+        # q = u steps / |v| is t bit for bit where v < 0 and -t where
+        # v > 0 (IEEE * and / are sign-symmetric). So the count of k in
+        # 1..steps past the crossing is ceil(q) - 1 for v < 0 and
+        # steps + ceil(q) for v > 0. A unit flat along the path (v = 0,
+        # of either sign) takes the first form: its q is +inf, -inf or
+        # the NaN of 0/0 as u is positive, negative or zero, which the
+        # clip to [0, steps] turns into steps, 0 and 0 (fmax drops the
+        # NaN), the unit being on or off along the whole path.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            t = -u * steps / v
-        count = np.where(v > 0, steps - np.floor(t), np.ceil(t) - 1)
-        np.clip(count, 0, steps, out=count)
-        flat = v == 0
-        if flat.any():
-            np.copyto(count, (u > 0) * steps, where=flat)
-        return delta * K.matmul_nt(rows * (count / steps), ws[0])
+            count = np.divide(u * steps, np.abs(v))
+        np.ceil(count, out=count)
+        count += np.where(v > 0, float(steps), -1.0)
+        np.fmax(count, 0.0, out=count)
+        np.minimum(count, steps, out=count)
+        count /= steps
+        count *= rows
+        return delta * K.matmul_nt(count, ws[0])
     uv = np.stack((np.broadcast_to(u, v.shape), v))
     # Row k of ``coef`` is (1, a_k); times a sample's (u; v) it gives the
     # first layer's pre-activations u + a_k v at path point k.
     coef = np.ones((steps, 2))
     coef[:, 1] = np.arange(1, steps + 1) / steps
+    n = x.shape[0]
     per = max(1, _IG_BLOCK_ROWS // steps)
     out = np.empty_like(delta)
     for start in range(0, n, per):
@@ -836,25 +890,34 @@ def verify_theorem1(
     ``[x; probe]`` gives the logits of both, as in the training step;
     the refined logits z(x) - z(I), computed once, give the labels by
     their argmax and the logit gaps at those labels.
+
+    Each input is checked once, in this order: DimensionError unless x
+    is a nonempty (n, d) batch, ContractError unless tol is positive and
+    finite, DimensionError unless x and the probe have the model's input
+    width, EvaluationError (from the forward) on a non-finite x or
+    probe, and ContractError unless steps is an integer >= 1. The
+    argmax labels lie in [1..C] by construction, so the attributions
+    come from ``integrated_gradients``' unchecked core, which raises
+    EvaluationError on an x - I that overflows.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise DimensionError("verify_theorem1 expects a nonempty (n, d) batch")
     if not 0.0 < tol < math.inf:
         raise ContractError(f"tol must be positive and finite, got {tol}")
-    probe = baseline[None, :]
-    for b in (x, probe):
-        check_batch(params, b)  # before concatenate, for a DimensionError
+    check_batch(params, x)  # before concatenate, for a DimensionError
+    baseline = _checked_probe(params, baseline)
     n = x.shape[0]
-    z = logits_array(params, np.concatenate([x, probe]))
+    z = logits_array(params, np.concatenate([x, baseline[None, :]]))
+    steps = _step_count(steps)
     refined = z[:n] - z[n]
-    idx = np.argmax(refined, axis=1)
+    idx = refined.argmax(axis=1)
 
-    ig = integrated_gradients(params, x, baseline, idx + 1, steps)
-    ig_sums = ig.sum(axis=1)
+    ig = _path_attributions(params, x, baseline, idx + 1, steps)
+    ig_sums = np.add.reduce(ig, axis=1)
     gaps = refined[np.arange(n), idx]
     residuals = np.abs(ig_sums - gaps)
-    mr = float(residuals.max())
+    mr = float(np.maximum.reduce(residuals))
     return TheoremReport(
         ig_sums=ig_sums,
         logit_gaps=gaps,

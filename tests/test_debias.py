@@ -946,6 +946,40 @@ class TestIntegratedGradients:
         with pytest.raises(DimensionError):  # agree, but not with the model
             integrated_gradients(p, np.zeros((2, 5)), np.zeros(5), one, 4)
 
+    @pytest.mark.parametrize("steps", [2.5, np.float64(3.0), True, 0, -1])
+    @pytest.mark.parametrize("dims", [(4, 6, 3), (4, 6, 5, 3)],
+                             ids=["one-hidden", "two-hidden"])
+    def test_steps_must_be_an_integer(self, dims, steps):
+        """A bool or a float is no step count on any depth: 2.5 once
+        gave a report on a one-hidden-layer net and a raw TypeError on a
+        deeper one."""
+        p = generic_net(dims, seed=19)
+        b = make_baseline("black", 4, 1.0)
+        x = np.random.default_rng(25).normal(size=(2, 4))
+        with pytest.raises(ContractError, match="steps"):
+            integrated_gradients(p, x, b, np.array([1, 2]), steps)
+        with pytest.raises(ContractError, match="steps"):
+            verify_theorem1(p, x, b, steps=steps)
+
+    @pytest.mark.parametrize("dims", [(4, 6, 3), (4, 6, 5, 3)],
+                             ids=["one-hidden", "two-hidden"])
+    def test_numpy_integer_steps_match_python_ints(self, dims):
+        """A numpy integer counts the same path points as the Python int
+        of its value, a narrow one too: uint8 arithmetic with the
+        256-row block size would leave its range."""
+        p = generic_net(dims, seed=19)
+        b = make_baseline("gray", 4, 1.0)
+        x = np.random.default_rng(25).normal(size=(3, 4))
+        labels = np.array([1, 2, 3])
+        for steps in (np.int64(7), np.int32(7), np.uint8(200)):
+            ig = integrated_gradients(p, x, b, labels, steps)
+            ref = integrated_gradients(p, x, b, labels, int(steps))
+            assert ig.tobytes() == ref.tobytes()
+            report = verify_theorem1(p, x, b, steps=steps)
+            assert report.ig_sums.tobytes() == (
+                verify_theorem1(p, x, b, steps=int(steps)).ig_sums.tobytes()
+            )
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["sample", "baseline"])
     def test_non_finite_path_raises(self, where, bad):
@@ -1157,6 +1191,56 @@ _AUDIT_CASES = {
 }
 
 
+def _bad_audit_inputs():
+    """(error, changed verify_theorem1 arguments) by case: one bad input
+    each, then pairs of bad inputs, the first of which is checked
+    first. The model takes 4 inputs and ignores the first."""
+    wide, nan = np.zeros((3, 5)), np.zeros((3, 4))
+    nan[1, 2] = np.nan
+    wide_nan = wide.copy()
+    wide_nan[1, 2] = np.nan
+    huge = np.zeros((3, 4))
+    huge[:, 0] = 1e308
+    far = np.zeros(4)
+    far[0] = -1e308  # x - far overflows in the first coordinate only
+    probe_nan = np.array([0.0, np.nan, 0.0, 0.0])
+    return {
+        "x-too-wide": (DimensionError, dict(x=wide)),
+        "probe-too-wide": (DimensionError, dict(baseline=np.zeros(5))),
+        "probe-2d": (DimensionError, dict(baseline=np.zeros((1, 4)))),
+        "probe-0d": (DimensionError, dict(baseline=np.float64(0.0))),
+        "x-1d": (DimensionError, dict(x=np.zeros(4))),
+        "x-empty": (DimensionError, dict(x=np.zeros((0, 4)))),
+        "tol-zero": (ContractError, dict(tol=0.0)),
+        "tol-negative": (ContractError, dict(tol=-1.0)),
+        "tol-inf": (ContractError, dict(tol=np.inf)),
+        "steps-zero": (ContractError, dict(steps=0)),
+        "x-nan": (EvaluationError, dict(x=nan)),
+        "probe-nan": (EvaluationError, dict(baseline=probe_nan)),
+        "path-overflows": (EvaluationError, dict(x=huge, baseline=far)),
+        "x-empty-then-tol": (DimensionError, dict(x=np.zeros((0, 4)), tol=0.0)),
+        "x-1d-then-probe": (
+            DimensionError, dict(x=np.zeros(4), baseline=np.zeros(5))
+        ),
+        "tol-then-x-too-wide": (ContractError, dict(x=wide, tol=np.inf)),
+        "tol-then-steps": (ContractError, dict(tol=0.0, steps=0)),
+        "x-too-wide-then-nan": (DimensionError, dict(x=wide_nan)),
+        "probe-too-wide-then-x-nan": (
+            DimensionError, dict(x=nan, baseline=np.zeros(5))
+        ),
+        "x-nan-then-steps": (EvaluationError, dict(x=nan, steps=0)),
+        "probe-nan-then-steps": (
+            EvaluationError, dict(baseline=probe_nan, steps=0)
+        ),
+        "steps-then-path-overflows": (
+            ContractError, dict(x=huge, baseline=far, steps=0)
+        ),
+    }
+
+
+_BAD_AUDIT_INPUTS = _bad_audit_inputs()
+
+
 class TestVerifyTheorem1:
     @pytest.mark.parametrize("case", list(_AUDIT_CASES))
     def test_matches_per_sample_tape(self, case):
@@ -1195,11 +1279,15 @@ class TestVerifyTheorem1:
         d = p.dims[0]
         b = make_baseline("gray", d, 1.0)
         x = np.random.default_rng(64).normal(size=(9, d))
-        report = verify_theorem1(p, x, b, steps=24)
         z = logits_array(p, np.concatenate([x, b[None, :]]))
         labels = np.argmax(z[:9] - z[9], axis=1) + 1
-        ig = integrated_gradients(p, x, b, labels, 24)
-        assert report.ig_sums.tobytes() == ig.sum(axis=1).tobytes()
+        # At 128 steps the deeper net's 9 samples take five row blocks.
+        assert 9 * 128 > 4 * _IG_BLOCK_ROWS
+        for steps in (1, 7, 24, 128):
+            report = verify_theorem1(p, x, b, steps=steps)
+            ig = integrated_gradients(p, x, b, labels, steps)
+            sums = np.add.reduce(ig, axis=1)
+            assert report.ig_sums.tobytes() == sums.tobytes()
         logits, base_row = logits_array(p, x), baseline_logits(p, b)
         assert np.array_equal(np.argmax(logits - base_row, axis=1) + 1, labels)
         gaps = logits[np.arange(9), labels - 1] - base_row[labels - 1]
@@ -1215,6 +1303,25 @@ class TestVerifyTheorem1:
             verify_theorem1(p, np.zeros((3, 5)), b, steps=4)
         with pytest.raises(DimensionError):  # agree, but not with the model
             verify_theorem1(p, np.zeros((3, 5)), np.zeros(5), steps=4)
+
+    @pytest.mark.parametrize("case", list(_BAD_AUDIT_INPUTS))
+    def test_bad_inputs_raise_in_order(self, case):
+        """Each bad input raises the package's error class, and where
+        two inputs are bad, the one checked first decides: the batch's
+        shape, tol, the widths, the forward's finiteness check, steps,
+        and last the path's own finiteness."""
+        p = generic_net((4, 6, 3), seed=24)
+        p.weights[0][0] = 0.0  # a huge first coordinate leaves z finite
+        args = dict(
+            x=np.random.default_rng(25).normal(size=(3, 4)),
+            baseline=make_baseline("black", 4, 1.0),
+            steps=4,
+            tol=1e-3,
+        )
+        error, changes = _BAD_AUDIT_INPUTS[case]
+        args.update(changes)
+        with np.errstate(over="ignore"), pytest.raises(error):
+            verify_theorem1(p, **args)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["sample", "baseline"])
