@@ -22,6 +22,11 @@ against the metric's BENCHMARK.json bound, and a verdict:
     worse         the same rule with the sides swapped
     within noise  anything else
 
+Beside each verdict it prints and stores ``sign_p``, the exact two-sided
+sign-test p-value of the pair wins, ties dropped: 10 wins of 10 give
+2/1024 (about 0.002), 9 of 10 give 22/1024 (about 0.021). It does not
+enter the verdict.
+
 Run against the checkout's own HEAD (an A/A run), every verdict should read
 "within noise"; a rule that finds gains there would manufacture them.
 """
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -54,6 +60,14 @@ def wins(base, head, better: str) -> tuple[int, int]:
     sign = 1.0 if better == "higher" else -1.0
     gains = [sign * (h - b) for b, h in zip(base, head)]
     return sum(g > 0 for g in gains), sum(g < 0 for g in gains)
+
+
+def sign_test_p(head_wins: int, base_wins: int) -> float:
+    """Exact two-sided sign-test p-value of the pairs each side won
+    (ties already dropped): twice the binomial(n, 1/2) tail at the
+    smaller count, at most 1."""
+    n, k = head_wins + base_wins, min(head_wins, base_wins)
+    return min(1.0, 2 * sum(math.comb(n, i) for i in range(k + 1)) / 2**n)
 
 
 def verdict(base, head, better: str) -> str:
@@ -107,6 +121,7 @@ def summarize(pairs: list, metrics: dict) -> dict:
                 "head_q1": hq1,
                 "head_q3": hq3,
                 "head_wins": wins(base, head, m["better"])[0],
+                "sign_p": sign_test_p(*wins(base, head, m["better"])),
                 "median_change": change,
                 "bound": m["bound"],
                 "within_bound": worse_by <= m["bound"],
@@ -206,7 +221,8 @@ def main(argv=None) -> int:
             print(f"  {m:<12} base {r['base_median']:.6g} [{r['base_q1']:.6g}, "
                   f"{r['base_q3']:.6g}]  head {r['head_median']:.6g}  "
                   f"{r['median_change']:+.1%}  wins {r['head_wins']}/{PAIRS}  "
-                  f"{r['verdict']}{'' if r['within_bound'] else '  BEYOND BOUND'}")
+                  f"{r['verdict']} (sign p {r['sign_p']:.3f})"
+                  f"{'' if r['within_bound'] else '  BEYOND BOUND'}")
     print(f"wrote {name}")
     return 0
 

@@ -73,7 +73,7 @@ from .debias import (
     TrainSettings,
     make_baseline,
 )
-from .errors import ConfigError
+from .errors import ConfigError, as_instance, as_int, as_path, check_fields
 
 # TrainSettings fields that each method pins, whatever the lcgc.* keys say.
 _METHOD_PINS: dict[str, dict] = {
@@ -157,33 +157,36 @@ class ExperimentConfig(RunSettings):
     ig_steps: int = 128
 
     def __post_init__(self):
-        # One validation path for parsed configs and overrides alike.
-        for key, (attr, *choices) in _SCHEMA.items():
-            value = attrgetter(attr)(self)
-            if choices and value not in choices[0]:
-                raise ConfigError(
-                    f"bad value for {key!r}: {value!r} "
-                    f"(expected one of {', '.join(choices[0])})"
-                )
-            if isinstance(value, (tuple, str)) and not value:
-                raise ConfigError(f"{key!r} must not be empty")
-        if "\0" in self.output_dir:  # no file system path can hold one
-            raise ConfigError(f"'output_dir' holds a NUL byte: {self.output_dir!r}")
-        # What a config file cannot say: its values are stripped lines.
+        # One validation path for parsed configs and overrides alike: the
+        # fields' types, the config's own keys, then the RunSettings checks
+        # on the values as given, before a method pin can hide them. Any
+        # error is a ConfigError.
         out = self.output_dir
-        if out != out.strip() or len(out.splitlines()) != 1:
-            raise ConfigError(
-                f"'output_dir' has a line break or leading or trailing "
-                f"whitespace: {out!r}"
-            )
-        if min(self.hidden) < 1:
-            raise ConfigError(f"'model.hidden' widths must be >= 1: {self.hidden}")
-        if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"'seeds' must be distinct and >= 0: {self.seeds}")
-        if self.ig_steps < 1:
-            raise ConfigError(f"'lcgc.ig_steps' must be >= 1: {self.ig_steps}")
         try:
-            super().__post_init__()  # as given, before a method pin can hide them
+            check_fields(self)
+            for key, (attr, *choices) in _SCHEMA.items():
+                value = attrgetter(attr)(self)
+                if choices and value not in choices[0]:
+                    raise ConfigError(
+                        f"bad value for {key!r}: {value!r} "
+                        f"(expected one of {', '.join(choices[0])})"
+                    )
+                if isinstance(value, (tuple, str)) and not value:
+                    raise ConfigError(f"{key!r} must not be empty")
+            if "\0" in out:  # no file system path can hold one
+                raise ConfigError(f"'output_dir' holds a NUL byte: {out!r}")
+            # What a config file cannot say: its values are stripped lines.
+            if out != out.strip() or len(out.splitlines()) != 1:
+                raise ConfigError(
+                    f"'output_dir' has a line break or leading or trailing "
+                    f"whitespace: {out!r}"
+                )
+            if min(self.hidden) < 1:
+                raise ConfigError(f"'model.hidden' widths must be >= 1: {self.hidden}")
+            if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
+                raise ConfigError(f"'seeds' must be distinct and >= 0: {self.seeds}")
+            as_int(self.ig_steps, "'lcgc.ig_steps'", 1)
+            super().__post_init__()
             make_baseline(self.baseline_color, self.spec.dim, 1.0)
         except ValueError as e:
             raise ConfigError(str(e)) from None
@@ -245,7 +248,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     """Parse config file contents; see the module docstring for keys."""
     values: dict = {}
     seen_lines: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(as_instance(text, "text", str).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -270,7 +273,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Parse a config file from disk (UTF-8, with or without a byte-order
     mark)."""
-    p = Path(path)
+    p = as_path(path, "path")
     try:
         text = p.read_text(encoding="utf-8-sig")
     except FileNotFoundError:

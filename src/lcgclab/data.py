@@ -23,8 +23,8 @@ from .errors import (
     InfeasibleSpecError,
     LabelError,
     SamplingError,
-    require_finite_fields,
 )
+from .errors import as_array, as_float, as_int, check_fields
 from .fileio import atomic_write_bytes, read_container, write_container
 
 
@@ -50,25 +50,18 @@ class LongTailSpec:
     seed: int = 7
 
     def __post_init__(self):
-        require_finite_fields(self)
-        if self.classes < 2:
-            raise ContractError(f"need at least 2 classes, got {self.classes}")
+        check_fields(self)
+        as_int(self.classes, "classes", 2)
         if self.dim < 1:
             raise DimensionError(f"dim must be positive, got {self.dim}")
-        for name in ("n_max_labeled", "n_max_unlabeled"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be >= 1")
-        for name in ("gamma_labeled", "gamma_unlabeled"):
-            if getattr(self, name) < 1.0:
-                raise ContractError(f"{name} must be >= 1.0 (head/tail ratio)")
-        if self.class_separation < 0.0:
-            raise ContractError("class_separation must be nonnegative")
-        if self.noise_sigma <= 0.0:
-            raise ContractError("noise_sigma must be positive")
-        if self.test_per_class < 1:
-            raise ContractError("test_per_class must be >= 1")
-        if self.seed < 0:
-            raise ContractError(f"seed must be >= 0, got {self.seed}")
+        as_int(self.n_max_labeled, "n_max_labeled", 1)
+        as_int(self.n_max_unlabeled, "n_max_unlabeled", 1)
+        as_float(self.gamma_labeled, "gamma_labeled", ge=1.0)
+        as_float(self.gamma_unlabeled, "gamma_unlabeled", ge=1.0)
+        as_float(self.class_separation, "class_separation", ge=0.0)
+        as_float(self.noise_sigma, "noise_sigma", gt=0.0)
+        as_int(self.test_per_class, "test_per_class", 1)
+        as_int(self.seed, "seed", 0)
         # Fail early if either pool would round a tail class to zero.
         longtail_counts(self.classes, self.n_max_labeled, self.gamma_labeled)
         longtail_counts(
@@ -82,12 +75,9 @@ def longtail_counts(classes: int, n_max: int, gamma: float) -> np.ndarray:
     Rounding is half-up. The head class gets n_max, the tail class
     n_max / gamma; intermediate classes interpolate geometrically.
     """
-    if classes < 2:
-        raise ContractError(f"classes must be >= 2, got {classes}")
-    if n_max < 1:
-        raise ContractError(f"n_max must be >= 1, got {n_max}")
-    if gamma < 1.0:
-        raise ContractError(f"gamma must be >= 1.0, got {gamma}")
+    classes = as_int(classes, "classes", 2)
+    n_max = as_int(n_max, "n_max", 1)
+    gamma = as_float(gamma, "gamma", ge=1.0)
     c = np.arange(classes, dtype=np.float64)
     raw = n_max * gamma ** (-c / (classes - 1))
     counts = np.floor(raw + 0.5).astype(np.int64)
@@ -107,11 +97,10 @@ class AugmentConfig:
     mask_fraction: float = 0.25
 
     def __post_init__(self):
-        require_finite_fields(self)
-        if self.sigma_weak < 0.0 or self.sigma_strong < 0.0:
-            raise ContractError("augmentation sigmas must be nonnegative")
-        if not 0.0 <= self.mask_fraction < 1.0:
-            raise ContractError("mask_fraction must lie in [0, 1)")
+        check_fields(self)
+        as_float(self.sigma_weak, "sigma_weak", ge=0.0)
+        as_float(self.sigma_strong, "sigma_strong", ge=0.0)
+        as_float(self.mask_fraction, "mask_fraction", ge=0.0, lt=1.0)
 
 
 @dataclass
@@ -217,9 +206,9 @@ def synthesize(spec: LongTailSpec) -> SynthDataset:
 
 
 def _jitter(x: np.ndarray, sigma: float, rng, out) -> np.ndarray:
-    """x + sigma * N(0, 1) noise of x's shape, drawn into ``out`` (a
-    fresh array when None), which must have x's shape."""
-    x = np.asarray(x, dtype=np.float64)
+    """x + sigma * N(0, 1) noise of the (n, d) batch x's shape, drawn
+    into ``out`` (a fresh array when None), which must have x's shape."""
+    x = as_array(x, "x", 2)
     if out is None:
         out = np.empty(x.shape)
     elif out.shape != x.shape:
@@ -230,8 +219,10 @@ def _jitter(x: np.ndarray, sigma: float, rng, out) -> np.ndarray:
     return out
 
 
-def weak_aug(x: np.ndarray, cfg: AugmentConfig, rng, *, out=None) -> np.ndarray:
-    """Additive Gaussian jitter at sigma_weak; shape-preserving.
+def weak_aug(
+    x: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator, *, out=None
+) -> np.ndarray:
+    """Additive Gaussian jitter at sigma_weak on an (n, d) batch.
 
     The views are drawn into ``out`` when given, a C-contiguous float64
     array of x's shape, and returned there. The draws are
@@ -245,7 +236,9 @@ def weak_aug(x: np.ndarray, cfg: AugmentConfig, rng, *, out=None) -> np.ndarray:
     return _jitter(x, cfg.sigma_weak, rng, out)
 
 
-def strong_aug(x: np.ndarray, cfg: AugmentConfig, rng, *, out=None) -> np.ndarray:
+def strong_aug(
+    x: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator, *, out=None
+) -> np.ndarray:
     """Heavy jitter at sigma_strong plus random coordinate masking.
 
     Per sample, the k = round(mask_fraction * d) coordinates whose unit
@@ -264,13 +257,14 @@ def strong_aug(x: np.ndarray, cfg: AugmentConfig, rng, *, out=None) -> np.ndarra
 
 
 def sample_minibatch(
-    ds: SynthDataset, batch_size: int, mu: int, rng
+    ds: SynthDataset, batch_size: int, mu: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Uniform-with-replacement minibatch: B labeled rows, mu*B unlabeled.
 
     Uniform sampling over the pools preserves their imbalance in
     expectation. Returns (x_labeled, y_labeled, x_unlabeled).
     """
+    batch_size, mu = as_int(batch_size, "batch_size"), as_int(mu, "mu")
     if batch_size < 1 or mu < 1:
         raise SamplingError(
             f"batch_size and mu must be >= 1, got {batch_size}, {mu}"

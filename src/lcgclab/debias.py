@@ -50,8 +50,8 @@ from .errors import (
     EvaluationError,
     LabelError,
     TrainingDiverged,
-    require_finite_fields,
 )
+from .errors import as_array, as_float, as_instance, as_int, check_fields
 from .losses import (
     PseudoLabelBatch,
     consistency_inputs,
@@ -64,8 +64,8 @@ from .metrics import bacc, confusion, gm
 from .model import (
     ModelParams,
     StepBuffers,
+    as_input,
     backward_rows,
-    check_batch,
     forward_cached,
     init_mlp,
     logits_array,
@@ -104,16 +104,18 @@ def make_baseline(name: str, dim: int, scale: float) -> np.ndarray:
     half. The three primaries light up one third of the coordinates
     each (first third red, middle green, last blue); a primary whose
     third is empty (blue below 3 dims, green and blue at 1) would be the
-    black probe under another name and raises ContractError.
+    black probe under another name and raises ContractError. So do a
+    dim that is no integer and a scale that is negative or not finite; a
+    dim below 1 raises DimensionError.
     """
-    if name not in BASELINE_COLORS:
+    if not isinstance(name, str) or name not in BASELINE_COLORS:
         raise ContractError(
             f"unknown baseline color {name!r}; choose from {BASELINE_COLORS}"
         )
+    dim = as_int(dim, "dim")
     if dim < 1:
         raise DimensionError(f"dim must be positive, got {dim}")
-    if scale < 0.0:
-        raise ContractError(f"scale must be nonnegative, got {scale}")
+    scale = as_float(scale, "scale", ge=0.0)
     v = np.zeros(dim)
     thirds = np.array_split(np.arange(dim), 3)
     if name == "white":
@@ -134,10 +136,12 @@ def baseline_logits(params: ModelParams, baseline: np.ndarray) -> np.ndarray:
     """Logits of the (d,) probe input, shape (C,), from a forward of its
     own. ``evaluate`` uses it; the training step and ``verify_theorem1``
     stack the probe into the forward of their batch instead."""
-    return logits_array(params, baseline[None, :])[0]
+    return logits_array(params, as_input(params, baseline, "probe", 1)[None, :])[0]
 
 
-def kl_consistency_loss(logits, refined) -> Tensor:
+def kl_consistency_loss(
+    logits: Tensor | np.ndarray, refined: Tensor | np.ndarray
+) -> Tensor:
     """Mean row-wise KL(softmax(logits) || softmax(refined)), on the tape.
 
     Differentiable in both arguments, so gradients also flow through
@@ -147,35 +151,30 @@ def kl_consistency_loss(logits, refined) -> Tensor:
     """
     a = logits if isinstance(logits, Tensor) else Tensor(logits)
     b = refined if isinstance(refined, Tensor) else Tensor(refined)
-    _check_pair(a.data, b.data)
     value, ga, gb = kl_consistency_terms(
-        K.log_softmax_rows(a.data), K.log_softmax_rows(b.data)
+        K.log_softmax_rows(as_array(a.data, "logits", 2)),
+        K.log_softmax_rows(as_array(b.data, "refined", 2)),
     )
     return apply_op(
         np.asarray(value), (a, b), lambda g: (ga * float(g), gb * float(g))
     )
 
 
-def _check_pair(a: np.ndarray, b: np.ndarray) -> None:
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError("kl_consistency_loss expects (n, C) tensors")
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.shape[0] == 0:
-        raise ContractError("kl_consistency_loss on an empty batch")
-
-
 def kl_consistency_terms(lp: np.ndarray, lq: np.ndarray, scale: float = 1.0):
     """Value of ``kl_consistency_loss`` from the (n, C) log-probabilities
     of its two arguments, and the adjoints of ``scale`` times it with
     respect to the two arguments' logits: (value, ga, gb)."""
-    _check_pair(lp, lq)
+    lp, lq = as_array(lp, "lp", 2), as_array(lq, "lq", 2)
+    if lp.shape != lq.shape:
+        raise DimensionError(f"shape mismatch: {lp.shape} vs {lq.shape}")
     n = lp.shape[0]
+    if n == 0:
+        raise ContractError("kl_consistency_loss on an empty batch")
+    s = as_float(scale, "scale") / n
     p, q = np.exp(lp), np.exp(lq)
     diff = lp - lq
     row = np.einsum("ij,ij->i", p, diff)
     value = float(np.add.reduce(np.maximum(row, 0.0))) / n  # the mean's bits
-    s = scale / n
     ga = np.subtract(diff, row[:, None], out=diff)
     ga *= p
     ga *= s
@@ -205,7 +204,7 @@ class GradientVector:
     __slots__ = ("values", "sqnorm", "norm")
 
     def __init__(self, values: np.ndarray):
-        v = np.asarray(values, dtype=np.float64).reshape(-1)
+        v = as_array(values, "values").reshape(-1)
         self.values = v
         self.sqnorm = _dot(v, v)
         self.norm = math.sqrt(self.sqnorm)
@@ -239,8 +238,7 @@ def lcgc_combine(
         raise DimensionError(
             f"gradient lengths differ: {len(g_b)} vs {len(g_d)}"
         )
-    if not 0.0 <= lam < math.inf:
-        raise ContractError(f"lam must be finite and nonnegative, got {lam}")
+    lam = as_float(lam, "lam", ge=0.0)
     if g_d.norm < _NORM_FLOOR:
         return g_b
     dot = g_d.dot(g_b)
@@ -282,27 +280,20 @@ class RunSettings:
     double_subtract: bool = False
 
     def __post_init__(self):
-        require_finite_fields(self)
-        if self.steps < 0:
-            raise ContractError("steps must be nonnegative")
-        if self.batch_size < 1 or self.mu < 1:
-            raise ContractError("batch_size and mu must be >= 1")
-        if self.lr <= 0.0:
-            raise ContractError("lr must be positive")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ContractError("tau must lie in [0, 1]")
-        if self.consistency_weight < 0.0:
-            raise ContractError("consistency_weight must be nonnegative")
+        check_fields(self)
+        as_int(self.steps, "steps", 0)
+        as_int(self.batch_size, "batch_size", 1)
+        as_int(self.mu, "mu", 1)
+        as_float(self.lr, "lr", gt=0.0)
+        as_float(self.tau, "tau", ge=0.0, le=1.0)
+        as_float(self.consistency_weight, "consistency_weight", ge=0.0)
         if self.backbone not in BACKBONES:
             raise ContractError(
                 f"backbone must be one of {BACKBONES}, got {self.backbone!r}"
             )
-        if self.remix_temperature <= 0.0:
-            raise ContractError("remix_temperature must be positive")
-        if not 0.0 <= self.remix_ema_decay < 1.0:
-            raise ContractError("remix_ema_decay must lie in [0, 1)")
-        if self.lam < 0.0:
-            raise ContractError(f"lam must be nonnegative, got {self.lam}")
+        as_float(self.remix_temperature, "remix_temperature", gt=0.0)
+        as_float(self.remix_ema_decay, "remix_ema_decay", ge=0.0, lt=1.0)
+        as_float(self.lam, "lam", ge=0.0)
         if self.baseline_color not in BASELINE_COLORS:
             raise ContractError(
                 f"unknown baseline color {self.baseline_color!r}"
@@ -395,11 +386,12 @@ def grad_b(
     x_unlabeled: np.ndarray,
     pseudo: PseudoLabelBatch,
     aug: AugmentConfig,
-    rng,
+    rng: np.random.Generator,
     weight: float = 1.0,
 ) -> GradientVector:
     """Parameter gradient of the (weighted) consistency loss."""
-    bufs = StepBuffers(params, len(x_unlabeled))
+    x_unlabeled = as_array(x_unlabeled, "x_unlabeled", 2)
+    bufs = StepBuffers(params, x_unlabeled.shape[0])
     return _grad_b_with_loss(params, x_unlabeled, pseudo, aug, rng, weight, bufs)[0]
 
 
@@ -431,8 +423,7 @@ def grad_d(
     grows; the loss it differentiates is the one whose trajectory the
     step records expose.
     """
-    x_weak = np.asarray(x_weak, dtype=np.float64)
-    check_batch(params, x_weak)
+    x_weak = as_input(params, x_weak, "x_weak", 2)
     n = x_weak.shape[0]
     bufs = StepBuffers(params, n, probe=baseline)
     bufs.stacked[:n] = x_weak
@@ -620,7 +611,8 @@ def evaluate(
     correction); otherwise raw logits. Logits that are not all finite
     raise EvaluationError: an argmax over NaN is not a prediction.
     """
-    logits = logits_array(params, np.asarray(x, dtype=np.float64))
+    as_instance(double_subtract, "double_subtract", bool, np.bool_)
+    logits = logits_array(params, x)
     if baseline is not None:
         base = baseline_logits(params, baseline)
         logits = logits - base
@@ -629,7 +621,7 @@ def evaluate(
     if not np.isfinite(logits).all():
         raise EvaluationError("cannot rank non-finite logits")
     pred = np.argmax(logits, axis=1).astype(np.int64) + 1
-    cm = confusion(np.asarray(y, dtype=np.int64), pred, params.dims[-1])
+    cm = confusion(y, pred, params.dims[-1])
     return EvalReport(bacc=bacc(cm), gm=gm(cm), confusion=cm)
 
 
@@ -650,7 +642,7 @@ def run_training(
     final metrics and confusion are None.
     """
     t0 = time.perf_counter()
-    dims = (ds.dim, *[int(h) for h in hidden], ds.classes)
+    dims = (ds.dim, *as_instance(hidden, "hidden", tuple, list), ds.classes)
     params = init_mlp(dims, seed)
     state = TrainState(
         rng=np.random.default_rng(np.random.SeedSequence([seed, 1])),
@@ -708,29 +700,6 @@ def run_training(
     return params, run
 
 
-def _step_count(steps) -> int:
-    """steps as a Python int; ContractError unless it is a Python or
-    numpy integer >= 1.
-
-    type() rather than isinstance() for Python's: a bool is no step
-    count, and 2.5 or np.float64(3.0) would put path points off the grid
-    k / steps. The int keeps a narrow numpy type from wrapping around in
-    the block arithmetic."""
-    if not (type(steps) is int or isinstance(steps, np.integer)) or steps < 1:
-        raise ContractError(f"steps must be an integer >= 1, got {steps!r}")
-    return int(steps)
-
-
-def _checked_probe(params: ModelParams, baseline) -> np.ndarray:
-    """The probe as an array; DimensionError unless it is one (d,) input."""
-    baseline = np.asarray(baseline)
-    if baseline.shape != (params.dims[0],):
-        raise DimensionError(
-            f"probe has shape {baseline.shape}, model input dim {params.dims[0]}"
-        )
-    return baseline
-
-
 def integrated_gradients(
     params: ModelParams,
     x: np.ndarray,
@@ -749,17 +718,20 @@ def integrated_gradients(
     This is the checked entry: it validates every input, then runs the
     unchecked core ``_path_attributions`` (whose docstring gives the
     method). Raises ContractError unless steps is an integer >= 1 (a
-    bool or a float is none), DimensionError on a batch or probe the
-    model cannot take, LabelError on labels that are not n integers in
+    bool or a float is none), ContractError on a batch or probe that
+    holds no numbers and DimensionError on one the model cannot take
+    (``model.as_input``), LabelError on labels that are not n integers in
     [1..C], and EvaluationError on a non-finite x - I, as a forward of
     the path points would.
     """
-    steps = _step_count(steps)
-    x = np.asarray(x, dtype=np.float64)
-    check_batch(params, x)
-    baseline = _checked_probe(params, baseline)
+    steps = as_int(steps, "steps", 1)
+    x = as_input(params, x, "x", 2)
+    baseline = as_input(params, baseline, "probe", 1)
     n, C = x.shape[0], params.dims[-1]
-    labels = np.asarray(labels)
+    try:
+        labels = np.asarray(labels)
+    except ValueError:  # a ragged sequence
+        raise LabelError(f"expected {n} integer labels, got {labels!r}") from None
     if labels.shape != (n,) or labels.dtype.kind not in "iu":
         raise LabelError(
             f"expected {n} integer labels, got {labels.dtype} of shape {labels.shape}"
@@ -891,25 +863,28 @@ def verify_theorem1(
     the refined logits z(x) - z(I), computed once, give the labels by
     their argmax and the logit gaps at those labels.
 
-    Each input is checked once, in this order: DimensionError unless x
-    is a nonempty (n, d) batch, ContractError unless tol is positive and
-    finite, DimensionError unless x and the probe have the model's input
-    width, EvaluationError (from the forward) on a non-finite x or
-    probe, and ContractError unless steps is an integer >= 1. The
+    Each input is checked once, in this order, through the converters
+    of ``lcgclab.errors``: ContractError unless x holds numbers, then
+    DimensionError unless it is a nonempty (n, d) batch, ContractError
+    unless tol is a positive finite number, DimensionError unless x has
+    the model's input width, ContractError unless the probe holds
+    numbers and DimensionError unless it is one input of that width,
+    EvaluationError (from the forward) on a non-finite x or probe, and
+    ContractError unless steps is an integer >= 1. The
     argmax labels lie in [1..C] by construction, so the attributions
     come from ``integrated_gradients``' unchecked core, which raises
     EvaluationError on an x - I that overflows.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
+    x = as_array(x, "x", 2)
+    if x.shape[0] == 0:
         raise DimensionError("verify_theorem1 expects a nonempty (n, d) batch")
-    if not 0.0 < tol < math.inf:
-        raise ContractError(f"tol must be positive and finite, got {tol}")
-    check_batch(params, x)  # before concatenate, for a DimensionError
-    baseline = _checked_probe(params, baseline)
+    tol = as_float(tol, "tol", gt=0.0)
+    if x.shape[1] != params.dims[0]:  # before concatenate, for a DimensionError
+        raise DimensionError(f"x of shape {x.shape}, input width {params.dims[0]}")
+    baseline = as_input(params, baseline, "probe", 1)
     n = x.shape[0]
     z = logits_array(params, np.concatenate([x, baseline[None, :]]))
-    steps = _step_count(steps)
+    steps = as_int(steps, "steps", 1)
     refined = z[:n] - z[n]
     idx = refined.argmax(axis=1)
 

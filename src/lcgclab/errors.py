@@ -1,41 +1,56 @@
-"""Exception types shared across the package, and the finite-float
-check every config dataclass runs on itself."""
+"""The package's exception types, all under ``LcgclabError``, and the
+input contract of its public entries: the converters ``as_array``,
+``as_int``, ``as_float``, ``as_instance`` and ``as_path`` return an
+argument as the value the code computes with or raise, and
+``check_fields`` checks a config dataclass's fields. A valid argument
+costs about what its bare conversion costs: no copy, no pass over an
+array.
+"""
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
 
 
-class DimensionError(ValueError):
+class LcgclabError(Exception):
+    """Base of every error the package raises; each subclass also keeps
+    its ``ValueError`` or ``RuntimeError`` base."""
+
+
+class DimensionError(LcgclabError, ValueError):
     """Array shapes or dimensions violate an operation's contract."""
 
 
-class LabelError(ValueError):
+class LabelError(LcgclabError, ValueError):
     """A class label lies outside the valid range [1..C]."""
 
 
-class ContractError(ValueError):
+class ContractError(LcgclabError, ValueError):
     """A documented precondition was violated by the caller."""
 
 
-class EvaluationError(RuntimeError):
+class EvaluationError(LcgclabError, RuntimeError):
     """A numeric evaluation produced non-finite values."""
 
 
-class SamplingError(ValueError):
+class SamplingError(LcgclabError, ValueError):
     """A minibatch request cannot be satisfied by the dataset."""
 
 
-class InfeasibleSpecError(ValueError):
+class InfeasibleSpecError(LcgclabError, ValueError):
     """A dataset specification admits no valid realization."""
 
 
-class ConfigError(ValueError):
+class ConfigError(LcgclabError, ValueError):
     """A config file failed to parse or validate."""
 
 
-class TrainingDiverged(RuntimeError):
+class TrainingDiverged(LcgclabError, RuntimeError):
     """Training produced non-finite losses or parameters.
 
     Carries the step index (``step``) and ``diagnostics``: a JSON-ready
@@ -51,10 +66,82 @@ class TrainingDiverged(RuntimeError):
         self.diagnostics = diagnostics
 
 
-def require_finite_fields(obj) -> None:
-    """Raise ContractError if any float field of a dataclass is NaN or
-    infinite (range checks alone let NaN through)."""
+_F64 = np.dtype(np.float64)
+_REALS = (int, float, np.integer, np.floating)
+_MAX = float(np.finfo(np.float64).max)
+
+
+def as_array(x, name: str, ndim: int | None = None) -> np.ndarray:
+    """x as a float64 array, through ``np.asarray``: a float64 array comes
+    back as it is. ContractError unless x holds bools, ints or floats:
+    strings (which numpy would parse), ragged sequences and objects do
+    not; DimensionError unless it has ``ndim`` dims, when given."""
+    if type(x) is not np.ndarray or x.dtype is not _F64:
+        try:
+            a = np.asarray(x)
+        except ValueError as e:  # a ragged sequence
+            raise ContractError(f"{name} must be an array of numbers ({e})") from None
+        if a.dtype.kind not in "biuf":
+            raise ContractError(f"{name} must hold numbers, got dtype {a.dtype}")
+        x = np.asarray(a, dtype=np.float64)
+    if ndim is not None and x.ndim != ndim:
+        raise DimensionError(f"{name} must be {ndim}-D, got shape {x.shape}")
+    return x
+
+
+def as_int(v, name: str, lo: int | None = None) -> int:
+    """v as a Python int; ContractError unless it is a Python or numpy
+    integer (a bool or a float is none), at least ``lo`` when given."""
+    if (type(v) is int or isinstance(v, np.integer)) and (lo is None or v >= lo):
+        return int(v)
+    at_least = "" if lo is None else f" >= {lo}"
+    raise ContractError(f"{name} must be an integer{at_least}, got {v!r}")
+
+
+def as_float(v, name: str, *, ge=-math.inf, gt=None, le=math.inf, lt=None) -> float:
+    """v as a Python float; ContractError unless it is a finite real (a
+    bool is none) with ge <= v <= le, gt < v and v < lt, for each bound
+    given. abs(v) <= _MAX tests finiteness where float(v) would overflow
+    on a large int."""
+    real = type(v) is float or isinstance(v, _REALS) and type(v) is not bool
+    if real and abs(v) <= _MAX and ge <= v <= le and (gt is None or v > gt) and (
+        lt is None or v < lt
+    ):
+        return float(v)
+    bounds = ((">=", ge), (">", gt), ("<=", le), ("<", lt))
+    must = [f" {op} {b}" for op, b in bounds if b is not None and abs(b) < math.inf]
+    raise ContractError(f"{name} must be a finite number{' and'.join(must)}, got {v!r}")
+
+
+def as_instance(v, name: str, *types: type):
+    """v as it is; ContractError unless it is an instance of ``types``."""
+    if isinstance(v, types):
+        return v
+    kinds = " or ".join(t.__name__ for t in types)
+    raise ContractError(f"{name} must be a {kinds}, got {v!r}")
+
+
+def as_path(p, name: str) -> Path:
+    """p as a ``Path``; ContractError unless it is a str or path-like."""
+    return Path(as_instance(p, name, str, os.PathLike))
+
+
+# What check_fields checks a field of each annotation with.
+_FIELD_CHECKS = {
+    "int": as_int,
+    "float": as_float,
+    "bool": lambda v, name: as_instance(v, name, bool, np.bool_),
+    "str": lambda v, name: as_instance(v, name, str),
+    "tuple[int, ...]": lambda v, name: tuple(
+        as_int(item, name) for item in as_instance(v, name, tuple)
+    ),
+}
+
+
+def check_fields(obj) -> None:
+    """ContractError unless each int, float, bool, str and tuple[int, ...]
+    field of the dataclass ``obj`` holds such a value (an int passes for
+    a float); the annotations are ``from __future__`` strings."""
     for f in fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ContractError(f"{f.name} must be finite, got {value}")
+        if f.type in _FIELD_CHECKS:
+            _FIELD_CHECKS[f.type](getattr(obj, f.name), f.name)

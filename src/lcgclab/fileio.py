@@ -12,7 +12,9 @@ Datasets and checkpoints are containers of one layout, little-endian:
     the arrays as f64, C order, in manifest order
 
 ``read_container`` owns every byte-level check; callers check only
-what their kind's arrays and ``meta`` must mean.
+what their kind's arrays and ``meta`` must mean. A path is a str or a
+path-like (``errors.as_path``), a text or a kind a str; anything else
+raises ContractError.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, as_instance, as_path
 
 _MAGIC = b"LCGC"
 _VERSION = 2
@@ -34,7 +36,7 @@ _HEADER = struct.Struct("<4sHI")  # magic, version, manifest length
 
 
 def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
-    path = Path(path)
+    path = as_path(path, "path")
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
@@ -48,7 +50,7 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, as_instance(text, "text", str).encode("utf-8"))
 
 
 def dump_json(path: str | Path, obj) -> None:
@@ -63,7 +65,8 @@ def write_container(
     blocks = {name: np.asarray(a, dtype="<f8") for name, a in arrays.items()}
     table = [[name, list(a.shape)] for name, a in blocks.items()]
     manifest = json.dumps(
-        {"kind": kind, "meta": meta, "arrays": table}, sort_keys=True
+        {"kind": as_instance(kind, "kind", str), "meta": meta, "arrays": table},
+        sort_keys=True,
     ).encode("utf-8")
     header = _HEADER.pack(_MAGIC, _VERSION, len(manifest))
     payload = [a.tobytes() for a in blocks.values()]
@@ -75,7 +78,7 @@ def read_container(path: str | Path, kind: str) -> tuple[object, dict]:
 
     A foreign, truncated, padded or corrupt file, another kind, and a
     non-finite value raise ContractError."""
-    raw = Path(path).read_bytes()
+    raw = as_path(path, "path").read_bytes()
     if len(raw) < _HEADER.size or raw[: len(_MAGIC)] != _MAGIC:
         raise ContractError(f"{path}: not an LCGC container (or truncated)")
     _, version, mlen = _HEADER.unpack_from(raw)
@@ -93,7 +96,7 @@ def read_container(path: str | Path, kind: str) -> tuple[object, dict]:
             raise ValueError(f"bad array table {manifest['arrays']}")
     except (ValueError, KeyError, TypeError) as e:
         raise ContractError(f"{path}: unreadable container manifest ({e})") from None
-    if found != kind:
+    if found != as_instance(kind, "kind", str):
         raise ContractError(f"{path}: expected a {kind!r} container, found {found!r}")
     sizes = [math.prod(shape) for shape in shapes.values()]  # ints: no overflow
     if len(raw) != start + 8 * sum(sizes):

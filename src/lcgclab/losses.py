@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels as K
 from .data import AugmentConfig, strong_aug
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, as_array, as_float
 from .model import ModelParams, forward_logits
 from .tensor import Tensor, cross_entropy
 
@@ -38,7 +38,7 @@ class PseudoLabelBatch:
     soft_labels: np.ndarray | None = None  # (n, C)
 
 
-def pseudo_label(probs, tau: float) -> PseudoLabelBatch:
+def pseudo_label(probs: np.ndarray, tau: float) -> PseudoLabelBatch:
     """Hard pseudo labels of the (n, C) row probabilities ``probs``,
     with a confidence mask at threshold tau.
 
@@ -50,19 +50,19 @@ def pseudo_label(probs, tau: float) -> PseudoLabelBatch:
     argmax), is at least tau, so tau = 0 keeps every row. Ties in the
     argmax resolve to the smallest class index.
     """
+    probs = as_array(probs, "probs")
     if probs.ndim != 2 or probs.shape[1] < 2:
         raise DimensionError(
             f"expected (n, C) probabilities with C >= 2, got {probs.shape}"
         )
-    if not 0.0 <= tau <= 1.0:
-        raise ContractError(f"tau must lie in [0, 1], got {tau}")
+    tau = as_float(tau, "tau", ge=0.0, le=1.0)
     labels = np.argmax(probs, axis=1).astype(np.int64) + 1
     return PseudoLabelBatch(probs=probs, labels=labels, mask=K.row_max(probs) >= tau)
 
 
-def supervised_loss(params: ModelParams, x, y) -> Tensor:
-    """Mean cross entropy of the labeled batch."""
-    y = np.asarray(y, dtype=np.int64)
+def supervised_loss(params: ModelParams, x: np.ndarray, y: np.ndarray) -> Tensor:
+    """Mean cross entropy of the labeled batch (y cast to int labels)."""
+    y = as_array(y, "y").astype(np.int64)
     return cross_entropy(forward_logits(params, x), y)
 
 
@@ -71,7 +71,7 @@ def consistency_loss(
     x_unlabeled: np.ndarray,
     pseudo: PseudoLabelBatch,
     aug: AugmentConfig,
-    rng,
+    rng: np.random.Generator,
 ) -> Tensor:
     """Masked cross entropy of strong views against pseudo targets.
 
@@ -87,14 +87,14 @@ def consistency_inputs(
     x_unlabeled: np.ndarray,
     pseudo: PseudoLabelBatch,
     aug: AugmentConfig,
-    rng,
+    rng: np.random.Generator,
     *,
     out=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The strong views, targets and row weights of ``consistency_loss``
     (whose checks and rng draw these are); the denominator is the row
     count. The views are drawn into ``out`` as ``strong_aug`` draws."""
-    x_unlabeled = np.asarray(x_unlabeled, dtype=np.float64)
+    x_unlabeled = as_array(x_unlabeled, "x_unlabeled", 2)
     n = x_unlabeled.shape[0]
     if n == 0:
         raise ContractError("consistency_loss on an empty batch")
@@ -119,16 +119,15 @@ def distribution_alignment(
     renormalizes each row to sum to one. Accepts a single distribution
     (C,) or a batch (n, C); running_avg and target are (C,).
     """
-    q = np.asarray(q, dtype=np.float64)
-    avg = np.asarray(running_avg, dtype=np.float64).reshape(-1)
-    tgt = np.asarray(target, dtype=np.float64).reshape(-1)
-    C = q.shape[-1]
-    if avg.shape[0] != C or tgt.shape[0] != C:
+    q = as_array(q, "q")
+    avg = as_array(running_avg, "running_avg").reshape(-1)
+    tgt = as_array(target, "target").reshape(-1)
+    if avg.shape != q.shape[-1:] or tgt.shape != avg.shape:
         raise DimensionError(
-            f"profile width mismatch: q has {C} classes, running_avg "
-            f"{avg.shape[0]}, target {tgt.shape[0]}"
+            f"profile width mismatch: q has shape {q.shape}, running_avg "
+            f"{avg.shape}, target {tgt.shape}"
         )
-    scaled = q * tgt / np.maximum(avg, eps)
+    scaled = q * tgt / np.maximum(avg, as_float(eps, "eps"))
     return scaled / scaled.sum(axis=-1, keepdims=True)
 
 
@@ -138,9 +137,8 @@ def sharpen(q: np.ndarray, temperature: float) -> np.ndarray:
     Computed in log space for stability; zero entries stay zero.
     T = 1 is the identity, T -> 0 approaches the argmax one-hot.
     """
-    if temperature <= 0.0:
-        raise ContractError(f"temperature must be positive, got {temperature}")
-    q = np.asarray(q, dtype=np.float64)
+    temperature = as_float(temperature, "temperature", gt=0.0)
+    q = as_array(q, "q")
     with np.errstate(divide="ignore"):
         logq = np.log(q)
     hi = logq.max(axis=-1, keepdims=True)
@@ -150,8 +148,8 @@ def sharpen(q: np.ndarray, temperature: float) -> np.ndarray:
 
 def ema_update(avg: np.ndarray, batch_mean: np.ndarray, decay: float) -> np.ndarray:
     """Exponential moving average step for the running prediction profile."""
-    if not 0.0 <= decay < 1.0:
-        raise ContractError(f"decay must lie in [0, 1), got {decay}")
-    return decay * np.asarray(avg, dtype=np.float64) + (1.0 - decay) * np.asarray(
-        batch_mean, dtype=np.float64
-    )
+    decay = as_float(decay, "decay", ge=0.0, lt=1.0)
+    avg, mean = as_array(avg, "avg"), as_array(batch_mean, "batch_mean")
+    if avg.shape != mean.shape:
+        raise DimensionError(f"avg {avg.shape} and batch_mean {mean.shape} differ")
+    return decay * avg + (1.0 - decay) * mean

@@ -6,23 +6,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, LabelError
+from .errors import ContractError, LabelError, as_array, as_float, as_int
 
 
 def confusion(true: np.ndarray, pred: np.ndarray, classes: int) -> np.ndarray:
     """Confusion matrix with rows = true class, columns = predicted.
 
     Labels are 1-based; entry [i, j] counts samples of true class i+1
-    predicted as class j+1.
+    predicted as class j+1. Each label array goes through
+    ``errors.as_array`` and is cast to integers.
     """
-    t = np.asarray(true, dtype=np.int64).reshape(-1)
-    p = np.asarray(pred, dtype=np.int64).reshape(-1)
+    t = as_array(true, "true").astype(np.int64).reshape(-1)
+    p = as_array(pred, "pred").astype(np.int64).reshape(-1)
     if t.shape != p.shape:
         raise ContractError(
             f"true and pred differ in length: {t.shape} vs {p.shape}"
         )
     if t.size == 0:
         raise ContractError("confusion of an empty sample set")
+    classes = as_int(classes, "classes")
     for name, arr in (("true", t), ("pred", p)):
         if arr.min() < 1 or arr.max() > classes:
             raise LabelError(
@@ -35,7 +37,7 @@ def confusion(true: np.ndarray, pred: np.ndarray, classes: int) -> np.ndarray:
 
 
 def _recalls(cm: np.ndarray) -> np.ndarray:
-    cm = np.asarray(cm)
+    cm = as_array(cm, "cm")
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1]:
         raise ContractError(f"confusion matrix must be square, got {cm.shape}")
     support = cm.sum(axis=1)
@@ -70,19 +72,18 @@ class TrendReport:
 
 
 def trajectory_trend(
-    series, head_frac: float = 0.1, tail_frac: float = 0.1
+    series: np.ndarray, head_frac: float = 0.1, tail_frac: float = 0.1
 ) -> TrendReport:
     """Compare the first and last windows of a series by their medians.
 
     Window sizes are round(frac * n), at least one element. ``decreasing``
     means the tail median is strictly below the head median.
     """
-    s = np.asarray(series, dtype=np.float64).reshape(-1)
+    s = as_array(series, "series").reshape(-1)
     if s.size == 0:
         raise ContractError("trajectory_trend of an empty series")
-    for name, f in (("head_frac", head_frac), ("tail_frac", tail_frac)):
-        if not 0.0 < f <= 0.5:
-            raise ContractError(f"{name} must lie in (0, 0.5], got {f}")
+    head_frac = as_float(head_frac, "head_frac", gt=0.0, le=0.5)
+    tail_frac = as_float(tail_frac, "tail_frac", gt=0.0, le=0.5)
     n_head = max(1, int(head_frac * s.size + 0.5))
     n_tail = max(1, int(tail_frac * s.size + 0.5))
     head = float(np.median(s[:n_head]))

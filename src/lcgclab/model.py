@@ -44,6 +44,7 @@ import numpy as np
 
 from . import kernels as K
 from .errors import ContractError, DimensionError, EvaluationError
+from .errors import as_array, as_instance, as_int
 from .fileio import read_container, write_container
 from .tensor import Tensor, add_rowvec, matmul, relu
 
@@ -90,18 +91,15 @@ class ModelParams:
             t -= u
 
 
-def init_mlp(dims, seed: int) -> ModelParams:
+def init_mlp(dims: tuple[int, ...], seed: int) -> ModelParams:
     """He-initialized MLP: W ~ N(0, 2/fan_in), biases zero.
 
-    dims lists layer widths input-first, e.g. (32, 64, 10). The same
-    (dims, seed) pair always reproduces the same parameters.
+    dims lists layer widths input-first, e.g. (32, 64, 10), under the
+    width rule (``_widths``). The same (dims, seed) pair, seed an integer
+    >= 0, always reproduces the same parameters.
     """
-    dims = tuple(int(v) for v in dims)
-    if len(dims) < 2:
-        raise DimensionError(f"need at least input and output dims, got {dims}")
-    if any(v < 1 for v in dims):
-        raise DimensionError(f"all layer widths must be positive, got {dims}")
-    rng = np.random.default_rng(seed)
+    dims = _widths(dims)
+    rng = np.random.default_rng(as_int(seed, "seed", 0))
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         std = np.sqrt(2.0 / fan_in)
@@ -110,20 +108,31 @@ def init_mlp(dims, seed: int) -> ModelParams:
     return ModelParams(dims=dims, weights=weights, biases=biases)
 
 
-def check_batch(params: ModelParams, x: np.ndarray) -> None:
-    """Raise DimensionError unless x is a (n, d) batch for this model."""
-    if x.ndim != 2:
-        raise DimensionError(f"expected a (n, d) batch, got shape {x.shape}")
-    if x.shape[1] != params.dims[0]:
-        raise DimensionError(
-            f"input width {x.shape[1]} != model input dim {params.dims[0]}"
-        )
+def _widths(dims) -> tuple[int, ...]:
+    """The width rule of init_mlp and load_checkpoint: a tuple or list of
+    two or more integer widths (``as_int``), each >= 1 (DimensionError
+    otherwise), as a tuple of Python ints."""
+    dims = tuple(
+        as_int(v, "layer width") for v in as_instance(dims, "dims", tuple, list)
+    )
+    if len(dims) < 2 or min(dims) < 1:
+        raise DimensionError(f"need two or more layer widths >= 1, got {dims}")
+    return dims
 
 
-def forward_logits(params: ModelParams, x) -> Tensor:
-    """Logits for a (n, d) batch; records on the active tape if any."""
-    h = x if isinstance(x, Tensor) else Tensor(x)
-    check_batch(params, h.data)
+def as_input(params: ModelParams, x: np.ndarray, name: str, ndim: int) -> np.ndarray:
+    """x through ``errors.as_array``; DimensionError unless it has ndim
+    dims, the last of the model's input width: one input or a batch."""
+    a = as_array(x, name)
+    if a.ndim != ndim or a.shape[-1:] != (params.dims[0],):
+        raise DimensionError(f"{name} of shape {a.shape}, input width {params.dims[0]}")
+    return a
+
+
+def forward_logits(params: ModelParams, x: Tensor | np.ndarray) -> Tensor:
+    """Logits for a (n, d) batch; records on the active tape if any.
+    The tape's matmul checks the batch."""
+    h = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = add_rowvec(matmul(h, w), b)
@@ -146,17 +155,14 @@ class StepBuffers:
         labeled: int = 0,
         probe: np.ndarray | None = None,
     ):
-        d, rows = params.dims[0], unlabeled + 1 + labeled
+        unlabeled = as_int(unlabeled, "unlabeled", 0)
+        d, rows = params.dims[0], unlabeled + 1 + as_int(labeled, "labeled", 0)
         self.acts = [np.empty((rows, w)) for w in params.dims[1:]]
         self.adjoints = [np.empty((rows, w)) for w in params.dims[1:-1]]
         self.grads = [grad_buffer(params) for _ in range(3)]
         self.stacked = np.zeros((rows, d))
         if probe is not None:
-            if np.shape(probe) != (d,):
-                raise DimensionError(
-                    f"probe of shape {np.shape(probe)} for input width {d}"
-                )
-            self.stacked[unlabeled] = probe
+            self.stacked[unlabeled] = as_input(params, probe, "probe", 1)
         self.strong = np.empty((unlabeled, d))
 
 
@@ -179,10 +185,10 @@ def forward_cached(
     the cached inputs past the first are views of the buffers. The
     inputs are what ``backward_rows`` needs; a hidden layer's input is
     its predecessor's ReLU output, which also carries the ReLU mask.
-    Non-finite inputs raise EvaluationError, as a tape leaf does.
+    x goes through ``as_input``; non-finite inputs raise EvaluationError,
+    as a tape leaf does.
     """
-    h = np.ascontiguousarray(x, dtype=np.float64)
-    check_batch(params, h)
+    h = np.ascontiguousarray(as_input(params, x, "x", 2))
     if not np.isfinite(h).all():
         raise EvaluationError("input batch contains non-finite values")
     n = h.shape[0]
@@ -212,7 +218,9 @@ def backward_rows(
 
     ``out`` is a ``grad_buffer`` pair to write the gradient into, whose
     flat array is returned; ``adjoints`` (a ``StepBuffers``' adjoints)
-    holds the hidden layers' adjoints.
+    holds the hidden layers' adjoints. Like the kernels it runs, it
+    checks nothing: every argument is a buffer or array of the caller's
+    training step.
     """
     m = g.shape[0]
     rows = slice(start, start + m)
@@ -247,20 +255,18 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict | None]:
     """Inverse of save_checkpoint; returns (params, extra).
 
-    Malformed files, layer widths that disagree with the stored tensors
-    and non-finite parameters raise ContractError.
+    Malformed files, layer widths that break ``init_mlp``'s width rule
+    or disagree with the stored tensors, and non-finite parameters raise
+    ContractError.
     """
     meta, arrays = read_container(path, "mlp-checkpoint")
     try:
-        dims, extra = tuple(meta["dims"]), meta["extra"]
-    except (KeyError, TypeError):
-        dims, extra = (), None
-    shapes = [s for i, o in zip(dims, dims[1:]) for s in ((i, o), (o,))]
-    stored = [a.shape for a in arrays.values()]
-    # type() rather than isinstance() or int(): a width is no bool, and
-    # 3.9 or "3" is no width.
-    widths = all(type(v) is int for v in dims) and len(dims) > 1
-    if not widths or min(dims) < 1 or stored != shapes:
-        raise ContractError(f"{path}: layer widths {dims} do not fit the tensors")
+        dims, extra = _widths(meta["dims"]), meta["extra"]
+        shapes = [s for i, o in zip(dims, dims[1:]) for s in ((i, o), (o,))]
+        fits = [a.shape for a in arrays.values()] == shapes
+    except (KeyError, TypeError, ValueError):  # ValueError: the width rule
+        fits = False
+    if not fits:
+        raise ContractError(f"{path}: the layer widths do not fit the tensors")
     t = list(arrays.values())
     return ModelParams(dims=dims, weights=t[0::2], biases=t[1::2]), extra

@@ -20,7 +20,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .data import SynthDataset, synthesize
 from .debias import BASELINE_COLORS, RunRecord, StepRecord, run_training
-from .errors import ConfigError
+from .errors import ConfigError, as_float, as_instance, as_path
 from .fileio import atomic_write_text, dump_json
 
 _STEP_COLUMNS = tuple(f.name for f in fields(StepRecord))
@@ -68,7 +68,7 @@ def run(
     output directory or artifact that cannot be written raises ConfigError.
     """
     t0 = time.perf_counter()
-    out = Path(out_dir) if out_dir is not None else config.output_root()
+    out = config.output_root() if out_dir is None else as_path(out_dir, "out_dir")
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
@@ -156,7 +156,7 @@ def _sweep(
                 f"the directory {subdir}"
             )
         labels[subdir] = label
-    out = Path(out_dir) if out_dir is not None else config.output_root()
+    out = config.output_root() if out_dir is None else as_path(out_dir, "out_dir")
     ds = synthesize(config.spec)
     rows = []
     for label, subdir, sub in variants:
@@ -178,10 +178,12 @@ def sweep_lambda(
     Defaults to 0.0 .. 1.4 in steps of 0.2; 0.0 is the refinement-only
     reference point. Writes lambda_sweep.csv / lambda_sweep.json.
     """
-    values = DEFAULT_LAMBDAS if values is None else tuple(values)
+    if values is None:
+        values = DEFAULT_LAMBDAS
+    lams = [as_float(v, "lambda") for v in as_instance(values, "values", tuple, list)]
     variants = [
         (lam, f"lambda_{lam:g}", config.override(method="lcgc", lam=lam))
-        for lam in map(float, values)
+        for lam in lams
     ]
     return _sweep(config, variants, "lambda", "lambda_sweep", out_dir)
 
@@ -202,10 +204,11 @@ def ablate_baseline_colors(
             "baseline-color ablation needs refinement active; "
             "set method = cdmad or method = lcgc"
         )
-    colors = BASELINE_COLORS if colors is None else tuple(colors)
+    if colors is None:
+        colors = BASELINE_COLORS
     variants = [
         (color, f"baseline_{color}", config.override(baseline_color=color))
-        for color in colors
+        for color in as_instance(colors, "colors", tuple, list)
     ]
     return _sweep(config, variants, "color", "baseline_colors", out_dir)
 

@@ -23,26 +23,30 @@ import numpy as np
 
 from . import kernels as K
 from .errors import ContractError, DimensionError, EvaluationError, LabelError
+from .errors import as_array, as_float, as_instance
 
 
 class Tensor:
     """Dense float64 value, optionally tracked for gradients.
 
-    Leaf construction copies to a C-contiguous float64 array and rejects
-    non-finite data. ``grad`` stays None until ``backward`` reaches the
-    leaf; repeated backward calls accumulate.
+    Leaf construction converts the data with ``errors.as_array``, copies
+    it to a C-contiguous array of its own and rejects non-finite data.
+    ``grad`` stays None until ``backward`` reaches the leaf; repeated
+    backward calls accumulate.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data: np.ndarray, requires_grad: bool = False):
         # Always copy: leaves own their storage, so in-place parameter
         # updates never alias arrays held by the caller.
-        arr = np.array(data, dtype=np.float64, order="C")
+        arr = np.array(as_array(data, "tensor data"), order="C")
         if not np.all(np.isfinite(arr)):
             raise EvaluationError("tensor data contains non-finite values")
         self.data = arr
-        self.requires_grad = bool(requires_grad)
+        self.requires_grad = bool(
+            as_instance(requires_grad, "requires_grad", bool, np.bool_)
+        )
         self.grad: np.ndarray | None = None
         self.node: _TapeNode | None = None
 
@@ -174,20 +178,17 @@ def flatten_grads(tensors: Sequence[Tensor]) -> np.ndarray:
 # ------------------------------------------------------------------- ops
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _as_tensor(x, ndim: int | None = None) -> Tensor:
+    """x, or a leaf of it; DimensionError unless it has ndim dims, if given."""
+    t = x if isinstance(x, Tensor) else Tensor(x)
+    if ndim is not None and t.data.ndim != ndim:
+        raise DimensionError(f"expected a {ndim}-D tensor, got shape {t.shape}")
+    return t
 
 
-def _require_2d(t: Tensor, op: str) -> None:
-    if t.data.ndim != 2:
-        raise DimensionError(f"{op} expects a 2-D tensor, got shape {t.shape}")
-
-
-def matmul(a, b) -> Tensor:
+def matmul(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor:
     """Matrix product of two 2-D tensors."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    _require_2d(a, "matmul")
-    _require_2d(b, "matmul")
+    a, b = _as_tensor(a, 2), _as_tensor(b, 2)
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner dims differ: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
@@ -200,7 +201,7 @@ def matmul(a, b) -> Tensor:
     return apply_op(K.matmul(ad, bd), (a, b), vjp)
 
 
-def add(a, b) -> Tensor:
+def add(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor:
     """Elementwise sum of two tensors of identical shape."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
@@ -212,10 +213,9 @@ def add(a, b) -> Tensor:
     return apply_op(a.data + b.data, (a, b), vjp)
 
 
-def add_rowvec(a, v) -> Tensor:
+def add_rowvec(a: Tensor | np.ndarray, v: Tensor | np.ndarray) -> Tensor:
     """Add a row vector (shape (n,) or (1, n)) to every row of a (m, n)."""
-    a, v = _as_tensor(a), _as_tensor(v)
-    _require_2d(a, "add_rowvec")
+    a, v = _as_tensor(a, 2), _as_tensor(v)
     vd = v.data
     if vd.ndim == 2 and vd.shape[0] == 1:
         row = vd[0]
@@ -235,7 +235,7 @@ def add_rowvec(a, v) -> Tensor:
     return apply_op(K.add_rowvec(a.data, row), (a, v), vjp)
 
 
-def mul(a, b) -> Tensor:
+def mul(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor:
     """Elementwise product of two tensors of identical shape."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
@@ -248,10 +248,10 @@ def mul(a, b) -> Tensor:
     return apply_op(ad * bd, (a, b), vjp)
 
 
-def scale(a, c: float) -> Tensor:
-    """Multiply a tensor by a python scalar."""
+def scale(a: Tensor | np.ndarray, c: float) -> Tensor:
+    """Multiply a tensor by a finite real scalar."""
     a = _as_tensor(a)
-    c = float(c)
+    c = as_float(c, "c")
 
     def vjp(g):
         return (g * c,)
@@ -259,10 +259,9 @@ def scale(a, c: float) -> Tensor:
     return apply_op(a.data * c, (a,), vjp)
 
 
-def relu(a) -> Tensor:
+def relu(a: Tensor | np.ndarray) -> Tensor:
     """Elementwise max(x, 0) on a 2-D tensor."""
-    a = _as_tensor(a)
-    _require_2d(a, "relu")
+    a = _as_tensor(a, 2)
     ad = a.data
 
     def vjp(g):
@@ -271,7 +270,7 @@ def relu(a) -> Tensor:
     return apply_op(K.relu(ad), (a,), vjp)
 
 
-def sum_all(a) -> Tensor:
+def sum_all(a: Tensor | np.ndarray) -> Tensor:
     """Sum of all entries, as a scalar tensor."""
     a = _as_tensor(a)
     shape = a.shape
@@ -282,20 +281,18 @@ def sum_all(a) -> Tensor:
     return apply_op(np.asarray(a.data.sum()), (a,), vjp)
 
 
-def _class_rows(data: np.ndarray, op: str) -> np.ndarray:
-    """(n, C) logit data as a C-contiguous array; reject other ranks and
-    C < 2."""
-    if data.ndim != 2:
-        raise DimensionError(f"{op} expects a 2-D tensor, got shape {data.shape}")
-    if data.shape[1] < 2:
-        raise DimensionError(f"{op} needs at least 2 classes, got {data.shape[1]}")
-    return np.ascontiguousarray(data)
+def _logits(z) -> Tensor:
+    """z as a tensor of (n, C) logits; DimensionError unless C >= 2."""
+    z = _as_tensor(z, 2)
+    if z.shape[1] < 2:
+        raise DimensionError(f"logits need at least 2 classes, got {z.shape[1]}")
+    return z
 
 
-def softmax(z) -> Tensor:
+def softmax(z: Tensor | np.ndarray) -> Tensor:
     """Row-wise softmax of (n, C) logits."""
-    z = _as_tensor(z)
-    p = K.softmax_rows(_class_rows(z.data, "softmax"))
+    z = _logits(z)
+    p = K.softmax_rows(z.data)
 
     def vjp(g):
         dot = (g * p).sum(axis=1, keepdims=True)
@@ -304,10 +301,10 @@ def softmax(z) -> Tensor:
     return apply_op(p, (z,), vjp)
 
 
-def log_softmax(z) -> Tensor:
+def log_softmax(z: Tensor | np.ndarray) -> Tensor:
     """Row-wise log-softmax of (n, C) logits."""
-    z = _as_tensor(z)
-    lsm = K.log_softmax_rows(_class_rows(z.data, "log_softmax"))
+    z = _logits(z)
+    lsm = K.log_softmax_rows(z.data)
     p = np.exp(lsm)
 
     def vjp(g):
@@ -319,7 +316,10 @@ def log_softmax(z) -> Tensor:
 def _targets(target, n: int, C: int) -> np.ndarray:
     """Hard (n,) int labels in [1..C] as one-hot rows, or soft (n, C)
     rows, as an (n, C) array."""
-    labels = np.asarray(target)
+    try:
+        labels = np.asarray(target)
+    except ValueError:  # a ragged sequence
+        raise ContractError(f"target must be labels or rows, got {target!r}") from None
     if labels.ndim == 1 and labels.dtype.kind in "iu":  # an integer dtype
         if labels.shape[0] != n:
             raise DimensionError(
@@ -331,7 +331,7 @@ def _targets(target, n: int, C: int) -> np.ndarray:
         t = np.zeros((n, C))
         t[np.arange(n), labels - 1] = 1.0
         return t
-    arr = np.asarray(target, dtype=np.float64)
+    arr = as_array(labels, "target")
     if arr.shape != (n, C):
         raise DimensionError(
             f"soft targets must have shape {(n, C)}, got {arr.shape}"
@@ -341,7 +341,9 @@ def _targets(target, n: int, C: int) -> np.ndarray:
     return arr
 
 
-def cross_entropy(pred, target, *, weights: np.ndarray | None = None) -> Tensor:
+def cross_entropy(
+    pred: Tensor | np.ndarray, target: np.ndarray, *, weights: np.ndarray | None = None
+) -> Tensor:
     """Cross entropy between logits and targets, averaged over all n rows.
 
     pred: (n, C) tensor of logits, C >= 2.
@@ -349,14 +351,18 @@ def cross_entropy(pred, target, *, weights: np.ndarray | None = None) -> Tensor:
     weights: optional per-row factors (a confidence mask, typically);
     a row weighted 0 still counts in the mean's n.
     """
-    pred = _as_tensor(pred)
-    lsm = K.log_softmax_rows(_class_rows(pred.data, "cross_entropy"))
+    pred = _logits(pred)
+    lsm = K.log_softmax_rows(pred.data)
     loss, adj = cross_entropy_terms(lsm, target, weights=weights)
     return apply_op(np.asarray(loss), (pred,), lambda g: (adj * float(g),))
 
 
 def cross_entropy_terms(
-    lsm: np.ndarray, target, *, weights: np.ndarray | None = None, scale: float = 1.0
+    lsm: np.ndarray,
+    target: np.ndarray,
+    *,
+    weights: np.ndarray | None = None,
+    scale: float = 1.0,
 ) -> tuple[float, np.ndarray]:
     """Value of ``cross_entropy`` from the (n, C) log-probabilities of
     its logits, and the (n, C) logit adjoint of ``scale`` times it.
@@ -366,22 +372,25 @@ def cross_entropy_terms(
     formula. The loss is not finite whenever the log-probabilities are
     not all finite, a zero-weighted row's included: 0 * -inf is NaN.
     """
-    lsm = _class_rows(lsm, "cross_entropy")
+    lsm = np.ascontiguousarray(as_array(lsm, "lsm", 2))
     n, C = lsm.shape
+    if C < 2:
+        raise DimensionError(f"cross_entropy needs at least 2 classes, got {C}")
     if n == 0:
         raise ContractError("cross_entropy on an empty batch")
     t = _targets(target, n, C)
     if weights is None:
         w = np.ones(n)
     else:
-        w = np.asarray(weights, dtype=np.float64).reshape(-1)
+        w = as_array(weights, "weights").reshape(-1)
         if w.shape[0] != n:
             raise DimensionError(f"expected {n} weights, got {w.shape[0]}")
 
     # np.add.reduce is what ndarray.sum runs, without its wrapper.
     loss = -float(np.add.reduce(w * np.add.reduce(t * lsm, axis=1))) / n
     t_mass = np.add.reduce(t, axis=1, keepdims=True)
-    return loss, (np.exp(lsm) * t_mass - t) * (w[:, None] * (scale / n))
+    s = as_float(scale, "scale") / n
+    return loss, (np.exp(lsm) * t_mass - t) * (w[:, None] * s)
 
 
 def finite_diff_grad(
@@ -397,8 +406,7 @@ def finite_diff_grad(
     Returns one flat array in the same order as
     ``flatten_values(params)``.
     """
-    if step <= 0.0:
-        raise ContractError(f"step must be positive, got {step}")
+    step = as_float(step, "step", gt=0.0)
     out = []
     for t in params:
         g = np.empty(t.size)

@@ -89,5 +89,29 @@ class TestVerdict:
         assert row["ops_per_s"]["verdict"] == "worse"
         assert not row["ops_per_s"]["within_bound"]
 
+    def test_summary_stores_the_sign_test_p_value(self):
+        head = [0.65 * b for b in BASE]
+        row = ab.summarize(_pairs(BASE, head), METRICS)["w"]
+        assert row["op_ms_p50"]["sign_p"] == 2 / 1024
+        row = ab.summarize(_pairs(BASE, list(BASE)), METRICS)["w"]
+        assert row["op_ms_p50"]["sign_p"] == 1.0
+
     def test_quartiles(self):
         assert ab.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+
+
+class TestSignTest:
+    @pytest.mark.parametrize(
+        "head_wins, base_wins, p",
+        [(10, 0, 2 / 1024), (0, 10, 2 / 1024), (9, 1, 22 / 1024),
+         (1, 9, 22 / 1024), (9, 0, 2 / 512), (5, 5, 1.0), (0, 0, 1.0),
+         (8, 2, 112 / 1024)],
+    )
+    def test_exact_two_sided_p(self, head_wins, base_wins, p):
+        assert ab.sign_test_p(head_wins, base_wins) == pytest.approx(p, rel=1e-15)
+
+    def test_ties_are_dropped(self):
+        """9 wins and a tie is a sign test on 9 pairs, not 10."""
+        head = [0.65 * b for b in BASE]
+        head[0] = BASE[0]
+        assert ab.sign_test_p(*ab.wins(BASE, head, "lower")) == 2 / 512

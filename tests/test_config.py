@@ -15,8 +15,9 @@ from lcgclab.config import (
     parse_config,
     parse_config_text,
 )
+from lcgclab.data import AugmentConfig, LongTailSpec
 from lcgclab.debias import RunSettings, TrainSettings
-from lcgclab.errors import ConfigError
+from lcgclab.errors import ConfigError, ContractError
 
 
 class TestDefaults:
@@ -406,3 +407,34 @@ class TestOverrideAndOutput:
         cfg = default_config()
         with pytest.raises(AttributeError):
             cfg.steps = 5
+
+
+@pytest.mark.parametrize(
+    "cls, field, value",
+    [
+        (TrainSettings, "steps", 2.5),
+        (TrainSettings, "batch_size", True),
+        (TrainSettings, "lr", "0.1"),
+        (TrainSettings, "refine_at_test", 1),
+        (TrainSettings, "backbone", None),
+        (LongTailSpec, "classes", 2.5),
+        (LongTailSpec, "classes", "a"),
+        (LongTailSpec, "seed", None),
+        (AugmentConfig, "sigma_weak", "a"),
+        (AugmentConfig, "mask_fraction", True),
+        (ExperimentConfig, "hidden", (64, 2.5)),
+        (ExperimentConfig, "seeds", [1, 2]),
+        (ExperimentConfig, "output_dir", 3),
+    ],
+)
+def test_fields_are_type_checked_at_construction(cls, field, value):
+    """Each field holds a value of its annotation, or the constructor
+    raises ContractError; through ExperimentConfig, ConfigError. Once
+    TrainSettings(steps=2.5) constructed and failed inside range, and
+    LongTailSpec(classes="a") raised a TypeError."""
+    error = ConfigError if cls is ExperimentConfig else ContractError
+    with pytest.raises(error, match=field):
+        cls(**{field: value})
+    if cls is TrainSettings:
+        with pytest.raises(ConfigError, match=field):
+            default_config().override(**{field: value})

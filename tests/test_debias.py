@@ -117,6 +117,18 @@ class TestBaselines:
         with pytest.raises(error, match="dim" if dim < 1 else "scale"):
             make_baseline("gray", dim, scale)
 
+    @pytest.mark.parametrize(
+        "dim, scale, error",
+        [(4, np.nan, ContractError), (4, np.inf, ContractError),
+         (3.5, 1.0, ContractError), (np.float64(4.0), 1.0, ContractError),
+         (True, 1.0, ContractError), (0, np.nan, DimensionError)],
+    )
+    def test_dim_must_be_an_integer_and_scale_finite(self, dim, scale, error):
+        """A NaN scale once gave a NaN probe and a dim of 3.5 numpy's
+        TypeError; a dim below 1 is checked before the scale."""
+        with pytest.raises(error):
+            make_baseline("white", dim, scale)
+
     def test_unknown_color_rejected(self):
         with pytest.raises(ContractError):
             make_baseline("purple", 4, 1.0)
@@ -1235,6 +1247,11 @@ def _bad_audit_inputs():
         "steps-then-path-overflows": (
             ContractError, dict(x=huge, baseline=far, steps=0)
         ),
+        "x-of-strings": (ContractError, dict(x=np.full((3, 4), "0.5"))),
+        "x-ragged": (ContractError, dict(x=[[0.0] * 4, [0.0] * 3, [0.0] * 4])),
+        "tol-none": (ContractError, dict(tol=None)),
+        "tol-string": (ContractError, dict(tol="1")),
+        "probe-string": (ContractError, dict(baseline="black")),
     }
 
 

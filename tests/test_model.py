@@ -137,6 +137,37 @@ class TestStepBuffers:
                 StepBuffers(p, 4, 2, wrong)
 
 
+# Widths that neither init_mlp nor load_checkpoint takes, with the
+# layer shapes int() would read from them.
+_BAD_WIDTHS = {
+    "float": ((4, 6.5, 3), (4, 6, 3)),
+    "integral-float": ((4, 6.0, 3), (4, 6, 3)),
+    "bool": ((4, True, 3), (4, 1, 3)),
+    "string": ((4, "3", 3), (4, 3, 3)),
+    "zero": ((4, 0, 3), (4, 0, 3)),
+    "negative": ((4, -2, 3), (4, 0, 3)),
+    "one-layer": ((4,), (4,)),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_WIDTHS))
+def test_init_and_load_refuse_the_same_widths(case, tmp_path):
+    """One width rule: a width is an integer >= 1 (no bool, no float, no
+    string), and a net has two or more. init_mlp once built (4, 6.5, 3)
+    with width 6 and (4, True, 3) with width 1."""
+    widths, shapes = _BAD_WIDTHS[case]
+    with pytest.raises((ContractError, DimensionError)):
+        init_mlp(widths, seed=0)
+    arrays = {}
+    for i, (fan_in, fan_out) in enumerate(zip(shapes, shapes[1:]), start=1):
+        arrays[f"W{i}"], arrays[f"b{i}"] = np.ones((fan_in, fan_out)), np.zeros(fan_out)
+    path = tmp_path / "model.ckpt"
+    meta = {"dims": list(widths), "extra": None}
+    write_container(path, "mlp-checkpoint", meta, arrays)
+    with pytest.raises(ContractError, match="layer widths"):
+        load_checkpoint(path)
+
+
 class TestCheckpoint:
     def test_roundtrip_is_bitwise(self, tmp_path):
         p = init_mlp((12, 20, 20, 5), seed=21)
