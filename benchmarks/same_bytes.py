@@ -18,9 +18,10 @@ sides; a JSON file is compared after every ``wall_time_s`` key, at any
 depth, is dropped, and any other file byte for byte. Each difference is
 printed; the exit status is 1 if there is any, else 0.
 
-Last it prints the size of ``src/lcgclab/`` on both sides, in lines and
-in ``ast`` statements (the count a simplification is judged by); the
-sizes do not change the exit status.
+Last it prints the size of ``src/lcgclab/`` and of ``tests/`` on both
+sides, in lines and in ``ast`` statements (the count a simplification is
+judged by), so that code moved from the package into the tests reads as
+a move; the sizes do not change the exit status.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ from pathlib import Path
 from ab import ROOT, worktree
 
 COMMON = "train.steps = 40\nseeds = 1, 2\n"
+
+# The directories whose size is printed, relative to a tree's root.
+SIZED = ("src/lcgclab", "tests")
 
 CONFIGS = {
     "lcgc": "",
@@ -145,11 +149,11 @@ def compare_trees(base: Path, head: Path) -> list[str]:
     return out
 
 
-def source_size(tree: Path) -> tuple[int, int]:
+def source_size(tree: Path, sub: str = "src/lcgclab") -> tuple[int, int]:
     """(lines, ``ast`` statements) of the ``.py`` files under
-    ``tree/src/lcgclab``."""
+    ``tree/sub``."""
     lines = statements = 0
-    for path in sorted((tree / "src" / "lcgclab").rglob("*.py")):
+    for path in sorted((tree / sub).rglob("*.py")):
         text = path.read_text(encoding="utf-8")
         lines += len(text.splitlines())
         statements += sum(isinstance(n, ast.stmt) for n in ast.walk(ast.parse(text)))
@@ -200,10 +204,14 @@ def main(argv=None) -> int:
             found += compare_trees(tmp / "base" / name, tmp / "head" / name)
             print(f"{name}: exit {runs['head'][0]}, {len(found)} difference(s)")
             diffs += [f"  {name}: {d}" for d in found]
-        sizes = {"base": source_size(base_tree), "head": source_size(ROOT)}
+        sizes = {
+            (sub, side): source_size(tree, sub)
+            for sub in SIZED
+            for side, tree in (("base", base_tree), ("head", ROOT))
+        }
     print("\n".join(diffs) if diffs else f"same bytes as {args.base_rev}")
-    for side, (lines, statements) in sizes.items():
-        print(f"src/lcgclab/ at {side}: {lines} lines, {statements} statements")
+    for (sub, side), (lines, statements) in sizes.items():
+        print(f"{sub}/ at {side}: {lines} lines, {statements} statements")
     return 1 if diffs else 0
 
 

@@ -40,19 +40,10 @@ def _comma_list(item):
     return parse
 
 
-def _output_dir(text: str) -> str:
-    """argparse type: a directory; an empty one would be the working
-    directory, which the config's output_dir refuses too."""
-    if not text:
-        raise argparse.ArgumentTypeError("must not be empty")
-    return text
-
-
 def _add_config(p: argparse.ArgumentParser) -> None:
     p.add_argument("config", help="path to a key = value config file")
     p.add_argument(
         "--output",
-        type=_output_dir,
         default=None,
         help=(
             "override the config's output directory; used as given, "

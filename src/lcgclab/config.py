@@ -144,6 +144,25 @@ def _convert(key: str, raw: str, lineno: int):
         ) from None
 
 
+def as_output_dir(out: str | Path, name: str) -> Path:
+    """``out``, a str or path-like, as a ``Path``: the one rule for an
+    output directory, a config's ``output_dir`` and a runner's
+    ``out_dir`` alike. ConfigError if it is empty (the working
+    directory), holds a NUL byte (no path can), or has a line break or
+    leading or trailing whitespace (a config file's values are stripped
+    lines, so none can say it)."""
+    text = os.fspath(as_instance(out, name, str, os.PathLike))
+    if not text:
+        raise ConfigError(f"{name} must not be empty")
+    if "\0" in text:
+        raise ConfigError(f"{name} holds a NUL byte: {text!r}")
+    if text != text.strip() or len(text.splitlines()) != 1:
+        raise ConfigError(
+            f"{name} has a line break or leading or trailing whitespace: {text!r}"
+        )
+    return Path(text)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig(RunSettings):
     """Fully resolved experiment description: the RunSettings fields and
@@ -161,7 +180,6 @@ class ExperimentConfig(RunSettings):
         # fields' types, the config's own keys, then the RunSettings checks
         # on the values as given, before a method pin can hide them. Any
         # error is a ConfigError.
-        out = self.output_dir
         try:
             check_fields(self)
             for key, (attr, *choices) in _SCHEMA.items():
@@ -173,14 +191,7 @@ class ExperimentConfig(RunSettings):
                     )
                 if isinstance(value, (tuple, str)) and not value:
                     raise ConfigError(f"{key!r} must not be empty")
-            if "\0" in out:  # no file system path can hold one
-                raise ConfigError(f"'output_dir' holds a NUL byte: {out!r}")
-            # What a config file cannot say: its values are stripped lines.
-            if out != out.strip() or len(out.splitlines()) != 1:
-                raise ConfigError(
-                    f"'output_dir' has a line break or leading or trailing "
-                    f"whitespace: {out!r}"
-                )
+            as_output_dir(self.output_dir, "'output_dir'")
             if min(self.hidden) < 1:
                 raise ConfigError(f"'model.hidden' widths must be >= 1: {self.hidden}")
             if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):

@@ -126,11 +126,6 @@ class SynthDataset:
         return np.bincount(self.labeled_y - 1, minlength=self.classes)
 
     @property
-    def unlabeled_counts(self) -> np.ndarray:
-        """Per-class size of the unlabeled pool, from its hidden labels."""
-        return np.bincount(self.hidden_labels - 1, minlength=self.classes)
-
-    @property
     def dim(self) -> int:
         return self.class_means.shape[1]
 

@@ -53,7 +53,6 @@ from .errors import (
 )
 from .errors import as_array, as_float, as_instance, as_int, check_fields
 from .losses import (
-    PseudoLabelBatch,
     consistency_inputs,
     distribution_alignment,
     ema_update,
@@ -215,9 +214,6 @@ class GradientVector:
     def __len__(self) -> int:
         return self.values.size
 
-    def __repr__(self) -> str:
-        return f"GradientVector(len={len(self)}, norm={self.norm:.6g})"
-
 
 def lcgc_combine(
     g_b: GradientVector, g_d: GradientVector, lam: float
@@ -355,9 +351,6 @@ class RunRecord:
     divergence: dict | None = None  # TrainingDiverged.diagnostics
     wall_time_s: float = 0.0
 
-    def kl_trajectory(self) -> np.ndarray:
-        return np.array([r.loss_kl for r in self.steps])
-
     def to_dict(self) -> dict:
         out = {
             "seed": self.seed,
@@ -381,26 +374,13 @@ class RunRecord:
         return out
 
 
-def grad_b(
-    params: ModelParams,
-    x_unlabeled: np.ndarray,
-    pseudo: PseudoLabelBatch,
-    aug: AugmentConfig,
-    rng: np.random.Generator,
-    weight: float = 1.0,
-) -> GradientVector:
-    """Parameter gradient of the (weighted) consistency loss."""
-    x_unlabeled = as_array(x_unlabeled, "x_unlabeled", 2)
-    bufs = StepBuffers(params, x_unlabeled.shape[0])
-    return _grad_b_with_loss(params, x_unlabeled, pseudo, aug, rng, weight, bufs)[0]
-
-
 def _grad_b_with_loss(params, x_unlabeled, pseudo, aug, rng, weight, bufs):
-    """grad_b plus the unweighted consistency loss: one forward of the
-    strong views drawn from ``rng`` into ``bufs`` (a ``StepBuffers``),
-    through its activations; ``cross_entropy_terms`` scales the logit
-    adjoint by ``weight``, and the gradient is written into the
-    buffers' third flat gradient."""
+    """The consistency gradient g_b (a ``GradientVector``) and the
+    unweighted consistency loss: one forward of the strong views drawn
+    from ``rng`` into ``bufs`` (a ``StepBuffers``), through its
+    activations; ``cross_entropy_terms`` scales the logit adjoint by
+    ``weight``, and the gradient is written into the buffers' third flat
+    gradient."""
     strong, target, weights = consistency_inputs(
         x_unlabeled, pseudo, aug, rng, out=bufs.strong
     )
@@ -414,22 +394,6 @@ def _grad_b_with_loss(params, x_unlabeled, pseudo, aug, rng, weight, bufs):
     return GradientVector(g), loss
 
 
-def grad_d(
-    params: ModelParams, x_weak: np.ndarray, baseline: np.ndarray
-) -> GradientVector:
-    """Parameter gradient of the raw-vs-refined KL on weak views.
-
-    This is the direction along which the model's class-imbalance bias
-    grows; the loss it differentiates is the one whose trajectory the
-    step records expose.
-    """
-    x_weak = as_input(params, x_weak, "x_weak", 2)
-    n = x_weak.shape[0]
-    bufs = StepBuffers(params, n, probe=baseline)
-    bufs.stacked[:n] = x_weak
-    return _kl_grad(params, bufs.stacked, n, bufs)[0]
-
-
 def _kl_grad(params, x, n, bufs, refine=True):
     """One forward of ``x`` (n weak views, the probe, any more rows)
     into ``bufs`` (a ``StepBuffers``) and the KL gradient, whose adjoint
@@ -437,13 +401,13 @@ def _kl_grad(params, x, n, bufs, refine=True):
     buffers' first flat gradient. ``kl_consistency_terms`` gives it from
     the weak views' log-probabilities, raw and refined.
 
-    Returns (grad_d, KL value, the pseudo-labels' row probabilities,
-    the log-probabilities of every row of the forward, its cached layer
-    inputs), so a caller that stacked more rows takes their block from
-    the same forward and log-softmax pass. The probabilities are the
-    softmax of the weak views' refined logits, or with ``refine`` false
-    of their raw ones, taken from the log-softmax pass of those logits.
-    All but the inputs are fresh arrays.
+    Returns (the bias gradient g_d, the KL value, the pseudo-labels' row
+    probabilities, the log-probabilities of every row of the forward,
+    its cached layer inputs), so a caller that stacked more rows takes
+    their block from the same forward and log-softmax pass. The
+    probabilities are the softmax of the weak views' refined logits, or
+    with ``refine`` false of their raw ones, taken from the log-softmax
+    pass of those logits. All but the inputs are fresh arrays.
     """
     z, inputs = forward_cached(params, x, out=bufs.acts)
     raw_probs = None if refine else np.empty(z.shape)

@@ -76,9 +76,14 @@ def write_container(
 def read_container(path: str | Path, kind: str) -> tuple[object, dict]:
     """Return (meta, {name: fresh float64 array}) in manifest order.
 
-    A foreign, truncated, padded or corrupt file, another kind, and a
-    non-finite value raise ContractError."""
-    raw = as_path(path, "path").read_bytes()
+    A file that cannot be read (missing, a directory), a foreign,
+    truncated, padded or corrupt one, another kind, and a non-finite
+    value raise ContractError."""
+    p = as_path(path, "path")
+    try:
+        raw = p.read_bytes()
+    except OSError as e:
+        raise ContractError(f"cannot read '{p}': {e.strerror or e}") from None
     if len(raw) < _HEADER.size or raw[: len(_MAGIC)] != _MAGIC:
         raise ContractError(f"{path}: not an LCGC container (or truncated)")
     _, version, mlen = _HEADER.unpack_from(raw)

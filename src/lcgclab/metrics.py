@@ -14,10 +14,11 @@ def confusion(true: np.ndarray, pred: np.ndarray, classes: int) -> np.ndarray:
 
     Labels are 1-based; entry [i, j] counts samples of true class i+1
     predicted as class j+1. Each label array goes through
-    ``errors.as_array`` and is cast to integers.
+    ``errors.as_array``; a label that is no integer in [1..C] (an
+    integral float is one) raises LabelError.
     """
-    t = as_array(true, "true").astype(np.int64).reshape(-1)
-    p = as_array(pred, "pred").astype(np.int64).reshape(-1)
+    t = as_array(true, "true").reshape(-1)
+    p = as_array(pred, "pred").reshape(-1)
     if t.shape != p.shape:
         raise ContractError(
             f"true and pred differ in length: {t.shape} vs {p.shape}"
@@ -26,13 +27,15 @@ def confusion(true: np.ndarray, pred: np.ndarray, classes: int) -> np.ndarray:
         raise ContractError("confusion of an empty sample set")
     classes = as_int(classes, "classes")
     for name, arr in (("true", t), ("pred", p)):
+        if not (arr == np.floor(arr)).all():
+            raise LabelError(f"{name} labels must be integers")
         if arr.min() < 1 or arr.max() > classes:
             raise LabelError(
                 f"{name} labels must lie in [1..{classes}], got "
-                f"[{arr.min()}..{arr.max()}]"
+                f"[{arr.min():g}..{arr.max():g}]"
             )
     cm = np.zeros((classes, classes), dtype=np.int64)
-    np.add.at(cm, (t - 1, p - 1), 1)
+    np.add.at(cm, (t.astype(np.int64) - 1, p.astype(np.int64) - 1), 1)
     return cm
 
 

@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, as_output_dir
 from .data import SynthDataset, synthesize
 from .debias import BASELINE_COLORS, RunRecord, StepRecord, run_training
-from .errors import ConfigError, as_float, as_instance, as_path
+from .errors import ConfigError, as_float, as_instance
 from .fileio import atomic_write_text, dump_json
 
 _STEP_COLUMNS = tuple(f.name for f in fields(StepRecord))
@@ -65,10 +65,13 @@ def run(
     Returns the aggregate dict (also written to aggregate.json). A
     reusable dataset can be passed in to share one realization across
     sweep points; by default it is synthesized from the config. An
-    output directory or artifact that cannot be written raises ConfigError.
+    ``out_dir`` that ``config.as_output_dir`` refuses, and an output
+    directory or artifact that cannot be written, raise ConfigError.
     """
     t0 = time.perf_counter()
-    out = config.output_root() if out_dir is None else as_path(out_dir, "out_dir")
+    out = (
+        config.output_root() if out_dir is None else as_output_dir(out_dir, "out_dir")
+    )
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
@@ -156,7 +159,9 @@ def _sweep(
                 f"the directory {subdir}"
             )
         labels[subdir] = label
-    out = config.output_root() if out_dir is None else as_path(out_dir, "out_dir")
+    out = (
+        config.output_root() if out_dir is None else as_output_dir(out_dir, "out_dir")
+    )
     ds = synthesize(config.spec)
     rows = []
     for label, subdir, sub in variants:

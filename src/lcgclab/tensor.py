@@ -391,36 +391,3 @@ def cross_entropy_terms(
     t_mass = np.add.reduce(t, axis=1, keepdims=True)
     s = as_float(scale, "scale") / n
     return loss, (np.exp(lsm) * t_mass - t) * (w[:, None] * s)
-
-
-def finite_diff_grad(
-    f: Callable[[], float],
-    params: Sequence[np.ndarray],
-    step: float = 1e-6,
-) -> np.ndarray:
-    """Central-difference gradient of ``f`` w.r.t. the given arrays.
-
-    ``f`` takes no arguments and reads the arrays (model parameters, a
-    leaf's ``data``, or views of them) by reference; each coordinate is
-    displaced by ±step in place, through its index, and restored.
-    Returns one flat array in the same order as
-    ``flatten_values(params)``.
-    """
-    step = as_float(step, "step", gt=0.0)
-    out = []
-    for t in params:
-        g = np.empty(t.size)
-        for k, i in enumerate(np.ndindex(t.shape)):
-            orig = t[i]
-            t[i] = orig + step
-            fp = float(f())
-            t[i] = orig - step
-            fm = float(f())
-            t[i] = orig
-            if not (np.isfinite(fp) and np.isfinite(fm)):
-                raise EvaluationError(
-                    f"non-finite evaluation in finite differences at index {i}"
-                )
-            g[k] = (fp - fm) / (2.0 * step)
-        out.append(g)
-    return np.concatenate(out)

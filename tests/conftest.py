@@ -1,6 +1,8 @@
 """Shared test plumbing: the acceptance-criteria report, nets at a
-generic point and the relative error of gradient checks, and autodiff
-leaves for the tape's gradient references.
+generic point and the relative error of gradient checks, autodiff
+leaves for the tape's gradient references, and the gradient oracles:
+the central-difference ``finite_diff_grad`` and the step's two
+gradients of one batch alone, ``grad_b`` and ``grad_d``.
 
 Acceptance tests record one line per criterion; the lines are printed
 in a dedicated section after the run so pass/fail status is visible
@@ -9,9 +11,15 @@ even though pytest captures stdout of passing tests.
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
 
-from lcgclab.model import ModelParams
+from lcgclab.data import AugmentConfig
+from lcgclab.debias import GradientVector, _grad_b_with_loss, _kl_grad
+from lcgclab.errors import EvaluationError, as_array, as_float
+from lcgclab.losses import PseudoLabelBatch
+from lcgclab.model import ModelParams, StepBuffers, as_input
 from lcgclab.tensor import Tensor
 
 _CRITERION_LINES: dict[int, str] = {}
@@ -63,3 +71,66 @@ def tape_leaves(params: ModelParams) -> ModelParams:
     gradients, so the tape's ``backward`` fills each leaf's ``grad``."""
     leaves = [Tensor(a, requires_grad=True) for a in params.tensors()]
     return ModelParams(params.dims, leaves[0::2], leaves[1::2])
+
+
+def finite_diff_grad(
+    f: Callable[[], float],
+    params: Sequence[np.ndarray],
+    step: float = 1e-6,
+) -> np.ndarray:
+    """Central-difference gradient of ``f`` w.r.t. the given arrays.
+
+    ``f`` takes no arguments and reads the arrays (model parameters, a
+    leaf's ``data``, or views of them) by reference; each coordinate is
+    displaced by ±step in place, through its index, and restored.
+    Returns one flat array in the same order as
+    ``flatten_values(params)``.
+    """
+    step = as_float(step, "step", gt=0.0)
+    out = []
+    for t in params:
+        g = np.empty(t.size)
+        for k, i in enumerate(np.ndindex(t.shape)):
+            orig = t[i]
+            t[i] = orig + step
+            fp = float(f())
+            t[i] = orig - step
+            fm = float(f())
+            t[i] = orig
+            if not (np.isfinite(fp) and np.isfinite(fm)):
+                raise EvaluationError(
+                    f"non-finite evaluation in finite differences at index {i}"
+                )
+            g[k] = (fp - fm) / (2.0 * step)
+        out.append(g)
+    return np.concatenate(out)
+
+
+def grad_b(
+    params: ModelParams,
+    x_unlabeled: np.ndarray,
+    pseudo: PseudoLabelBatch,
+    aug: AugmentConfig,
+    rng: np.random.Generator,
+    weight: float = 1.0,
+) -> GradientVector:
+    """Parameter gradient of the (weighted) consistency loss."""
+    x_unlabeled = as_array(x_unlabeled, "x_unlabeled", 2)
+    bufs = StepBuffers(params, x_unlabeled.shape[0])
+    return _grad_b_with_loss(params, x_unlabeled, pseudo, aug, rng, weight, bufs)[0]
+
+
+def grad_d(
+    params: ModelParams, x_weak: np.ndarray, baseline: np.ndarray
+) -> GradientVector:
+    """Parameter gradient of the raw-vs-refined KL on weak views.
+
+    This is the direction along which the model's class-imbalance bias
+    grows; the loss it differentiates is the one whose trajectory the
+    step records expose.
+    """
+    x_weak = as_input(params, x_weak, "x_weak", 2)
+    n = x_weak.shape[0]
+    bufs = StepBuffers(params, n, probe=baseline)
+    bufs.stacked[:n] = x_weak
+    return _kl_grad(params, bufs.stacked, n, bufs)[0]

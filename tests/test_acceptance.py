@@ -21,7 +21,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import generic_net, record_criterion, relative_error
+from conftest import (
+    finite_diff_grad,
+    generic_net,
+    grad_b,
+    grad_d,
+    record_criterion,
+    relative_error,
+)
 from lcgclab.config import default_config
 from lcgclab.data import AugmentConfig, LongTailSpec, synthesize
 from lcgclab.debias import (
@@ -29,8 +36,6 @@ from lcgclab.debias import (
     _grad_d_with_loss,
     baseline_logits,
     evaluate,
-    grad_b,
-    grad_d,
     kl_consistency_terms,
     lcgc_combine,
     make_baseline,
@@ -42,7 +47,7 @@ from lcgclab.losses import consistency_inputs, pseudo_label
 from lcgclab.metrics import bacc, gm, trajectory_trend
 from lcgclab.model import ModelParams, StepBuffers, logits_array
 from lcgclab.runner import run
-from lcgclab.tensor import cross_entropy_terms, finite_diff_grad
+from lcgclab.tensor import cross_entropy_terms
 
 GRID_METHODS = ("baseline", "cdmad", "lcgc")
 GRID_GAMMAS = (1.0, 100.0, 150.0)
@@ -325,7 +330,7 @@ def _grid_run(method, gu, seed, steps=None):
         "diverged": rec.diverged,
     }
     if method == "cdmad" and gu == 100.0:
-        entry["kl_traj"] = rec.kl_trajectory()
+        entry["kl_traj"] = np.array([r.loss_kl for r in rec.steps])
     if method == "lcgc" and gu == 150.0:
         entry["bacc_unrefined"] = evaluate(params, ds.test_x, ds.test_y).bacc
     return entry

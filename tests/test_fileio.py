@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -106,6 +107,13 @@ class TestContainer:
         save_checkpoint(init_mlp((4, 8, 3), seed=2), p)
         with pytest.raises(ContractError, match="'dataset'"):
             load_dataset(p)
+
+    @pytest.mark.parametrize("load", [load_dataset, load_checkpoint])
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_path_names_the_path(self, tmp_path, load, where):
+        p = tmp_path / "none.bin" if where == "missing" else tmp_path
+        with pytest.raises(ContractError, match=re.escape(f"cannot read '{p}'")):
+            load(p)
 
     def test_version_one_header_rejected(self, tmp_path):
         p = tmp_path / "old.bin"

@@ -227,10 +227,6 @@ _VALID = {
                                         cos_angle=0.0, mask_rate=1.0),
     "debias.RunRecord": lambda t: dict(seed=1, steps=[], final_bacc=None,
                                        final_gm=None, confusion=None),
-    "debias.grad_b": lambda t: dict(params=_net(), x_unlabeled=np.ones((5, 4)),
-                                    pseudo=_pseudo(), aug=AugmentConfig(), rng=_rng()),
-    "debias.grad_d": lambda t: dict(params=_net(), x_weak=np.ones((5, 4)),
-                                    baseline=np.zeros(4)),
     "debias.train_step": lambda t: dict(params=_net(), ds=DS, settings=SETTINGS,
                                         state=_state()),
     "debias.EvalReport": lambda t: dict(bacc=0.5, gm=0.5, confusion=np.eye(3)),
@@ -331,7 +327,6 @@ _VALID = {
     "tensor.cross_entropy": lambda t: dict(pred=np.ones((2, 3)),
                                            target=np.array([1, 2])),
     "tensor.cross_entropy_terms": lambda t: dict(lsm=_lsm(), target=np.array([1, 2, 3])),
-    "tensor.finite_diff_grad": lambda t: dict(f=lambda: 0.0, params=[np.ones(2)]),
 }
 
 # Fixtures by annotation, for a callable that _VALID does not list.

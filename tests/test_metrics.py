@@ -15,6 +15,8 @@ class TestConfusion:
         pred = np.array([1, 1, 2, 2, 2])
         cm = confusion(true, pred, classes=2)
         np.testing.assert_array_equal(cm, [[2, 1], [0, 2]])
+        # Integral floats are labels too.
+        np.testing.assert_array_equal(confusion(true * 1.0, pred * 1.0, 2), cm)
 
     def test_rows_are_true_classes(self):
         cm = confusion(np.array([1, 1, 1]), np.array([2, 3, 2]), classes=3)
@@ -22,10 +24,17 @@ class TestConfusion:
         assert cm[1].sum() == 0 and cm[2].sum() == 0
 
     def test_rejects_out_of_range_labels(self):
-        with pytest.raises(LabelError):
-            confusion(np.array([0]), np.array([1]), classes=2)
-        with pytest.raises(LabelError):
-            confusion(np.array([1]), np.array([3]), classes=2)
+        """Labels that are no integer in [1..C]; a non-integral one
+        is not truncated."""
+        for true, pred in (
+            ([0], [1]),
+            ([1], [3]),
+            ([1.7, 2.0, 2.9], [1, 2, 2]),
+            ([1, 2], [1.0, 1.5]),
+            ([1.0, np.nan], [1, 2]),
+        ):
+            with pytest.raises(LabelError):
+                confusion(np.array(true), np.array(pred), classes=2)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ContractError):

@@ -138,10 +138,9 @@ _MODULE_NAMES = {
     "debias": (
         "BASELINE_COLORS", "EvalReport", "GradientVector", "RunRecord",
         "StepRecord", "TheoremReport", "TrainSettings", "TrainState",
-        "baseline_logits", "evaluate", "grad_b", "grad_d",
-        "integrated_gradients", "lcgc_combine", "make_baseline",
-        "run_training", "train_step", "verify_theorem1",
-        "kl_consistency_loss",
+        "baseline_logits", "evaluate", "integrated_gradients",
+        "lcgc_combine", "make_baseline", "run_training", "train_step",
+        "verify_theorem1", "kl_consistency_loss",
     ),
     "errors": (
         "ConfigError", "ContractError", "DimensionError", "EvaluationError",
@@ -161,9 +160,8 @@ _MODULE_NAMES = {
         "ablate_baseline_colors", "ablate_components", "run", "sweep_lambda",
     ),
     "tensor": (
-        "Tape", "Tensor", "backward", "cross_entropy", "finite_diff_grad",
-        "flatten_grads", "flatten_values", "log_softmax", "matmul",
-        "softmax", "zero_grads",
+        "Tape", "Tensor", "backward", "cross_entropy", "flatten_grads",
+        "flatten_values", "log_softmax", "matmul", "softmax", "zero_grads",
     ),
 }
 

@@ -293,28 +293,33 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "sweep-lambda"])
-    @pytest.mark.parametrize("case", ["empty", "outside-root", "nul"])
+    @pytest.mark.parametrize(
+        "case", ["empty", "outside-root", "nul", "flag-spaces", "flag-nul"]
+    )
     def test_bad_output_dir_exits_two_and_writes_nothing(
         self, tmp_path, capsys, monkeypatch, command, case
     ):
         """An empty output_dir would write into the working directory,
         an absolute one would leave LCGCLAB_OUTPUT_ROOT, and one with a
         NUL byte names no path; each stops the command before it
-        creates anything."""
+        creates anything. The --output flag, the runner's out_dir, keeps
+        the config's rule for a NUL byte and surrounding whitespace."""
         work, root, outside = (tmp_path / d for d in ("work", "root", "abs"))
         for d in (work, root):
             d.mkdir()
         monkeypatch.chdir(work)
         monkeypatch.setenv("LCGCLAB_OUTPUT_ROOT", str(root))
-        line = {
-            "empty": "output_dir =",
-            "outside-root": f"output_dir = {outside}",
-            "nul": "output_dir = out\0x",
+        line, flag, named = {
+            "empty": ("output_dir =", [], "'output_dir'"),
+            "outside-root": (f"output_dir = {outside}", [], "'output_dir'"),
+            "nul": ("output_dir = out\0x", [], "'output_dir'"),
+            "flag-spaces": ("", ["--output", " out "], "out_dir"),
+            "flag-nul": ("", ["--output", "out\0x"], "out_dir"),
         }[case]
         cfg = self.write_cfg(tmp_path, line + "\n")
-        code = main([command, str(cfg)])
+        code = main([command, str(cfg), *flag])
         assert code == 2
-        assert "'output_dir'" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
         assert not any(work.iterdir()) and not any(root.iterdir())
         assert not outside.exists()
 
@@ -380,15 +385,15 @@ class TestCli:
         self, tmp_path, capsys, monkeypatch, command
     ):
         """--output "" would write into the working directory, as an
-        empty output_dir would; it is refused before anything runs."""
+        empty output_dir would; the runner refuses it before anything
+        runs."""
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)
         cfg = self.write_cfg(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main([command, str(cfg), "--output", ""])
-        assert exc.value.code == 2
-        assert "--output" in capsys.readouterr().err
+        code = main([command, str(cfg), "--output", ""])
+        assert code == 2
+        assert "config error: out_dir must not be empty" in capsys.readouterr().err
         assert not any(work.iterdir())
 
     def test_missing_config_exits_two(self, tmp_path, capsys):

@@ -75,14 +75,19 @@ def test_json_differences_name_the_value(tmp_path):
 
 def test_source_size_counts_lines_and_statements(tmp_path):
     """Lines and ``ast`` statements of every ``.py`` file under
-    ``src/lcgclab``, subpackages included; other files do not count."""
+    ``src/lcgclab``, subpackages included, or under another directory
+    of the tree such as ``tests``; other files do not count."""
     pkg = tmp_path / "src" / "lcgclab"
     (pkg / "sub").mkdir(parents=True)
     (pkg / "a.py").write_text('"""Doc."""\n\nx = 1\n\n\ndef f(y):\n    return y\n')
     (pkg / "sub" / "b.py").write_text("if x:\n    pass\nelse:\n    y = 2\n")
     (pkg / "notes.txt").write_text("not = python\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("import a\n\nassert a\n")
     # a.py: docstring, assignment, def, return; b.py: if, pass, assignment
     assert same_bytes.source_size(tmp_path) == (7 + 4, 4 + 3)
+    assert same_bytes.source_size(tmp_path, "tests") == (3, 2)
+    assert same_bytes.SIZED == ("src/lcgclab", "tests")
 
 
 def test_every_cli_command_is_in_the_gate():

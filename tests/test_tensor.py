@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import relative_error
+from conftest import finite_diff_grad, relative_error
 from lcgclab.errors import (
     ContractError,
     DimensionError,
@@ -19,7 +19,6 @@ from lcgclab.tensor import (
     add_rowvec,
     backward,
     cross_entropy,
-    finite_diff_grad,
     flatten_grads,
     log_softmax,
     matmul,
