@@ -62,6 +62,9 @@ CONFIGS = {
     "fixmatch-weighted-112": (
         "train.batch_size = 56\ntrain.consistency_weight = 0.3\ntrain.tau = 0.7\n"
     ),
+    # FixMatch through three hidden layers: the backward's in-place
+    # adjoint chain runs through more than one middle layer.
+    "fixmatch-deep": "model.hidden = 32, 24, 16\n",
     "diverging": "train.lr = 1e6\n",
     "reversed-double-subtract": (
         "dataset.reversed_unlabeled = true\nlcgc.double_subtract = true\n"

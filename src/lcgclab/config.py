@@ -147,13 +147,17 @@ def _convert(key: str, raw: str, lineno: int):
 def as_output_dir(out: str | Path, name: str) -> Path:
     """``out``, a str or path-like, as a ``Path``: the one rule for an
     output directory, a config's ``output_dir`` and a runner's
-    ``out_dir`` alike. ConfigError if it is empty (the working
-    directory), holds a NUL byte (no path can), or has a line break or
-    leading or trailing whitespace (a config file's values are stripped
-    lines, so none can say it)."""
+    ``out_dir`` alike. ConfigError if it is empty or another spelling
+    of the working directory (any text ``os.path.normpath`` makes ".",
+    such as "./", "a/.." or the "." of ``Path("")``), holds a NUL byte
+    (no path can), or has a line break or leading or trailing
+    whitespace (a config file's values are stripped lines, so none can
+    say it)."""
     text = os.fspath(as_instance(out, name, str, os.PathLike))
-    if not text:
-        raise ConfigError(f"{name} must not be empty")
+    if os.path.normpath(text) == ".":  # "" included
+        raise ConfigError(
+            f"{name} must not be empty or name the working directory: {text!r}"
+        )
     if "\0" in text:
         raise ConfigError(f"{name} holds a NUL byte: {text!r}")
     if text != text.strip() or len(text.splitlines()) != 1:

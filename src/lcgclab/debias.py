@@ -388,9 +388,7 @@ def _grad_b_with_loss(params, x_unlabeled, pseudo, aug, rng, weight, bufs):
     loss, adj = cross_entropy_terms(
         K.log_softmax_rows(logits), target, weights=weights, scale=weight
     )
-    g = backward_rows(
-        params, inputs, adj, out=bufs.grads[2], adjoints=bufs.adjoints
-    )
+    g = backward_rows(params, inputs, adj, out=bufs.grads[2])
     return GradientVector(g), loss
 
 
@@ -407,7 +405,9 @@ def _kl_grad(params, x, n, bufs, refine=True):
     their block from the same forward and log-softmax pass. The
     probabilities are the softmax of the weak views' refined logits, or
     with ``refine`` false of their raw ones, taken from the log-softmax
-    pass of those logits. All but the inputs are fresh arrays.
+    pass of those logits. All but the inputs are fresh arrays. The
+    backward of g_d consumed the hidden inputs of rows 0..n, so the
+    returned inputs are valid only from row n + 1 on.
     """
     z, inputs = forward_cached(params, x, out=bufs.acts)
     raw_probs = None if refine else np.empty(z.shape)
@@ -420,9 +420,7 @@ def _kl_grad(params, x, n, bufs, refine=True):
     g_rows = np.empty((n + 1, z.shape[1]))
     np.add(ga, gb, out=g_rows[:n])
     np.negative(K.sum_rows(gb, out=g_rows[n]), out=g_rows[n])
-    g_d = backward_rows(
-        params, inputs, g_rows, out=bufs.grads[0], adjoints=bufs.adjoints
-    )
+    g_d = backward_rows(params, inputs, g_rows, out=bufs.grads[0])
     probs = ref_probs if refine else raw_probs[:n]
     return GradientVector(g_d), loss_kl, probs, lsm, inputs
 
@@ -434,14 +432,14 @@ def _grad_d_with_loss(params, x, n, y_labeled, bufs, refine):
     log-probabilities gives ``cross_entropy_terms`` the loss and logit
     adjoint, and that block's backward gives the gradient, written into
     the buffers' second flat gradient and returned as that array (only
-    a diverged step reads its norm).
+    a diverged step reads its norm). Its rows n + 1.. are the only rows
+    of the forward whose hidden inputs are still valid once g_d is
+    taken, and its backward consumes them.
     """
     g_d, loss_kl, probs, lsm, inputs = _kl_grad(params, x, n, bufs, refine)
     y = np.asarray(y_labeled, dtype=np.int64)
     loss_sup, adj = cross_entropy_terms(lsm[n + 1 :], y)
-    g_sup = backward_rows(
-        params, inputs, adj, n + 1, out=bufs.grads[1], adjoints=bufs.adjoints
-    )
+    g_sup = backward_rows(params, inputs, adj, n + 1, out=bufs.grads[1])
     return g_d, loss_kl, probs, g_sup, loss_sup
 
 
@@ -784,7 +782,7 @@ def _path_attributions(
         # Each hidden layer's pre-activations, (steps, m, width): path
         # point-major, so the adjoint rows broadcast over the leading
         # axis. Those a further layer reads are ReLU'd in place, which
-        # keeps the mask relu_vjp reads.
+        # keeps the entries > 0 that relu_vjp's mask is taken from.
         h = K.matmul(coef, uv[:, block].reshape(2, -1))
         acts = [h.reshape(steps, m, -1)]
         for i in range(1, last):
@@ -793,9 +791,9 @@ def _path_attributions(
             acts.append(h.reshape(steps, m, -1))
         g = rows[block]
         for i in range(last - 1, 0, -1):
-            g = K.relu_vjp(g, acts[i], out=acts[i]).reshape(steps * m, -1)
+            g = K.relu_vjp(g, acts[i] > 0.0, out=acts[i]).reshape(steps * m, -1)
             g = K.matmul_nt(g, ws[i]).reshape(steps, m, -1)
-        g = K.relu_vjp(g, acts[0], out=acts[0]).mean(axis=0)
+        g = K.relu_vjp(g, acts[0] > 0.0, out=acts[0]).mean(axis=0)
         out[block] = delta[block] * K.matmul_nt(g, ws[0])
     return out
 

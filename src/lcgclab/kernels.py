@@ -23,6 +23,14 @@ must never be one of its inputs. ``out`` is keyword-only so that a
 wrapper that reads the operands positionally, such as a cost model
 taking ``(a, b)``, sees the same arguments either way.
 
+``relu_vjp(g, mask)`` multiplies the adjoint ``g`` by a boolean mask
+its caller takes, ``x > 0.0`` of the ReLU's input or of its output
+(both are positive at the same entries), so the caller may overwrite
+``x`` once it holds the mask. The training backward does: its
+``matmul_nt`` writes a hidden layer's adjoint over that layer's
+activation rows, which the ``matmul_tn`` one call earlier read, and
+``relu_vjp`` masks it there in place.
+
 ``log_softmax_rows`` takes a keyword-only ``probs`` instead: given an
 array of ``z``'s shape, it also writes the row softmax there, from the
 exponentials and row sums the log-softmax computes anyway. That is the
@@ -76,10 +84,10 @@ def relu(x, *, out=None):
     return np.maximum(x, 0.0, out=out)
 
 
-def relu_vjp(g, x, *, out=None):
-    # Mask as a multiply: cheaper than np.where, and x may be the ReLU's
-    # input or its output (both are > 0 at the same entries).
-    return np.multiply(g, x > 0.0, out=out)
+def relu_vjp(g, mask, *, out=None):
+    # Mask as a multiply: cheaper than np.where. The caller takes the
+    # mask (see the module docstring).
+    return np.multiply(g, mask, out=out)
 
 
 def row_max(z):

@@ -19,8 +19,10 @@ and page-fault them in again on the next one. The buffers hold
 
 - one activation array per layer, ``(rows, width)``, which
   ``forward_cached`` fills through row-prefix views; a later forward
-  overwrites them, so whatever must outlive it is copied out;
-- one adjoint array per hidden layer, the scratch of ``backward_rows``;
+  overwrites them, so whatever must outlive it is copied out. A
+  ``backward_rows`` call also writes its hidden adjoints over the
+  hidden activations of its rows, which it has read by then, so the
+  step's backwards of one forward cover disjoint rows;
 - three flat parameter gradients, each with views shaped like the
   tensors of ``ModelParams.tensors()``, into which ``backward_rows``
   writes every weight and bias gradient directly;
@@ -32,7 +34,8 @@ and page-fault them in again on the next one. The buffers hold
 
 Only ``forward_cached`` also runs without buffers, allocating its
 layers with the same bits (the inference forwards); ``backward_rows``
-always writes into them.
+always writes into a flat gradient of them, and over the hidden
+activations it is given.
 """
 
 from __future__ import annotations
@@ -158,7 +161,6 @@ class StepBuffers:
         unlabeled = as_int(unlabeled, "unlabeled", 0)
         d, rows = params.dims[0], unlabeled + 1 + as_int(labeled, "labeled", 0)
         self.acts = [np.empty((rows, w)) for w in params.dims[1:]]
-        self.adjoints = [np.empty((rows, w)) for w in params.dims[1:-1]]
         self.grads = [grad_buffer(params) for _ in range(3)]
         self.stacked = np.zeros((rows, d))
         if probe is not None:
@@ -210,28 +212,30 @@ def backward_rows(
     start: int = 0,
     *,
     out: tuple[np.ndarray, list[np.ndarray]],
-    adjoints: list[np.ndarray],
 ) -> np.ndarray:
     """Flat parameter gradient, in ``tensors()`` order, of the rows
     ``start .. start + len(g)`` of a ``forward_cached`` call whose
     logits have adjoint ``g`` on those rows (and none elsewhere).
 
     ``out`` is a ``grad_buffer`` pair to write the gradient into, whose
-    flat array is returned; ``adjoints`` (a ``StepBuffers``' adjoints)
-    holds the hidden layers' adjoints. Like the kernels it runs, it
+    flat array is returned. It consumes the hidden activations of its
+    rows: each hidden layer's adjoint is written over the rows of that
+    layer's input it has just read, so ``inputs[1:]`` hold adjoints on
+    those rows on return and the other rows are untouched. Two calls on
+    one forward must cover disjoint rows. Like the kernels it runs, it
     checks nothing: every argument is a buffer or array of the caller's
     training step.
     """
-    m = g.shape[0]
-    rows = slice(start, start + m)
+    rows = slice(start, start + g.shape[0])
     flat, views = out
     for i in range(len(params.weights) - 1, -1, -1):
         h = inputs[i][rows]
         K.sum_rows(g, out=views[2 * i + 1])
         K.matmul_tn(h, g, out=views[2 * i])
         if i:
-            g = K.matmul_nt(g, params.weights[i], out=adjoints[i - 1][:m])
-            K.relu_vjp(g, h, out=g)
+            mask = h > 0.0
+            g = K.matmul_nt(g, params.weights[i], out=h)
+            K.relu_vjp(g, mask, out=g)
     return flat
 
 

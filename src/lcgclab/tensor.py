@@ -265,7 +265,7 @@ def relu(a: Tensor | np.ndarray) -> Tensor:
     ad = a.data
 
     def vjp(g):
-        return (K.relu_vjp(g, ad),)
+        return (K.relu_vjp(g, ad > 0.0),)
 
     return apply_op(K.relu(ad), (a,), vjp)
 

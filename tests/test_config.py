@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import fields, is_dataclass
 from operator import attrgetter
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from lcgclab import config as config_module
 from lcgclab.config import (
     _SCHEMA,
     ExperimentConfig,
+    as_output_dir,
     default_config,
     parse_config,
     parse_config_text,
@@ -393,10 +395,18 @@ class TestOverrideAndOutput:
         assert inside == tmp_path / "a" / "..b" / "c"
 
     def test_empty_output_dir_rejected(self):
+        """An empty output_dir, and every other spelling of the working
+        directory, would write loose artifacts there."""
         with pytest.raises(ConfigError, match="'output_dir' must not be empty"):
             parse_config_text("output_dir =\n")
-        with pytest.raises(ConfigError, match="'output_dir' must not be empty"):
-            default_config().override(output_dir="")
+        for out in ("", ".", "./", "a/..", "./a/../."):
+            with pytest.raises(ConfigError, match="'output_dir' must not be empty"):
+                default_config().override(output_dir=out)
+            if out:
+                with pytest.raises(ConfigError, match="name the working directory"):
+                    parse_config_text(f"output_dir = {out}\n")
+            with pytest.raises(ConfigError, match="out_dir must not be empty"):
+                as_output_dir(Path(out), "out_dir")
 
     @pytest.mark.parametrize("out", [" runs ", "runs\r", "\truns", "a\nb"])
     def test_output_dir_a_config_file_cannot_hold_rejected(self, out):

@@ -728,7 +728,7 @@ class TestStepBuffers:
         baseline = make_baseline("gray", 8, ds.value_range())
         bufs = StepBuffers(p, 16, 8, baseline)
         held = [
-            *bufs.acts, *bufs.adjoints, *(flat for flat, _ in bufs.grads),
+            *bufs.acts, *(flat for flat, _ in bufs.grads),
             bufs.stacked, bufs.strong,
         ]
         for refine in (True, False):
@@ -1021,9 +1021,10 @@ class TestIntegratedGradients:
         calls = []
         inner = lcgclab.kernels.relu_vjp
 
-        def counting(g, z, *, out=None):
-            calls.append(z.shape)
-            return inner(g, z, out=out)
+        def counting(g, mask, *, out=None):
+            assert mask.dtype == np.bool_
+            calls.append(mask.shape)
+            return inner(g, mask, out=out)
 
         monkeypatch.setattr(lcgclab.kernels, "relu_vjp", counting)
         b = make_baseline(color, 8, 1.0)

@@ -41,8 +41,9 @@ from conftest import generic_net
 EXEMPT_MODULES = {"lcgclab.kernels": "layout and checks are its callers' (documented)"}
 EXEMPT_CALLABLES = {
     "cli.main": "its argv goes to argparse, which exits on bad flags",
-    "model.backward_rows": "like the kernels, it writes into the caller's buffers "
-    "and checks nothing (documented); the training step is its caller",
+    "model.backward_rows": "like the kernels, it writes into the caller's buffers, "
+    "consumes the hidden activations of its rows and checks nothing (documented); "
+    "the training step is its caller",
 }
 EXEMPT_PARAMS = {
     "errors.as_array.ndim": "a rank the package's own code passes as a literal",

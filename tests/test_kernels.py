@@ -39,7 +39,25 @@ class TestKernelValues:
         z = np.array([[-1.0, 0.0, 2.5]])
         np.testing.assert_array_equal(K.relu(z), [[0.0, 0.0, 2.5]])
         g = np.array([[5.0, 5.0, 5.0]])
-        np.testing.assert_array_equal(K.relu_vjp(g, z), [[0.0, 0.0, 5.0]])
+        np.testing.assert_array_equal(K.relu_vjp(g, z > 0.0), [[0.0, 0.0, 5.0]])
+
+    def test_relu_vjp_multiplies_by_the_mask(self):
+        """relu_vjp(g, x > 0) is g * (x > 0) bitwise, for x the ReLU's
+        input or its output (the same mask), and g holding -0.0, inf and
+        NaN, which a masked-out entry multiplies by 0 like any other."""
+        x = np.array([[-2.0, -0.0, 0.0, 1e-300, 3.0, -np.inf, np.inf, 7.0]])
+        for g in (
+            np.full(x.shape, -0.0),
+            np.full(x.shape, np.inf),
+            np.full(x.shape, -np.inf),
+            np.full(x.shape, np.nan),
+            np.array([[-0.0, np.inf, np.nan, -1.0, np.nan, -0.0, -np.inf, 2.0]]),
+        ):
+            for h in (x, K.relu(x)):
+                with np.errstate(invalid="ignore"):  # inf * 0
+                    want = g * (h > 0.0)
+                    got = K.relu_vjp(g, h > 0.0)
+                assert got.tobytes() == want.tobytes()
 
     def test_out_gives_the_same_bits(self):
         """With ``out`` every kernel writes its result there and returns
@@ -57,7 +75,7 @@ class TestKernelValues:
             (K.sum_rows, (g,)),
             (K.add_rowvec, (g, v)),
             (K.relu, (g,)),
-            (K.relu_vjp, (g, -g)),
+            (K.relu_vjp, (g, g < 0.0)),
         ]
         for kernel, args in cases:
             ref = kernel(*args)

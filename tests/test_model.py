@@ -12,6 +12,7 @@ from lcgclab.model import (
     backward_rows,
     forward_cached,
     forward_logits,
+    grad_buffer,
     init_mlp,
     load_checkpoint,
     logits_array,
@@ -95,17 +96,17 @@ class TestForward:
 class TestStepBuffers:
     def test_buffers_give_the_same_bits(self):
         """A forward into buffers larger than the batch equals the
-        allocating forward bitwise, and two row-block backwards of it
-        equal those of the allocating forward into fresh buffers; the
-        logits and the hidden inputs are row-prefix views of the
-        activations and the gradient is the buffers' flat array."""
+        allocating forward bitwise; the logits and the hidden inputs are
+        row-prefix views of the activations. Two backwards of it on
+        disjoint row blocks give the gradient bits of an allocating
+        forward's, each into the buffers' flat array, and each consumes
+        exactly its rows: they end up holding the hidden adjoints
+        (g W^T) [h > 0], and a row between the blocks is untouched."""
         rng = np.random.default_rng(12)
         p = init_mlp((5, 7, 6, 3), seed=12)
         x = rng.normal(size=(9, 5))
-        g = rng.normal(size=(4, 3))
         bufs = StepBuffers(p, 6, 4)
         assert [a.shape for a in bufs.acts] == [(11, 7), (11, 6), (11, 3)]
-        assert [a.shape for a in bufs.adjoints] == [(11, 7), (11, 6)]
         assert (bufs.stacked.shape, bufs.strong.shape) == ((11, 5), (6, 5))
         z_ref, inputs_ref = forward_cached(p, x)
         z, inputs = forward_cached(p, x, out=bufs.acts)
@@ -114,17 +115,34 @@ class TestStepBuffers:
         for h, h_ref, act in zip(inputs[1:], inputs_ref[1:], bufs.acts):
             assert h.tobytes() == h_ref.tobytes()
             assert np.shares_memory(h, act)
+        before = [h.copy() for h in inputs]
         for start in (0, 5):
-            fresh = StepBuffers(p, 6, 4)
+            g = rng.normal(size=(4, 3))
             ref = backward_rows(
-                p, inputs_ref, g, start, out=fresh.grads[0], adjoints=fresh.adjoints
+                p, forward_cached(p, x)[1], g, start, out=grad_buffer(p)
             )
-            flat = backward_rows(
-                p, inputs, g, start, out=bufs.grads[0], adjoints=bufs.adjoints
-            )
+            flat = backward_rows(p, inputs, g, start, out=bufs.grads[0])
             assert flat is bufs.grads[0][0]
             assert flat.tobytes() == ref.tobytes()
+            rows = slice(start, start + 4)
+            for i in range(len(p.weights) - 1, 0, -1):
+                g = (g @ p.weights[i].T) * (before[i][rows] > 0.0)
+                assert inputs[i][rows].tobytes() == g.tobytes()
+        for h, h0 in zip(inputs[1:], before[1:]):
+            assert h[4].tobytes() == h0[4].tobytes()
+        assert inputs[0].tobytes() == x.tobytes()
 
+    def test_buffers_hold_no_adjoints(self):
+        """The buffers own the activations, three flat gradients and the
+        step's two inputs, and no other array."""
+        p = init_mlp((5, 7, 6, 3), seed=12)
+        unlabeled, labeled = 6, 4
+        bufs = StepBuffers(p, unlabeled, labeled)
+        rows, d = unlabeled + 1 + labeled, p.dims[0]
+        assert sorted(vars(bufs)) == ["acts", "grads", "stacked", "strong"]
+        arrays = [*bufs.acts, *(f for f, _ in bufs.grads), bufs.stacked, bufs.strong]
+        want = rows * sum(p.dims[1:]) + 3 * p.n_params + rows * d + unlabeled * d
+        assert sum(a.nbytes for a in arrays) == 8 * want
 
     def test_probe_row(self):
         p = init_mlp((5, 7, 3), seed=13)

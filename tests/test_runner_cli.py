@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -385,15 +386,25 @@ class TestCli:
         self, tmp_path, capsys, monkeypatch, command
     ):
         """--output "" would write into the working directory, as an
-        empty output_dir would; the runner refuses it before anything
-        runs."""
+        empty output_dir would, and so would every other spelling of it,
+        a runner's ``out_dir=Path("")`` among them; the runner refuses
+        each before anything runs."""
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)
         cfg = self.write_cfg(tmp_path)
-        code = main([command, str(cfg), "--output", ""])
-        assert code == 2
-        assert "config error: out_dir must not be empty" in capsys.readouterr().err
+        why = "config error: out_dir must not be empty or name the working directory"
+        for out in ("", ".", "./", "a/..", "./a/../."):
+            assert main([command, str(cfg), "--output", out]) == 2
+            assert f"{why}: {out!r}\n" == capsys.readouterr().err
+        runner = {
+            "train": run,
+            "sweep-lambda": sweep_lambda,
+            "ablate-baseline": ablate_baseline_colors,
+            "ablate-components": ablate_components,
+        }[command]
+        with pytest.raises(ConfigError, match="out_dir must not be empty"):
+            runner(tiny_config(), out_dir=Path(""))
         assert not any(work.iterdir())
 
     def test_missing_config_exits_two(self, tmp_path, capsys):
