@@ -17,21 +17,20 @@ import math
 import sys
 from pathlib import Path
 
-from .config import parse_config
+from .config import comma_list, parse_config
 from .data import export_csv, save_dataset, synthesize
 from .errors import ConfigError
 from .runner import ablate_baseline_colors, ablate_components, run, sweep_lambda
 
 
 def _comma_list(item):
-    """argparse type: a comma list with no empty entry, each entry
-    through ``item``."""
+    """argparse type: ``config.comma_list`` of finite ``item`` values."""
 
     def parse(text: str) -> tuple:
-        entries = [s.strip() for s in text.split(",")]
-        if "" in entries:
-            raise argparse.ArgumentTypeError("empty entry in the comma list")
-        values = tuple(item(s) for s in entries)
+        try:
+            values = comma_list(text, item)
+        except ConfigError as e:  # an entry that item refuses stays argparse's
+            raise argparse.ArgumentTypeError(str(e)) from None
         if any(isinstance(v, float) and not math.isfinite(v) for v in values):
             raise argparse.ArgumentTypeError("values must be finite")
         return values

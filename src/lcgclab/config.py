@@ -133,15 +133,21 @@ def _convert(key: str, raw: str, lineno: int):
                 raise ValueError("expected true or false")
             return low == "true"
         if isinstance(default, tuple):
-            entries = [s.strip() for s in raw.split(",")]
-            if "" in entries:
-                raise ValueError("empty entry in the comma list")
-            return tuple(int(s) for s in entries)
+            return comma_list(raw, int)
         return type(default)(raw)  # int, float or str; choices are checked later
     except ValueError as e:
         raise ConfigError(
             f"line {lineno}: bad value for {key!r}: {raw!r} ({e})"
         ) from None
+
+
+def comma_list(text: str, item) -> tuple:
+    """The stripped entries of the comma list ``text``, each through ``item``
+    (config list keys and CLI list flags); ConfigError on an empty one."""
+    entries = [s.strip() for s in as_instance(text, "text", str).split(",")]
+    if "" in entries:
+        raise ConfigError("empty entry in the comma list")
+    return tuple(item(s) for s in entries)
 
 
 def as_output_dir(out: str | Path, name: str) -> Path:

@@ -24,7 +24,7 @@ from .errors import (
     LabelError,
     SamplingError,
 )
-from .errors import as_array, as_float, as_int, check_fields
+from .errors import as_array, as_float, as_int, as_labels, check_fields
 from .fileio import atomic_write_bytes, read_container, write_container
 
 
@@ -298,8 +298,8 @@ def load_dataset(path: str | Path) -> SynthDataset:
 
     It carries the realized arrays, which are all a ``SynthDataset``
     holds. Malformed bytes and pools that disagree with the class means
-    raise ContractError; a label that is not an integer in [1..C]
-    raises LabelError.
+    raise ContractError; float64 labels that are no integers raise
+    LabelError, and the integers go through ``errors.as_labels``.
     """
     _, arrays = read_container(path, "dataset")
     if tuple(arrays) != _ARRAYS or arrays["class_means"].ndim != 2:
@@ -312,9 +312,11 @@ def load_dataset(path: str | Path) -> SynthDataset:
                 f"{path}: {x_name} {x.shape} and {y_name} {y.shape} "
                 f"do not fit {C} classes in {d} dims"
             )
-        if not np.all((y >= 1) & (y <= C) & (y == np.floor(y))):
-            raise LabelError(f"{path}: labels must be integers in [1, {C}]")
-        arrays[y_name] = y.astype(np.int64)
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to numbers that differ
+            labels = y.astype(np.int64)
+        if not np.array_equal(labels, y):
+            raise LabelError(f"{path}: {y_name} must hold integers")
+        arrays[y_name] = as_labels(labels, f"{path}: {y_name}", None, C)
     return SynthDataset(**arrays)
 
 

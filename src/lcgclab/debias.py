@@ -48,10 +48,9 @@ from .errors import (
     ContractError,
     DimensionError,
     EvaluationError,
-    LabelError,
     TrainingDiverged,
 )
-from .errors import as_array, as_float, as_instance, as_int, check_fields
+from .errors import as_array, as_float, as_instance, as_int, as_labels, check_fields
 from .losses import (
     consistency_inputs,
     distribution_alignment,
@@ -437,8 +436,7 @@ def _grad_d_with_loss(params, x, n, y_labeled, bufs, refine):
     taken, and its backward consumes them.
     """
     g_d, loss_kl, probs, lsm, inputs = _kl_grad(params, x, n, bufs, refine)
-    y = np.asarray(y_labeled, dtype=np.int64)
-    loss_sup, adj = cross_entropy_terms(lsm[n + 1 :], y)
+    loss_sup, adj = cross_entropy_terms(lsm[n + 1 :], y_labeled)
     g_sup = backward_rows(params, inputs, adj, n + 1, out=bufs.grads[1])
     return g_d, loss_kl, probs, g_sup, loss_sup
 
@@ -682,24 +680,14 @@ def integrated_gradients(
     method). Raises ContractError unless steps is an integer >= 1 (a
     bool or a float is none), ContractError on a batch or probe that
     holds no numbers and DimensionError on one the model cannot take
-    (``model.as_input``), LabelError on labels that are not n integers in
-    [1..C], and EvaluationError on a non-finite x - I, as a forward of
-    the path points would.
+    (``model.as_input``), ``errors.as_labels``'s errors on labels that are
+    not n integers in [1..C], and EvaluationError on a non-finite x - I,
+    as a forward of the path points would.
     """
     steps = as_int(steps, "steps", 1)
     x = as_input(params, x, "x", 2)
     baseline = as_input(params, baseline, "probe", 1)
-    n, C = x.shape[0], params.dims[-1]
-    try:
-        labels = np.asarray(labels)
-    except ValueError:  # a ragged sequence
-        raise LabelError(f"expected {n} integer labels, got {labels!r}") from None
-    if labels.shape != (n,) or labels.dtype.kind not in "iu":
-        raise LabelError(
-            f"expected {n} integer labels, got {labels.dtype} of shape {labels.shape}"
-        )
-    if n and not 1 <= labels.min() <= labels.max() <= C:
-        raise LabelError(f"labels must lie in [1..{C}]")
+    labels = as_labels(labels, "labels", x.shape[0], params.dims[-1])
     return _path_attributions(params, x, baseline, labels, steps)
 
 

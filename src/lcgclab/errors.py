@@ -1,10 +1,10 @@
 """The package's exception types, all under ``LcgclabError``, and the
 input contract of its public entries: the converters ``as_array``,
-``as_int``, ``as_float``, ``as_instance`` and ``as_path`` return an
-argument as the value the code computes with or raise, and
+``as_labels``, ``as_int``, ``as_float``, ``as_instance`` and ``as_path``
+return an argument as the value the code computes with or raise, and
 ``check_fields`` checks a config dataclass's fields. A valid argument
-costs about what its bare conversion costs: no copy, no pass over an
-array.
+costs about what its bare conversion costs: no copy, and no pass over
+an array but the range check of labels.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class DimensionError(LcgclabError, ValueError):
 
 
 class LabelError(LcgclabError, ValueError):
-    """A class label lies outside the valid range [1..C]."""
+    """Class labels are not integers, or one lies outside [1..C]."""
 
 
 class ContractError(LcgclabError, ValueError):
@@ -71,22 +71,44 @@ _REALS = (int, float, np.integer, np.floating)
 _MAX = float(np.finfo(np.float64).max)
 
 
+def _numbers(x, name: str) -> np.ndarray:
+    """``np.asarray(x)``; ContractError unless it holds bools, ints or floats:
+    strings (which numpy would parse), ragged sequences and objects do not."""
+    try:
+        a = np.asarray(x)
+    except ValueError as e:  # a ragged sequence
+        raise ContractError(f"{name} must be an array of numbers ({e})") from None
+    if a.dtype.kind not in "biuf":
+        raise ContractError(f"{name} must hold numbers, got dtype {a.dtype}")
+    return a
+
+
 def as_array(x, name: str, ndim: int | None = None) -> np.ndarray:
     """x as a float64 array, through ``np.asarray``: a float64 array comes
-    back as it is. ContractError unless x holds bools, ints or floats:
-    strings (which numpy would parse), ragged sequences and objects do
-    not; DimensionError unless it has ``ndim`` dims, when given."""
+    back as it is. ContractError unless x holds numbers (``_numbers``);
+    DimensionError unless it has ``ndim`` dims, when given."""
     if type(x) is not np.ndarray or x.dtype is not _F64:
-        try:
-            a = np.asarray(x)
-        except ValueError as e:  # a ragged sequence
-            raise ContractError(f"{name} must be an array of numbers ({e})") from None
-        if a.dtype.kind not in "biuf":
-            raise ContractError(f"{name} must hold numbers, got dtype {a.dtype}")
-        x = np.asarray(a, dtype=np.float64)
+        x = np.asarray(_numbers(x, name), dtype=np.float64)
     if ndim is not None and x.ndim != ndim:
         raise DimensionError(f"{name} must be {ndim}-D, got shape {x.shape}")
     return x
+
+
+def as_labels(y, name: str, n: int | None, classes: int) -> np.ndarray:
+    """y as it is if it is an integer array of shape (n,) (any length if n
+    is None) in [1..classes]; else ContractError unless it holds numbers,
+    DimensionError on another shape, LabelError on another dtype (bool
+    and float included) or a label out of range."""
+    y = _numbers(y, name)
+    if y.ndim != 1 or n is not None and y.shape[0] != n:
+        count = "1-D" if n is None else n
+        raise DimensionError(f"expected {count} labels in {name}, got shape {y.shape}")
+    if y.dtype.kind not in "iu":
+        raise LabelError(f"{name} must hold integer labels, got dtype {y.dtype}")
+    lo, hi = (np.minimum.reduce(y), np.maximum.reduce(y)) if y.size else (1, 1)
+    if lo < 1 or hi > classes:
+        raise LabelError(f"{name} labels must lie in [1..{classes}], got [{lo}..{hi}]")
+    return y
 
 
 def as_int(v, name: str, lo: int | None = None) -> int:
@@ -141,7 +163,10 @@ _FIELD_CHECKS = {
 def check_fields(obj) -> None:
     """ContractError unless each int, float, bool, str and tuple[int, ...]
     field of the dataclass ``obj`` holds such a value (an int passes for
-    a float); the annotations are ``from __future__`` strings."""
+    a float) and each field a class makes the default of holds an
+    instance of it; the annotations are ``from __future__`` strings."""
     for f in fields(obj):
         if f.type in _FIELD_CHECKS:
             _FIELD_CHECKS[f.type](getattr(obj, f.name), f.name)
+        elif isinstance(f.default_factory, type):
+            as_instance(getattr(obj, f.name), f.name, f.default_factory)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels as K
 from .data import AugmentConfig, strong_aug
-from .errors import ContractError, DimensionError, as_array, as_float
+from .errors import ContractError, DimensionError, as_array, as_float, as_labels
 from .model import ModelParams, forward_logits
 from .tensor import Tensor, cross_entropy
 
@@ -61,9 +61,9 @@ def pseudo_label(probs: np.ndarray, tau: float) -> PseudoLabelBatch:
 
 
 def supervised_loss(params: ModelParams, x: np.ndarray, y: np.ndarray) -> Tensor:
-    """Mean cross entropy of the labeled batch (y cast to int labels)."""
-    y = as_array(y, "y").astype(np.int64)
-    return cross_entropy(forward_logits(params, x), y)
+    """Mean cross entropy of the labeled batch, y its labels (``as_labels``)."""
+    z = forward_logits(params, x)
+    return cross_entropy(z, as_labels(y, "y", *z.shape))
 
 
 def consistency_loss(

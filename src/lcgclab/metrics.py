@@ -6,37 +6,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, LabelError, as_array, as_float, as_int
+from .errors import ContractError, as_array, as_float, as_int, as_labels
 
 
 def confusion(true: np.ndarray, pred: np.ndarray, classes: int) -> np.ndarray:
     """Confusion matrix with rows = true class, columns = predicted.
 
     Labels are 1-based; entry [i, j] counts samples of true class i+1
-    predicted as class j+1. Each label array goes through
-    ``errors.as_array``; a label that is no integer in [1..C] (an
-    integral float is one) raises LabelError.
+    predicted as class j+1. Both label arrays go through
+    ``errors.as_labels``, ``pred`` of any length and ``true`` of the
+    same; an empty sample set raises ContractError.
     """
-    t = as_array(true, "true").reshape(-1)
-    p = as_array(pred, "pred").reshape(-1)
-    if t.shape != p.shape:
-        raise ContractError(
-            f"true and pred differ in length: {t.shape} vs {p.shape}"
-        )
+    classes = as_int(classes, "classes")
+    p = as_labels(pred, "pred", None, classes)
+    t = as_labels(true, "true", p.shape[0], classes)
     if t.size == 0:
         raise ContractError("confusion of an empty sample set")
-    classes = as_int(classes, "classes")
-    for name, arr in (("true", t), ("pred", p)):
-        if not (arr == np.floor(arr)).all():
-            raise LabelError(f"{name} labels must be integers")
-        if arr.min() < 1 or arr.max() > classes:
-            raise LabelError(
-                f"{name} labels must lie in [1..{classes}], got "
-                f"[{arr.min():g}..{arr.max():g}]"
-            )
-    cm = np.zeros((classes, classes), dtype=np.int64)
-    np.add.at(cm, (t.astype(np.int64) - 1, p.astype(np.int64) - 1), 1)
-    return cm
+    cells = np.ravel_multi_index((t - 1, p - 1), (classes, classes))
+    return np.bincount(cells, minlength=classes * classes).reshape(classes, classes)
 
 
 def _recalls(cm: np.ndarray) -> np.ndarray:

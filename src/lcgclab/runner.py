@@ -64,11 +64,13 @@ def run(
 
     Returns the aggregate dict (also written to aggregate.json). A
     reusable dataset can be passed in to share one realization across
-    sweep points; by default it is synthesized from the config. An
+    sweep points; by default it is synthesized from the config. One that
+    is no ``SynthDataset`` raises ContractError before any write. An
     ``out_dir`` that ``config.as_output_dir`` refuses, and an output
     directory or artifact that cannot be written, raise ConfigError.
     """
     t0 = time.perf_counter()
+    as_instance(dataset, "dataset", SynthDataset, type(None))
     out = (
         config.output_root() if out_dir is None else as_output_dir(out_dir, "out_dir")
     )

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels as K
 from .errors import ContractError, DimensionError, EvaluationError, LabelError
-from .errors import as_array, as_float, as_instance
+from .errors import as_array, as_float, as_instance, as_labels
 
 
 class Tensor:
@@ -314,24 +314,13 @@ def log_softmax(z: Tensor | np.ndarray) -> Tensor:
 
 
 def _targets(target, n: int, C: int) -> np.ndarray:
-    """Hard (n,) int labels in [1..C] as one-hot rows, or soft (n, C)
-    rows, as an (n, C) array."""
-    try:
-        labels = np.asarray(target)
-    except ValueError:  # a ragged sequence
-        raise ContractError(f"target must be labels or rows, got {target!r}") from None
-    if labels.ndim == 1 and labels.dtype.kind in "iu":  # an integer dtype
-        if labels.shape[0] != n:
-            raise DimensionError(
-                f"expected {n} labels, got {labels.shape[0]}"
-            )
-        lo, hi = np.minimum.reduce(labels), np.maximum.reduce(labels)
-        if lo < 1 or hi > C:
-            raise LabelError(f"labels must lie in [1..{C}], got range [{lo}..{hi}]")
+    """Soft (n, C) rows, or hard labels (anything not 2-D, which
+    ``errors.as_labels`` checks) as one-hot rows, as an (n, C) array."""
+    arr = as_array(target, "target")
+    if arr.ndim != 2:
         t = np.zeros((n, C))
-        t[np.arange(n), labels - 1] = 1.0
+        t[np.arange(n), as_labels(target, "target", n, C) - 1] = 1.0
         return t
-    arr = as_array(labels, "target")
     if arr.shape != (n, C):
         raise DimensionError(
             f"soft targets must have shape {(n, C)}, got {arr.shape}"
@@ -347,7 +336,7 @@ def cross_entropy(
     """Cross entropy between logits and targets, averaged over all n rows.
 
     pred: (n, C) tensor of logits, C >= 2.
-    target: hard int labels in [1..C] (shape (n,)) or soft rows (n, C).
+    target: soft rows (n, C), or n hard int labels in [1..C] (``errors.as_labels``).
     weights: optional per-row factors (a confidence mask, typically);
     a row weighted 0 still counts in the mean's n.
     """
@@ -366,7 +355,8 @@ def cross_entropy_terms(
 ) -> tuple[float, np.ndarray]:
     """Value of ``cross_entropy`` from the (n, C) log-probabilities of
     its logits, and the (n, C) logit adjoint of ``scale`` times it.
-    Targets, weights and checks are those of ``cross_entropy``.
+    Targets, weights and checks are those of ``cross_entropy``: a target
+    that is not 2-D is labels, which ``errors.as_labels`` checks.
 
     Hard labels enter as one-hot rows, so both kinds of target share one
     formula. The loss is not finite whenever the log-probabilities are

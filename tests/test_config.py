@@ -359,6 +359,10 @@ class TestOverrideAndOutput:
             {"method": "cdmad", "lam": float("inf")},
             {"method": "baseline", "lam": -1.0},
             {"method": "cdmad", "lam": -0.5},
+            {"spec": 5},
+            {"spec": AugmentConfig()},
+            {"aug": None},
+            {"aug": LongTailSpec()},
         ],
     )
     def test_override_validates_like_the_parser(self, bad):
@@ -435,13 +439,17 @@ class TestOverrideAndOutput:
         (ExperimentConfig, "hidden", (64, 2.5)),
         (ExperimentConfig, "seeds", [1, 2]),
         (ExperimentConfig, "output_dir", 3),
+        (ExperimentConfig, "spec", 5),
+        (TrainSettings, "aug", 5),
+        (RunSettings, "aug", None),
     ],
 )
 def test_fields_are_type_checked_at_construction(cls, field, value):
     """Each field holds a value of its annotation, or the constructor
     raises ContractError; through ExperimentConfig, ConfigError. Once
     TrainSettings(steps=2.5) constructed and failed inside range, and
-    LongTailSpec(classes="a") raised a TypeError."""
+    LongTailSpec(classes="a") raised a TypeError, and RunSettings(aug=5)
+    constructed and failed inside its run's first step."""
     error = ConfigError if cls is ExperimentConfig else ContractError
     with pytest.raises(error, match=field):
         cls(**{field: value})

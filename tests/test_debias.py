@@ -942,9 +942,9 @@ class TestIntegratedGradients:
             integrated_gradients(p, x, b, np.array([1, 4]), 4)
         with pytest.raises(LabelError):  # not integers
             integrated_gradients(p, x, b, np.array([1.0, 2.0]), 4)
-        with pytest.raises(LabelError):  # not one per sample
+        with pytest.raises(DimensionError):  # not one per sample
             integrated_gradients(p, x, b, np.array([1]), 4)
-        with pytest.raises(LabelError):
+        with pytest.raises(DimensionError):
             integrated_gradients(p, x, b, 1, 4)
         with pytest.raises(ContractError):
             integrated_gradients(p, x, b, one, 0)

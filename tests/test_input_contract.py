@@ -48,6 +48,9 @@ EXEMPT_CALLABLES = {
 EXEMPT_PARAMS = {
     "errors.as_array.ndim": "a rank the package's own code passes as a literal",
     "errors.as_int.lo": "a bound the package's own code passes as a literal",
+    "errors.as_labels.n": "a count the package's own code takes from a shape",
+    "errors.as_labels.classes": "a class count the package's own code takes from "
+    "a shape or has checked with as_int",
     "model.as_input.ndim": "a rank the package's own code passes as a literal",
 }
 
@@ -197,6 +200,7 @@ _VALID = {
         path=_file(t, "c.cfg", lambda p: p.write_text("train.steps = 2\n"))
     ),
     "config.default_config": lambda t: {},
+    "config.comma_list": lambda t: dict(text="1, 2", item=int),
     "data.LongTailSpec": lambda t: {},
     "data.longtail_counts": lambda t: dict(classes=3, n_max=20, gamma=2.0),
     "data.AugmentConfig": lambda t: {},
@@ -253,6 +257,7 @@ _VALID = {
     "errors.ConfigError": lambda t: {},
     "errors.TrainingDiverged": lambda t: dict(step=1, diagnostics={}),
     "errors.as_array": lambda t: dict(x=np.ones(2), name="x"),
+    "errors.as_labels": lambda t: dict(y=np.array([1, 3]), name="y", n=2, classes=3),
     "errors.as_int": lambda t: dict(v=1, name="v"),
     "errors.as_float": lambda t: dict(v=0.5, name="v"),
     "errors.as_instance": lambda t: dict(v="x", name="v", types=(str,)),

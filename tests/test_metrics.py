@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lcgclab.errors import ContractError, LabelError
+from lcgclab.errors import ContractError, DimensionError, LabelError
 from lcgclab.metrics import bacc, confusion, gm, trajectory_trend
 
 
@@ -15,8 +15,9 @@ class TestConfusion:
         pred = np.array([1, 1, 2, 2, 2])
         cm = confusion(true, pred, classes=2)
         np.testing.assert_array_equal(cm, [[2, 1], [0, 2]])
-        # Integral floats are labels too.
-        np.testing.assert_array_equal(confusion(true * 1.0, pred * 1.0, 2), cm)
+        # Labels are integers: integral floats are not.
+        with pytest.raises(LabelError):
+            confusion(true * 1.0, pred * 1.0, 2)
 
     def test_rows_are_true_classes(self):
         cm = confusion(np.array([1, 1, 1]), np.array([2, 3, 2]), classes=3)
@@ -37,7 +38,7 @@ class TestConfusion:
                 confusion(np.array(true), np.array(pred), classes=2)
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(DimensionError):
             confusion(np.array([1, 2]), np.array([1]), classes=2)
 
     def test_rejects_no_samples(self):

@@ -12,7 +12,7 @@ import pytest
 from lcgclab.cli import main
 from lcgclab.config import parse_config_text
 from lcgclab.data import load_dataset, synthesize
-from lcgclab.errors import ConfigError
+from lcgclab.errors import ConfigError, ContractError
 from lcgclab.runner import (
     DEFAULT_LAMBDAS,
     ablate_baseline_colors,
@@ -100,6 +100,14 @@ class TestRun:
         a = run(cfg, out_dir=tmp_path / "a", dataset=ds)
         b = run(cfg, out_dir=tmp_path / "b", dataset=ds)
         assert a["per_seed"][0]["final_bacc"] == b["per_seed"][0]["final_bacc"]
+
+    def test_dataset_that_is_no_dataset_raises_and_writes_nothing(self, tmp_path):
+        """Once each seed's step raised an AttributeError, which the
+        per-seed isolation recorded as a failure in a written aggregate."""
+        out = tmp_path / "o"
+        with pytest.raises(ContractError, match="dataset"):
+            run(tiny_config(), out_dir=out, dataset=5)
+        assert not out.exists()
 
     def test_per_seed_failure_is_isolated(self, tmp_path, monkeypatch):
         import lcgclab.runner as R
