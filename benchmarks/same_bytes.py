@@ -11,12 +11,15 @@ one thread. That is ``lcgclab train`` on every config of ``CONFIGS``,
 then the sweeps, the ablations and both dataset exports on ``lcgc``.
 Each config trains 40 steps on seeds 1 and 2.
 
-Then it compares the two sides: the exit code, stdout and stderr of each
-command (with the output and tree paths replaced by placeholders), and
-the output directories file by file. Every file must exist on both
-sides; a JSON file is compared after every ``wall_time_s`` key, at any
-depth, is dropped, and any other file byte for byte. Each difference is
-printed; the exit status is 1 if there is any, else 0.
+Two more commands exit 2 on an output path under the ``lcgc`` run's
+``aggregate.json``: a ``train`` and an ``export-dataset``.
+
+Then it compares the two sides: the exit code, stdout and stderr of
+each command (with the output, runs and tree paths replaced by
+placeholders), and the output directories file by file. Every file must
+exist on both sides; a JSON file is compared after every ``wall_time_s``
+key, at any depth, is dropped, and any other file byte for byte. Each
+difference is printed; the exit status is 1 if there is any, else 0.
 
 Last it prints the size of ``src/lcgclab/`` and of ``tests/`` on both
 sides, in lines and in ``ast`` statements (the count a simplification is
@@ -91,7 +94,8 @@ CONFIGS = {
 }
 
 # (run name, config name, lcgclab arguments), where {cfg} stands for the
-# config file and {out} for the run's output directory.
+# config file, {out} for the run's output directory and {out.parent} for
+# the directory of every run's output directory on its side.
 RUNS = [
     *((name, name, ["train", "{cfg}", "--output", "{out}"]) for name in CONFIGS),
     ("sweep-lambda", "lcgc",
@@ -102,6 +106,12 @@ RUNS = [
      ["ablate-components", "{cfg}", "--output", "{out}"]),
     ("export-bin", "lcgc", ["export-dataset", "{cfg}", "{out}/dataset.bin"]),
     ("export-csv", "lcgc", ["export-dataset", "{cfg}", "{out}/dataset.csv"]),
+    # Two that exit 2, paths under the lcgc run's aggregate.json (a
+    # regular file by now): their config error lines are compared.
+    ("train-under-file", "lcgc",
+     ["train", "{cfg}", "--output", "{out.parent}/lcgc/aggregate.json/o"]),
+    ("export-under-file", "lcgc",
+     ["export-dataset", "{cfg}", "{out.parent}/lcgc/aggregate.json/x.bin"]),
 ]
 
 
@@ -176,7 +186,8 @@ def _lcgclab(
     r = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
 
     def scrub(text: str) -> str:
-        return text.replace(str(out), "<out>").replace(str(tree), "<tree>")
+        text = text.replace(str(out), "<out>").replace(str(out.parent), "<runs>")
+        return text.replace(str(tree), "<tree>")
 
     return r.returncode, scrub(r.stdout), scrub(r.stderr)
 

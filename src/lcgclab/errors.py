@@ -47,7 +47,8 @@ class InfeasibleSpecError(LcgclabError, ValueError):
 
 
 class ConfigError(LcgclabError, ValueError):
-    """A config file failed to parse or validate."""
+    """A config failed to parse or validate, or a file named in the
+    message cannot be read or written (see ``fileio``)."""
 
 
 class TrainingDiverged(LcgclabError, RuntimeError):
@@ -125,6 +126,8 @@ def as_float(v, name: str, *, ge=-math.inf, gt=None, le=math.inf, lt=None) -> fl
     bool is none) with ge <= v <= le, gt < v and v < lt, for each bound
     given. abs(v) <= _MAX tests finiteness where float(v) would overflow
     on a large int."""
+    if isinstance(v, np.floating):  # a float32 compared with _MAX overflows
+        v = float(v)
     real = type(v) is float or isinstance(v, _REALS) and type(v) is not bool
     if real and abs(v) <= _MAX and ge <= v <= le and (gt is None or v > gt) and (
         lt is None or v < lt
@@ -152,7 +155,7 @@ def as_path(p, name: str) -> Path:
 _FIELD_CHECKS = {
     "int": as_int,
     "float": as_float,
-    "bool": lambda v, name: as_instance(v, name, bool, np.bool_),
+    "bool": lambda v, name: bool(as_instance(v, name, bool, np.bool_)),
     "str": lambda v, name: as_instance(v, name, str),
     "tuple[int, ...]": lambda v, name: tuple(
         as_int(item, name) for item in as_instance(v, name, tuple)
@@ -164,9 +167,11 @@ def check_fields(obj) -> None:
     """ContractError unless each int, float, bool, str and tuple[int, ...]
     field of the dataclass ``obj`` holds such a value (an int passes for
     a float) and each field a class makes the default of holds an
-    instance of it; the annotations are ``from __future__`` strings."""
+    instance of it, then stores each converter's return in its field (a
+    Python scalar for a numpy one); annotations are ``from __future__`` strings."""
     for f in fields(obj):
         if f.type in _FIELD_CHECKS:
-            _FIELD_CHECKS[f.type](getattr(obj, f.name), f.name)
+            value = _FIELD_CHECKS[f.type](getattr(obj, f.name), f.name)
+            object.__setattr__(obj, f.name, value)
         elif isinstance(f.default_factory, type):
             as_instance(getattr(obj, f.name), f.name, f.default_factory)

@@ -1,8 +1,10 @@
 """Atomic file writes, canonical JSON and the binary container.
 
 Writers go through a temp file in the target directory followed by
-os.replace, so a crash never leaves a half-written artifact. JSON is
-serialized with sorted keys so equal payloads produce equal bytes.
+os.replace, so a crash never leaves a half-written artifact. Here an
+OSError writing or reading a file becomes a ConfigError naming it, and
+a failed write removes its temp file. JSON is serialized with sorted
+keys so equal payloads produce equal bytes.
 
 Datasets and checkpoints are containers of one layout, little-endian:
 
@@ -28,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, as_instance, as_path
+from .errors import ConfigError, ContractError, as_instance, as_path
 
 _MAGIC = b"LCGC"
 _VERSION = 2
@@ -37,16 +39,18 @@ _HEADER = struct.Struct("<4sHI")  # magic, version, manifest length
 
 def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
     path = as_path(path, "path")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as e:
+        raise ConfigError(f"cannot write '{path}': {e.strerror or e}") from e
+    finally:  # after the rename, tmp is gone
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -76,14 +80,14 @@ def write_container(
 def read_container(path: str | Path, kind: str) -> tuple[object, dict]:
     """Return (meta, {name: fresh float64 array}) in manifest order.
 
-    A file that cannot be read (missing, a directory), a foreign,
-    truncated, padded or corrupt one, another kind, and a non-finite
-    value raise ContractError."""
+    A file that cannot be read (missing, a directory) raises ConfigError;
+    a foreign, truncated, padded or corrupt one, another kind, and a
+    non-finite value raise ContractError."""
     p = as_path(path, "path")
     try:
         raw = p.read_bytes()
     except OSError as e:
-        raise ContractError(f"cannot read '{p}': {e.strerror or e}") from None
+        raise ConfigError(f"cannot read '{p}': {e.strerror or e}") from e
     if len(raw) < _HEADER.size or raw[: len(_MAGIC)] != _MAGIC:
         raise ContractError(f"{path}: not an LCGC container (or truncated)")
     _, version, mlen = _HEADER.unpack_from(raw)

@@ -20,7 +20,7 @@ import numpy as np
 from .config import ExperimentConfig, as_output_dir
 from .data import SynthDataset, synthesize
 from .debias import BASELINE_COLORS, RunRecord, StepRecord, run_training
-from .errors import ConfigError, as_float, as_instance
+from .errors import ConfigError, as_instance
 from .fileio import atomic_write_text, dump_json
 
 _STEP_COLUMNS = tuple(f.name for f in fields(StepRecord))
@@ -46,15 +46,6 @@ def _mean_se(vals) -> tuple[float | None, float | None]:
     return float(v.mean()), float(v.std(ddof=1) / np.sqrt(v.size))
 
 
-def _write(write, path: Path, payload) -> None:
-    """``write(path, payload)``; an OSError, such as a directory in the
-    artifact's place, raises ConfigError naming the path."""
-    try:
-        write(path, payload)
-    except OSError as e:
-        raise ConfigError(f"cannot write '{path}': {e.strerror or e}") from e
-
-
 def run(
     config: ExperimentConfig,
     out_dir: str | Path | None = None,
@@ -66,8 +57,9 @@ def run(
     reusable dataset can be passed in to share one realization across
     sweep points; by default it is synthesized from the config. One that
     is no ``SynthDataset`` raises ContractError before any write. An
-    ``out_dir`` that ``config.as_output_dir`` refuses, and an output
-    directory or artifact that cannot be written, raise ConfigError.
+    ``out_dir`` that ``config.as_output_dir`` refuses or an output
+    directory that cannot be made raises ConfigError before any seed
+    trains, as ``fileio`` does for an artifact it cannot write.
     """
     t0 = time.perf_counter()
     as_instance(dataset, "dataset", SynthDataset, type(None))
@@ -98,10 +90,10 @@ def run(
                 }
             )
             continue
-        _write(atomic_write_text, out / f"steps_seed{seed}.csv", _steps_csv(record))
+        atomic_write_text(out / f"steps_seed{seed}.csv", _steps_csv(record))
         entry = record.to_dict()
         entry["failed"] = False
-        _write(dump_json, out / f"run_seed{seed}.json", entry)
+        dump_json(out / f"run_seed{seed}.json", entry)
         per_seed.append(entry)
         if not record.diverged:
             baccs.append(record.final_bacc)
@@ -122,7 +114,7 @@ def run(
         "gm_se": gm_se,
         "wall_time_s": time.perf_counter() - t0,
     }
-    _write(dump_json, out / "aggregate.json", aggregate)
+    dump_json(out / "aggregate.json", aggregate)
     return aggregate
 
 
@@ -170,8 +162,8 @@ def _sweep(
         agg = run(sub, out_dir=out / subdir, dataset=ds)
         rows.append({column: label, **{k: agg[k] for k in _TABLE_STATS}})
     table = _table_csv(rows, (column, *_TABLE_STATS))
-    _write(atomic_write_text, out / f"{table_name}.csv", table)
-    _write(dump_json, out / f"{table_name}.json", rows)
+    atomic_write_text(out / f"{table_name}.csv", table)
+    dump_json(out / f"{table_name}.json", rows)
     return rows
 
 
@@ -183,15 +175,14 @@ def sweep_lambda(
     """Run the lcgc method across correction scales on a shared dataset.
 
     Defaults to 0.0 .. 1.4 in steps of 0.2; 0.0 is the refinement-only
-    reference point. Writes lambda_sweep.csv / lambda_sweep.json.
+    reference point. A value ``override`` refuses raises ConfigError
+    before any point runs. Writes lambda_sweep.csv / lambda_sweep.json.
     """
     if values is None:
         values = DEFAULT_LAMBDAS
-    lams = [as_float(v, "lambda") for v in as_instance(values, "values", tuple, list)]
-    variants = [
-        (lam, f"lambda_{lam:g}", config.override(method="lcgc", lam=lam))
-        for lam in lams
-    ]
+    points = as_instance(values, "values", tuple, list)
+    subs = [config.override(method="lcgc", lam=v) for v in points]
+    variants = [(sub.lam, f"lambda_{sub.lam:g}", sub) for sub in subs]
     return _sweep(config, variants, "lambda", "lambda_sweep", out_dir)
 
 

@@ -9,9 +9,15 @@ import struct
 import numpy as np
 import pytest
 
-from lcgclab.data import LongTailSpec, load_dataset, save_dataset, synthesize
+from lcgclab.data import (
+    LongTailSpec,
+    export_csv,
+    load_dataset,
+    save_dataset,
+    synthesize,
+)
 from lcgclab import fileio
-from lcgclab.errors import ContractError
+from lcgclab.errors import ConfigError, ContractError
 from lcgclab.fileio import (
     atomic_write_bytes,
     atomic_write_text,
@@ -20,6 +26,24 @@ from lcgclab.fileio import (
     write_container,
 )
 from lcgclab.model import init_mlp, load_checkpoint, save_checkpoint
+
+_DS = synthesize(LongTailSpec(classes=3, dim=4, n_max_labeled=20, n_max_unlabeled=30,
+                              gamma_labeled=2.0, gamma_unlabeled=2.0, test_per_class=5))
+
+# Every public writer, on valid arguments but the path.
+WRITERS = {
+    "atomic_write_bytes": lambda p: atomic_write_bytes(p, b"new"),
+    "atomic_write_text": lambda p: atomic_write_text(p, "new"),
+    "dump_json": lambda p: dump_json(p, {"new": 1}),
+    "write_container": lambda p: write_container(p, "k", {}, {"a": np.ones(2)}),
+    "save_dataset": lambda p: save_dataset(_DS, p),
+    "export_csv": lambda p: export_csv(_DS, p),
+    "save_checkpoint": lambda p: save_checkpoint(init_mlp((4, 8, 3), seed=2), p),
+}
+
+
+def read_dataset_container(p):
+    return read_container(p, "dataset")
 
 
 class TestAtomicWrites:
@@ -47,8 +71,8 @@ class TestAtomicWrites:
 
     @pytest.mark.parametrize("existed", [False, True])
     def test_failed_replace_cleans_up(self, tmp_path, monkeypatch, existed):
-        """A write that fails at the rename raises, removes its temp file
-        and leaves the target as it was."""
+        """A write that fails at the rename raises ConfigError, removes
+        its temp file and leaves the target as it was."""
         p = tmp_path / "f.txt"
         if existed:
             p.write_text("old")
@@ -57,11 +81,26 @@ class TestAtomicWrites:
             raise OSError("replace refused")
 
         monkeypatch.setattr(fileio.os, "replace", refuse)
-        with pytest.raises(OSError, match="replace refused"):
+        with pytest.raises(ConfigError, match="replace refused"):
             atomic_write_text(p, "new")
         assert [q.name for q in tmp_path.iterdir()] == (["f.txt"] if existed else [])
         if existed:
             assert p.read_text() == "old"
+
+    @pytest.mark.parametrize("where", ["directory", "under-a-file"])
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    def test_unwritable_path_is_a_config_error(self, tmp_path, writer, where):
+        """A directory in the target's place, or a path under a regular
+        file: ConfigError naming the path, from the OSError; no temp file
+        is left, and the file in the way keeps its bytes."""
+        (tmp_path / "d").mkdir()
+        (tmp_path / "f").write_bytes(b"kept")
+        p = tmp_path / "d" if where == "directory" else tmp_path / "f" / "x.bin"
+        with pytest.raises(ConfigError, match=re.escape(f"cannot write '{p}': ")) as e:
+            WRITERS[writer](p)
+        assert isinstance(e.value.__cause__, OSError)
+        assert sorted(q.name for q in tmp_path.rglob("*")) == ["d", "f"]
+        assert (tmp_path / "f").read_bytes() == b"kept"
 
 
 class TestDumpJson:
@@ -108,12 +147,17 @@ class TestContainer:
         with pytest.raises(ContractError, match="'dataset'"):
             load_dataset(p)
 
-    @pytest.mark.parametrize("load", [load_dataset, load_checkpoint])
-    @pytest.mark.parametrize("where", ["missing", "directory"])
+    @pytest.mark.parametrize(
+        "load", [load_dataset, load_checkpoint, read_dataset_container]
+    )
+    @pytest.mark.parametrize("where", ["missing", "directory", "under-a-file"])
     def test_unreadable_path_names_the_path(self, tmp_path, load, where):
-        p = tmp_path / "none.bin" if where == "missing" else tmp_path
-        with pytest.raises(ContractError, match=re.escape(f"cannot read '{p}'")):
+        (tmp_path / "f").write_bytes(b"LCGC")
+        p = {"missing": tmp_path / "none.bin", "directory": tmp_path,
+             "under-a-file": tmp_path / "f" / "x.bin"}[where]
+        with pytest.raises(ConfigError, match=re.escape(f"cannot read '{p}': ")) as e:
             load(p)
+        assert isinstance(e.value.__cause__, OSError)
 
     def test_version_one_header_rejected(self, tmp_path):
         p = tmp_path / "old.bin"

@@ -5,11 +5,13 @@ The public callables are listed with ``inspect``: each function and
 class that a module of the package defines, whose name has no leading
 underscore. Each one is called with valid arguments (``_VALID``, or
 fixtures by annotation for one that is not listed there), and then,
-for each parameter annotated as an int, a float, a bool, a str (a path
-included), an array or a tuple of ints, floats or strs, once with every bad value of
-that kind in ``BAD``, the other arguments valid. Whatever escapes must
-be an ``LcgclabError``. Returning is fine: a record or an exception
-takes any value.
+for each parameter annotated as an int, a float, a bool, a str, a path
+(``str | Path``), an array or a tuple of ints, floats or strs, once with
+every bad value of that kind in ``BAD``, the other arguments valid. A
+path's bad values are a str's and two the operating system refuses as
+a file: an existing directory and a path under a regular file. Whatever
+escapes must be an ``LcgclabError``. Returning is fine: a record or an
+exception takes any value, and an output directory may exist.
 
 Exempt are ``lcgclab.kernels``, whose documented contract leaves layout
 and checks to its callers, and the callables in ``EXEMPT_CALLABLES`` and
@@ -75,6 +77,9 @@ BAD = {
     "float": {**_COMMON, "NaN": np.nan, "inf": np.inf, "-inf": -np.inf},
     "bool": {**_without("a bool"), "2.5": 2.5},
     "str": {**_without("a string"), "2.5": 2.5},
+    # Relative to the working directory, where the tmp fixture makes them.
+    "path": {**_without("a string"), "2.5": 2.5, "a directory": "a-dir",
+             "a path under a file": "a-file/x"},
     "array": {**_COMMON, "numeric strings": np.full((2, 4), "1.5")},
     "ints": {**_COMMON, "2.5": 2.5, "(4, 2.5, 3)": (4, 2.5, 3),
              "(4, True, 3)": (4, True, 3), "('4', '3')": ("4", "3")},
@@ -88,7 +93,7 @@ _KINDS = {
     "float": "float",
     "bool": "bool",
     "str": "str",
-    "str | Path": "str",
+    "str | Path": "path",
     "np.ndarray": "array",
     "Tensor | np.ndarray": "array",
     "tuple[int, ...]": "ints",
@@ -389,6 +394,8 @@ def _call(obj, args: dict):
 def tmp(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("LCGCLAB_OUTPUT_ROOT", raising=False)
+    (tmp_path / "a-dir").mkdir()
+    (tmp_path / "a-file").write_text("kept\n")
     return tmp_path
 
 

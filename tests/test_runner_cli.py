@@ -94,6 +94,33 @@ class TestRun:
             for name, value in values.items():
                 assert (value is None) == (name in diag["non_finite"])
 
+    def test_numpy_overrides_hold_python_values(self, tmp_path):
+        """An override stores what the field converters return: numpy
+        scalars, and an int for a float, give the config a file of the
+        same values parses to, type for type, and its run writes the
+        aggregate without a warning. Once an np.float32 lr trained every
+        seed and then failed to serialize the aggregate, and tau=1
+        echoed as 1 where a file's 1 echoes as 1.0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            given = tiny_config().override(
+                steps=np.int64(2), seeds=tuple(np.arange(1, 3)),
+                lr=np.float32(0.25), tau=1, remix_align=np.bool_(False),
+            )
+            parsed = parse_config_text(
+                TINY.replace("train.steps = 3", "train.steps = 2")
+                + "train.lr = 0.25\ntrain.tau = 1\nremix.align = false\n"
+            )
+            assert given == parsed
+            echo = parsed.resolved()
+            assert {k: type(v) for k, v in given.resolved().items()} == {
+                k: type(v) for k, v in echo.items()
+            }
+            assert json.dumps(given.resolved()) == json.dumps(echo)
+            agg = run(given, out_dir=tmp_path)
+        assert agg["n_completed"] == 2
+        assert json.loads((tmp_path / "aggregate.json").read_text())["config"] == echo
+
     def test_shared_dataset_reused(self, tmp_path):
         cfg = tiny_config()
         ds = synthesize(cfg.spec)
@@ -480,12 +507,22 @@ class TestCli:
         ],
     )
     def test_bad_list_flag_exits_two(self, tmp_path, capsys, flags):
+        """A list that does not parse is argparse's usage error, which
+        names the flag; a non-finite lambda parses, and the config
+        refuses it in one config error line. Nothing is written."""
         cfg = self.write_cfg(tmp_path)
         out = tmp_path / "o"
-        with pytest.raises(SystemExit) as exc:
-            main([flags[0], str(cfg), *flags[1:], "--output", str(out)])
-        assert exc.value.code == 2
-        assert flags[1] in capsys.readouterr().err
+        argv = [flags[0], str(cfg), *flags[1:], "--output", str(out)]
+        if flags[2] in ("0,nan", "inf"):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: lam must be a finite number")
+            assert err.count("\n") == 1
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert flags[1] in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
