@@ -11,8 +11,10 @@ one thread. That is ``lcgclab train`` on every config of ``CONFIGS``,
 then the sweeps, the ablations and both dataset exports on ``lcgc``.
 Each config trains 40 steps on seeds 1 and 2.
 
-Two more commands exit 2 on an output path under the ``lcgc`` run's
-``aggregate.json``: a ``train`` and an ``export-dataset``.
+Five more commands exit 2: ``lcgclab train`` on every config of
+``BAD_CONFIGS``, each of which breaks one declared bound or choice, and
+a ``train`` and an ``export-dataset`` on an output path under the
+``lcgc`` run's ``aggregate.json``.
 
 Then it compares the two sides: the exit code, stdout and stderr of
 each command (with the output, runs and tree paths replaced by
@@ -93,11 +95,22 @@ CONFIGS = {
     ),
 }
 
+# Configs that break one field's declared rule: their train exits 2,
+# and its config error line is compared.
+BAD_CONFIGS = {
+    "bad-bound": "train.tau = 1.5\n",
+    "bad-spec": "dataset.gamma_labeled = 0.5\n",
+    "bad-choice": "lcgc.baseline = purple\n",
+}
+
 # (run name, config name, lcgclab arguments), where {cfg} stands for the
 # config file, {out} for the run's output directory and {out.parent} for
 # the directory of every run's output directory on its side.
 RUNS = [
-    *((name, name, ["train", "{cfg}", "--output", "{out}"]) for name in CONFIGS),
+    *(
+        (name, name, ["train", "{cfg}", "--output", "{out}"])
+        for name in [*CONFIGS, *BAD_CONFIGS]
+    ),
     ("sweep-lambda", "lcgc",
      ["sweep-lambda", "{cfg}", "--output", "{out}", "--values", "0,0.5"]),
     ("ablate-baseline", "lcgc",
@@ -200,7 +213,7 @@ def main(argv=None) -> int:
     diffs = []
     with worktree(args.base_rev) as base_tree, tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for name, text in CONFIGS.items():
+        for name, text in (CONFIGS | BAD_CONFIGS).items():
             (tmp / f"{name}.cfg").write_text(COMMON + text)
         for name, config, cli_args in RUNS:
             cfg = tmp / f"{config}.cfg"

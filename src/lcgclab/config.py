@@ -43,10 +43,11 @@ Keys and defaults:
     remix.align               bool   true    distribution alignment on/off
 
 Each key names one field: _SCHEMA maps it to an ExperimentConfig
-attribute (a dotted one is a field of the nested spec or aug), and the
-field's default in its dataclass is the key's default and gives its
-kind: bool, int, float, str (a choice key's str must be one of the
-names _SCHEMA lists), or a comma list of ints. The train.*,
+attribute (a dotted one is a field of the nested spec or aug). The
+field declares everything about the key: its default is the key's
+default and gives its kind (bool, int, float, str, or a comma list of
+ints), and its metadata holds the key's bounds or, for a choice key,
+the names its str must be one of (``errors.check_fields``). The train.*,
 augment.*, lcgc.* (but ig_steps), remix.* and backbone keys set the
 debias.RunSettings fields that the config shares with TrainSettings.
 ``method`` then pins some of those fields in the run's TrainSettings:
@@ -66,14 +67,8 @@ from operator import attrgetter
 from pathlib import Path
 
 from .data import AugmentConfig, LongTailSpec
-from .debias import (
-    BACKBONES,
-    BASELINE_COLORS,
-    RunSettings,
-    TrainSettings,
-    make_baseline,
-)
-from .errors import ConfigError, as_instance, as_int, as_path, check_fields
+from .debias import RunSettings, TrainSettings, make_baseline
+from .errors import ConfigError, as_instance, as_path
 
 # TrainSettings fields that each method pins, whatever the lcgc.* keys say.
 _METHOD_PINS: dict[str, dict] = {
@@ -82,50 +77,50 @@ _METHOD_PINS: dict[str, dict] = {
     "lcgc": {},
 }
 
-# key -> (ExperimentConfig attribute[, choices]). The one table behind
-# parsing, building and the resolved() echo; a dotted attribute names a
-# field of the nested spec/aug dataclass, whose default gives the key's
-# default and kind.
-_SCHEMA: dict[str, tuple] = {
-    "dataset.classes": ("spec.classes",),
-    "dataset.dim": ("spec.dim",),
-    "dataset.n_max_labeled": ("spec.n_max_labeled",),
-    "dataset.n_max_unlabeled": ("spec.n_max_unlabeled",),
-    "dataset.gamma_labeled": ("spec.gamma_labeled",),
-    "dataset.gamma_unlabeled": ("spec.gamma_unlabeled",),
-    "dataset.reversed_unlabeled": ("spec.reversed_unlabeled",),
-    "dataset.class_separation": ("spec.class_separation",),
-    "dataset.noise_sigma": ("spec.noise_sigma",),
-    "dataset.test_per_class": ("spec.test_per_class",),
-    "dataset.seed": ("spec.seed",),
-    "augment.sigma_weak": ("aug.sigma_weak",),
-    "augment.sigma_strong": ("aug.sigma_strong",),
-    "augment.mask_fraction": ("aug.mask_fraction",),
-    "model.hidden": ("hidden",),
-    "backbone": ("backbone", BACKBONES),
-    "method": ("method", tuple(_METHOD_PINS)),
-    "seeds": ("seeds",),
-    "output_dir": ("output_dir",),
-    "train.steps": ("steps",),
-    "train.batch_size": ("batch_size",),
-    "train.mu": ("mu",),
-    "train.lr": ("lr",),
-    "train.tau": ("tau",),
-    "train.consistency_weight": ("consistency_weight",),
-    "lcgc.lambda": ("lam",),
-    "lcgc.baseline": ("baseline_color", BASELINE_COLORS),
-    "lcgc.refine_pseudo_labels": ("refine_pseudo_labels",),
-    "lcgc.refine_at_test": ("refine_at_test",),
-    "lcgc.ig_steps": ("ig_steps",),
-    "lcgc.double_subtract": ("double_subtract",),
-    "remix.temperature": ("remix_temperature",),
-    "remix.ema_decay": ("remix_ema_decay",),
-    "remix.align": ("remix_align",),
+# key -> ExperimentConfig attribute. The one table behind parsing,
+# building and the resolved() echo; a dotted attribute names a field of
+# the nested spec/aug dataclass. The field gives the key's default, its
+# kind and its bounds or choices.
+_SCHEMA: dict[str, str] = {
+    "dataset.classes": "spec.classes",
+    "dataset.dim": "spec.dim",
+    "dataset.n_max_labeled": "spec.n_max_labeled",
+    "dataset.n_max_unlabeled": "spec.n_max_unlabeled",
+    "dataset.gamma_labeled": "spec.gamma_labeled",
+    "dataset.gamma_unlabeled": "spec.gamma_unlabeled",
+    "dataset.reversed_unlabeled": "spec.reversed_unlabeled",
+    "dataset.class_separation": "spec.class_separation",
+    "dataset.noise_sigma": "spec.noise_sigma",
+    "dataset.test_per_class": "spec.test_per_class",
+    "dataset.seed": "spec.seed",
+    "augment.sigma_weak": "aug.sigma_weak",
+    "augment.sigma_strong": "aug.sigma_strong",
+    "augment.mask_fraction": "aug.mask_fraction",
+    "model.hidden": "hidden",
+    "backbone": "backbone",
+    "method": "method",
+    "seeds": "seeds",
+    "output_dir": "output_dir",
+    "train.steps": "steps",
+    "train.batch_size": "batch_size",
+    "train.mu": "mu",
+    "train.lr": "lr",
+    "train.tau": "tau",
+    "train.consistency_weight": "consistency_weight",
+    "lcgc.lambda": "lam",
+    "lcgc.baseline": "baseline_color",
+    "lcgc.refine_pseudo_labels": "refine_pseudo_labels",
+    "lcgc.refine_at_test": "refine_at_test",
+    "lcgc.ig_steps": "ig_steps",
+    "lcgc.double_subtract": "double_subtract",
+    "remix.temperature": "remix_temperature",
+    "remix.ema_decay": "remix_ema_decay",
+    "remix.align": "remix_align",
 }
 
 
 def _convert(key: str, raw: str, lineno: int):
-    default = attrgetter(_SCHEMA[key][0])(_DEFAULTS)
+    default = attrgetter(_SCHEMA[key])(_DEFAULTS)
     try:
         if isinstance(default, bool):
             low = raw.lower()
@@ -134,7 +129,7 @@ def _convert(key: str, raw: str, lineno: int):
             return low == "true"
         if isinstance(default, tuple):
             return comma_list(raw, int)
-        return type(default)(raw)  # int, float or str; choices are checked later
+        return type(default)(raw)  # int, float or str; bounds are checked later
     except ValueError as e:
         raise ConfigError(
             f"line {lineno}: bad value for {key!r}: {raw!r} ({e})"
@@ -179,35 +174,26 @@ class ExperimentConfig(RunSettings):
     the experiment's own, each with its default."""
 
     spec: LongTailSpec = field(default_factory=LongTailSpec)
-    hidden: tuple[int, ...] = (64,)
-    method: str = "lcgc"
-    seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
+    hidden: tuple[int, ...] = field(default=(64,), metadata=dict(lo=1))
+    method: str = field(default="lcgc", metadata=dict(choices=tuple(_METHOD_PINS)))
+    seeds: tuple[int, ...] = field(default=(1, 2, 3, 4, 5), metadata=dict(lo=0))
     output_dir: str = "runs"
-    ig_steps: int = 128
+    ig_steps: int = field(default=128, metadata=dict(lo=1))
 
     def __post_init__(self):
-        # One validation path for parsed configs and overrides alike: the
-        # fields' types, the config's own keys, then the RunSettings checks
-        # on the values as given, before a method pin can hide them. Any
-        # error is a ConfigError.
+        # One validation path for parsed configs and overrides alike: each
+        # field's own rule (RunSettings' check_fields) on the values as
+        # given, before a method pin can hide them, then the rules that
+        # join keys or fields. Any error is a ConfigError.
         try:
-            check_fields(self)
-            for key, (attr, *choices) in _SCHEMA.items():
+            super().__post_init__()
+            for key, attr in _SCHEMA.items():
                 value = attrgetter(attr)(self)
-                if choices and value not in choices[0]:
-                    raise ConfigError(
-                        f"bad value for {key!r}: {value!r} "
-                        f"(expected one of {', '.join(choices[0])})"
-                    )
                 if isinstance(value, (tuple, str)) and not value:
                     raise ConfigError(f"{key!r} must not be empty")
             as_output_dir(self.output_dir, "'output_dir'")
-            if min(self.hidden) < 1:
-                raise ConfigError(f"'model.hidden' widths must be >= 1: {self.hidden}")
-            if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
+            if len(set(self.seeds)) != len(self.seeds):
                 raise ConfigError(f"'seeds' must be distinct and >= 0: {self.seeds}")
-            as_int(self.ig_steps, "'lcgc.ig_steps'", 1)
-            super().__post_init__()
             make_baseline(self.baseline_color, self.spec.dim, 1.0)
         except ValueError as e:
             raise ConfigError(str(e)) from None
@@ -238,7 +224,7 @@ class ExperimentConfig(RunSettings):
         settings = self.train_settings()
         pinned = set().union(*_METHOD_PINS.values())
         out, effective = {}, {}
-        for key, (attr, *_) in _SCHEMA.items():
+        for key, attr in _SCHEMA.items():
             value = attrgetter(attr)(self)
             out[key] = list(value) if isinstance(value, tuple) else value
             if attr in pinned:
@@ -255,7 +241,7 @@ def _build(values: dict) -> ExperimentConfig:
     other field at its default."""
     init: dict = {"spec": {}, "aug": {}}
     for key, value in values.items():
-        section, _, name = _SCHEMA[key][0].rpartition(".")
+        section, _, name = _SCHEMA[key].rpartition(".")
         (init[section] if section else init)[name] = value
     try:
         spec = LongTailSpec(**init.pop("spec"))

@@ -12,7 +12,7 @@ are derived from the labels, never stored beside them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +23,13 @@ from .errors import (
     InfeasibleSpecError,
     LabelError,
     SamplingError,
+    as_array,
+    as_float,
+    as_instance,
+    as_int,
+    as_labels,
+    check_fields,
 )
-from .errors import as_array, as_float, as_int, as_labels, check_fields
 from .fileio import atomic_write_bytes, read_container, write_container
 
 
@@ -37,31 +42,22 @@ class LongTailSpec:
     unlabeled class profile so the unlabeled tail is the labeled head.
     """
 
-    classes: int = 10
+    classes: int = field(default=10, metadata=dict(lo=2))
     dim: int = 32
-    n_max_labeled: int = 300
-    n_max_unlabeled: int = 600
-    gamma_labeled: float = 100.0
-    gamma_unlabeled: float = 100.0
+    n_max_labeled: int = field(default=300, metadata=dict(lo=1))
+    n_max_unlabeled: int = field(default=600, metadata=dict(lo=1))
+    gamma_labeled: float = field(default=100.0, metadata=dict(ge=1.0))
+    gamma_unlabeled: float = field(default=100.0, metadata=dict(ge=1.0))
     reversed_unlabeled: bool = False
-    class_separation: float = 3.5
-    noise_sigma: float = 1.2
-    test_per_class: int = 100
-    seed: int = 7
+    class_separation: float = field(default=3.5, metadata=dict(ge=0.0))
+    noise_sigma: float = field(default=1.2, metadata=dict(gt=0.0))
+    test_per_class: int = field(default=100, metadata=dict(lo=1))
+    seed: int = field(default=7, metadata=dict(lo=0))
 
     def __post_init__(self):
         check_fields(self)
-        as_int(self.classes, "classes", 2)
         if self.dim < 1:
             raise DimensionError(f"dim must be positive, got {self.dim}")
-        as_int(self.n_max_labeled, "n_max_labeled", 1)
-        as_int(self.n_max_unlabeled, "n_max_unlabeled", 1)
-        as_float(self.gamma_labeled, "gamma_labeled", ge=1.0)
-        as_float(self.gamma_unlabeled, "gamma_unlabeled", ge=1.0)
-        as_float(self.class_separation, "class_separation", ge=0.0)
-        as_float(self.noise_sigma, "noise_sigma", gt=0.0)
-        as_int(self.test_per_class, "test_per_class", 1)
-        as_int(self.seed, "seed", 0)
         # Fail early if either pool would round a tail class to zero.
         longtail_counts(self.classes, self.n_max_labeled, self.gamma_labeled)
         longtail_counts(
@@ -92,15 +88,12 @@ def longtail_counts(classes: int, n_max: int, gamma: float) -> np.ndarray:
 class AugmentConfig:
     """Gaussian jitter strengths and the strong view's mask fraction."""
 
-    sigma_weak: float = 0.1
-    sigma_strong: float = 0.5
-    mask_fraction: float = 0.25
+    sigma_weak: float = field(default=0.1, metadata=dict(ge=0.0))
+    sigma_strong: float = field(default=0.5, metadata=dict(ge=0.0))
+    mask_fraction: float = field(default=0.25, metadata=dict(ge=0.0, lt=1.0))
 
     def __post_init__(self):
         check_fields(self)
-        as_float(self.sigma_weak, "sigma_weak", ge=0.0)
-        as_float(self.sigma_strong, "sigma_strong", ge=0.0)
-        as_float(self.mask_fraction, "mask_fraction", ge=0.0, lt=1.0)
 
 
 @dataclass
@@ -160,7 +153,9 @@ def _class_means(classes: int, dim: int, separation: float, rng) -> np.ndarray:
 
 
 def synthesize(spec: LongTailSpec) -> SynthDataset:
-    """Draw one dataset realization from the spec, deterministically."""
+    """Draw one dataset realization from the spec, deterministically;
+    ContractError unless the spec is a LongTailSpec."""
+    as_instance(spec, "spec", LongTailSpec)
     streams = np.random.SeedSequence(spec.seed).spawn(4)
     rng_means = np.random.default_rng(streams[0])
     rng_lab = np.random.default_rng(streams[1])

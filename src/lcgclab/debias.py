@@ -49,8 +49,14 @@ from .errors import (
     DimensionError,
     EvaluationError,
     TrainingDiverged,
+    as_array,
+    as_choice,
+    as_float,
+    as_instance,
+    as_int,
+    as_labels,
+    check_fields,
 )
-from .errors import as_array, as_float, as_instance, as_int, as_labels, check_fields
 from .losses import (
     consistency_inputs,
     distribution_alignment,
@@ -103,13 +109,11 @@ def make_baseline(name: str, dim: int, scale: float) -> np.ndarray:
     each (first third red, middle green, last blue); a primary whose
     third is empty (blue below 3 dims, green and blue at 1) would be the
     black probe under another name and raises ContractError. So do a
-    dim that is no integer and a scale that is negative or not finite; a
-    dim below 1 raises DimensionError.
+    name outside BASELINE_COLORS (``as_choice``), a dim that is no
+    integer and a scale that is negative or not finite; a dim below 1
+    raises DimensionError.
     """
-    if not isinstance(name, str) or name not in BASELINE_COLORS:
-        raise ContractError(
-            f"unknown baseline color {name!r}; choose from {BASELINE_COLORS}"
-        )
+    as_choice(name, "name", BASELINE_COLORS)
     dim = as_int(dim, "dim")
     if dim < 1:
         raise DimensionError(f"dim must be positive, got {dim}")
@@ -158,17 +162,17 @@ def kl_consistency_loss(
     )
 
 
-def kl_consistency_terms(lp: np.ndarray, lq: np.ndarray, scale: float = 1.0):
+def kl_consistency_terms(lp: np.ndarray, lq: np.ndarray):
     """Value of ``kl_consistency_loss`` from the (n, C) log-probabilities
-    of its two arguments, and the adjoints of ``scale`` times it with
-    respect to the two arguments' logits: (value, ga, gb)."""
+    of its two arguments, and its adjoints with respect to the two
+    arguments' logits: (value, ga, gb)."""
     lp, lq = as_array(lp, "lp", 2), as_array(lq, "lq", 2)
     if lp.shape != lq.shape:
         raise DimensionError(f"shape mismatch: {lp.shape} vs {lq.shape}")
     n = lp.shape[0]
     if n == 0:
         raise ContractError("kl_consistency_loss on an empty batch")
-    s = as_float(scale, "scale") / n
+    s = 1.0 / n
     p, q = np.exp(lp), np.exp(lq)
     diff = lp - lq
     row = np.einsum("ij,ij->i", p, diff)
@@ -249,50 +253,33 @@ def lcgc_combine(
 @dataclass(frozen=True)
 class RunSettings:
     """The run settings that a config file sets, each declared once,
-    here, with its default and its checks. ExperimentConfig adds the
-    experiment's own keys to them; TrainSettings adds
-    ``disable_projection``.
+    here, with its default and its bounds or choices (``check_fields``
+    enforces them). ExperimentConfig adds the experiment's own keys to
+    them; TrainSettings adds ``disable_projection``.
 
     lam scales the conflict correction (0 disables it while keeping
     refinement).
     """
 
-    steps: int = 3000
-    batch_size: int = 64
-    mu: int = 2
-    lr: float = 0.2
-    tau: float = 0.0
-    consistency_weight: float = 1.0
-    backbone: str = "fixmatch"  # one of BACKBONES
-    remix_temperature: float = 0.5
-    remix_ema_decay: float = 0.99
+    steps: int = field(default=3000, metadata=dict(lo=0))
+    batch_size: int = field(default=64, metadata=dict(lo=1))
+    mu: int = field(default=2, metadata=dict(lo=1))
+    lr: float = field(default=0.2, metadata=dict(gt=0.0))
+    tau: float = field(default=0.0, metadata=dict(ge=0.0, le=1.0))
+    consistency_weight: float = field(default=1.0, metadata=dict(ge=0.0))
+    backbone: str = field(default="fixmatch", metadata=dict(choices=BACKBONES))
+    remix_temperature: float = field(default=0.5, metadata=dict(gt=0.0))
+    remix_ema_decay: float = field(default=0.99, metadata=dict(ge=0.0, lt=1.0))
     remix_align: bool = True
     aug: AugmentConfig = field(default_factory=AugmentConfig)
-    lam: float = 1.0
-    baseline_color: str = "black"  # one of BASELINE_COLORS
+    lam: float = field(default=1.0, metadata=dict(ge=0.0))
+    baseline_color: str = field(default="black", metadata=dict(choices=BASELINE_COLORS))
     refine_pseudo_labels: bool = True
     refine_at_test: bool = True
     double_subtract: bool = False
 
     def __post_init__(self):
         check_fields(self)
-        as_int(self.steps, "steps", 0)
-        as_int(self.batch_size, "batch_size", 1)
-        as_int(self.mu, "mu", 1)
-        as_float(self.lr, "lr", gt=0.0)
-        as_float(self.tau, "tau", ge=0.0, le=1.0)
-        as_float(self.consistency_weight, "consistency_weight", ge=0.0)
-        if self.backbone not in BACKBONES:
-            raise ContractError(
-                f"backbone must be one of {BACKBONES}, got {self.backbone!r}"
-            )
-        as_float(self.remix_temperature, "remix_temperature", gt=0.0)
-        as_float(self.remix_ema_decay, "remix_ema_decay", ge=0.0, lt=1.0)
-        as_float(self.lam, "lam", ge=0.0)
-        if self.baseline_color not in BASELINE_COLORS:
-            raise ContractError(
-                f"unknown baseline color {self.baseline_color!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -569,8 +556,10 @@ def evaluate(
 
     With a baseline, predictions use refined logits (the test-time
     correction); otherwise raw logits. Logits that are not all finite
-    raise EvaluationError: an argmax over NaN is not a prediction.
+    raise EvaluationError: an argmax over NaN is not a prediction;
+    params that are no ModelParams raise ContractError.
     """
+    as_instance(params, "params", ModelParams)
     as_instance(double_subtract, "double_subtract", bool, np.bool_)
     logits = logits_array(params, x)
     if baseline is not None:
@@ -599,9 +588,12 @@ def run_training(
     the same trajectory. A divergence stops the loop but still yields a
     record (flagged, with the step index); parameters stay at the last
     finite value, and when those give non-finite test logits the record's
-    final metrics and confusion are None.
+    final metrics and confusion are None. A ds that is no SynthDataset or
+    settings that are no TrainSettings raise ContractError.
     """
     t0 = time.perf_counter()
+    as_instance(ds, "ds", SynthDataset)
+    as_instance(settings, "settings", TrainSettings)
     dims = (ds.dim, *as_instance(hidden, "hidden", tuple, list), ds.classes)
     params = init_mlp(dims, seed)
     state = TrainState(

@@ -1,8 +1,9 @@
 """The package's exception types, all under ``LcgclabError``, and the
 input contract of its public entries: the converters ``as_array``,
-``as_labels``, ``as_int``, ``as_float``, ``as_instance`` and ``as_path``
-return an argument as the value the code computes with or raise, and
-``check_fields`` checks a config dataclass's fields. A valid argument
+``as_labels``, ``as_int``, ``as_float``, ``as_choice``, ``as_instance``
+and ``as_path`` return an argument as the value the code computes with
+or raise, and ``check_fields`` checks a settings dataclass's fields
+against the rules each field declares. A valid argument
 costs about what its bare conversion costs: no copy, and no pass over
 an array but the range check of labels.
 """
@@ -138,6 +139,13 @@ def as_float(v, name: str, *, ge=-math.inf, gt=None, le=math.inf, lt=None) -> fl
     raise ContractError(f"{name} must be a finite number{' and'.join(must)}, got {v!r}")
 
 
+def as_choice(v, name: str, choices: tuple[str, ...]) -> str:
+    """v as it is; ContractError unless it is a str among ``choices``."""
+    if isinstance(v, str) and v in choices:
+        return v
+    raise ContractError(f"{name} must be one of {', '.join(choices)}, got {v!r}")
+
+
 def as_instance(v, name: str, *types: type):
     """v as it is; ContractError unless it is an instance of ``types``."""
     if isinstance(v, types):
@@ -151,27 +159,35 @@ def as_path(p, name: str) -> Path:
     return Path(as_instance(p, name, str, os.PathLike))
 
 
-# What check_fields checks a field of each annotation with.
+# What check_fields checks a field of each annotation with; a field's
+# metadata holds the keyword arguments its converter takes.
 _FIELD_CHECKS = {
     "int": as_int,
     "float": as_float,
     "bool": lambda v, name: bool(as_instance(v, name, bool, np.bool_)),
-    "str": lambda v, name: as_instance(v, name, str),
-    "tuple[int, ...]": lambda v, name: tuple(
-        as_int(item, name) for item in as_instance(v, name, tuple)
+    "str": lambda v, name, choices=None: (
+        as_instance(v, name, str) if choices is None else as_choice(v, name, choices)
+    ),
+    "tuple[int, ...]": lambda v, name, lo=None: tuple(
+        as_int(item, name, lo) for item in as_instance(v, name, tuple)
     ),
 }
 
 
 def check_fields(obj) -> None:
-    """ContractError unless each int, float, bool, str and tuple[int, ...]
-    field of the dataclass ``obj`` holds such a value (an int passes for
-    a float) and each field a class makes the default of holds an
-    instance of it, then stores each converter's return in its field (a
-    Python scalar for a numpy one); annotations are ``from __future__`` strings."""
+    """Check each field of the dataclass ``obj`` in declaration order, and
+    store each converter's return in its field (a Python scalar for a
+    numpy one). An int, float, bool, str or tuple[int, ...] field goes
+    through its converter with the field's metadata as keywords: ``lo``
+    for an int or each item of an int tuple (``as_int``), ``ge``, ``gt``,
+    ``le`` and ``lt`` for a float (``as_float``, which takes an int too),
+    ``choices`` for a str (``as_choice``). A field a class makes the
+    default of must hold an instance of it. ContractError on the first
+    field that breaks its rule; annotations are ``from __future__``
+    strings."""
     for f in fields(obj):
         if f.type in _FIELD_CHECKS:
-            value = _FIELD_CHECKS[f.type](getattr(obj, f.name), f.name)
+            value = _FIELD_CHECKS[f.type](getattr(obj, f.name), f.name, **f.metadata)
             object.__setattr__(obj, f.name, value)
         elif isinstance(f.default_factory, type):
             as_instance(getattr(obj, f.name), f.name, f.default_factory)

@@ -21,6 +21,7 @@ raises ContractError.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -46,6 +47,8 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
         os.replace(tmp, path)
+    except FileExistsError as e:  # mkdir's, on a parent that is a regular file
+        raise ConfigError(f"cannot write '{path}': {os.strerror(errno.ENOTDIR)}") from e
     except OSError as e:
         raise ConfigError(f"cannot write '{path}': {e.strerror or e}") from e
     finally:  # after the rename, tmp is gone

@@ -20,6 +20,9 @@ from .errors import ContractError, DimensionError, as_array, as_float, as_labels
 from .model import ModelParams, forward_logits
 from .tensor import Tensor, cross_entropy
 
+# distribution_alignment's floor under the running average it divides by.
+_ALIGN_FLOOR = 1e-8
+
 
 @dataclass
 class PseudoLabelBatch:
@@ -108,16 +111,14 @@ def consistency_inputs(
 
 
 def distribution_alignment(
-    q: np.ndarray,
-    running_avg: np.ndarray,
-    target: np.ndarray,
-    eps: float = 1e-8,
+    q: np.ndarray, running_avg: np.ndarray, target: np.ndarray
 ) -> np.ndarray:
     """Rescale predicted distributions toward a target class profile.
 
-    Computes q * target / running_avg (denominator floored at eps) and
-    renormalizes each row to sum to one. Accepts a single distribution
-    (C,) or a batch (n, C); running_avg and target are (C,).
+    Computes q * target / running_avg (denominator floored at
+    ``_ALIGN_FLOOR``) and renormalizes each row to sum to one. Accepts a
+    single distribution (C,) or a batch (n, C); running_avg and target
+    are (C,).
     """
     q = as_array(q, "q")
     avg = as_array(running_avg, "running_avg").reshape(-1)
@@ -127,7 +128,7 @@ def distribution_alignment(
             f"profile width mismatch: q has shape {q.shape}, running_avg "
             f"{avg.shape}, target {tgt.shape}"
         )
-    scaled = q * tgt / np.maximum(avg, as_float(eps, "eps"))
+    scaled = q * tgt / np.maximum(avg, _ALIGN_FLOOR)
     return scaled / scaled.sum(axis=-1, keepdims=True)
 
 

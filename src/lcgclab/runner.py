@@ -55,13 +55,15 @@ def run(
 
     Returns the aggregate dict (also written to aggregate.json). A
     reusable dataset can be passed in to share one realization across
-    sweep points; by default it is synthesized from the config. One that
-    is no ``SynthDataset`` raises ContractError before any write. An
+    sweep points; by default it is synthesized from the config. A config
+    that is no ``ExperimentConfig`` or a dataset that is no
+    ``SynthDataset`` raises ContractError before any write. An
     ``out_dir`` that ``config.as_output_dir`` refuses or an output
     directory that cannot be made raises ConfigError before any seed
     trains, as ``fileio`` does for an artifact it cannot write.
     """
     t0 = time.perf_counter()
+    as_instance(config, "config", ExperimentConfig)
     as_instance(dataset, "dataset", SynthDataset, type(None))
     out = (
         config.output_root() if out_dir is None else as_output_dir(out_dir, "out_dir")

@@ -63,6 +63,13 @@ def _documented_keys() -> dict[str, tuple[str, str]]:
     return rows
 
 
+def _field(attr: str):
+    """The dataclass field that a _SCHEMA attribute names."""
+    section, _, name = attr.rpartition(".")
+    owner = attrgetter(section)(default_config()) if section else ExperimentConfig
+    return next(f for f in fields(owner) if f.name == name)
+
+
 class TestKeyTable:
     """The docstring, the schema and resolved() describe one key set."""
 
@@ -71,14 +78,14 @@ class TestKeyTable:
 
     def test_docstring_kinds_match_schema(self):
         """A key's kind is the type of its field's default; a choice key
-        is a str with listed choices."""
+        is a str whose field declares its choices."""
         doc_kind = {"ints": tuple, "choice": str, "str": str, "int": int,
                     "float": float, "bool": bool}
         cfg = default_config()
         for key, (kind, _) in _documented_keys().items():
-            attr, *choices = _SCHEMA[key]
+            attr = _SCHEMA[key]
             assert type(attrgetter(attr)(cfg)) is doc_kind[kind], key
-            assert bool(choices) == (kind == "choice"), key
+            assert ("choices" in _field(attr).metadata) == (kind == "choice"), key
 
     def test_every_field_has_exactly_one_key(self):
         """Each leaf field of ExperimentConfig, those of spec and aug
@@ -90,7 +97,7 @@ class TestKeyTable:
             value = getattr(cfg, f.name)
             nested = fields(value) if is_dataclass(value) else ()
             leaves += [f"{f.name}.{g.name}" for g in nested] or [f.name]
-        attrs = [attr for attr, *_ in _SCHEMA.values()]
+        attrs = list(_SCHEMA.values())
         assert sorted(attrs) == sorted(leaves)
         for attr in attrs:
             attrgetter(attr)(cfg)
@@ -292,7 +299,7 @@ class TestMethodResolution:
         train = {f.name for f in fields(TrainSettings)}
         cfg = default_config()
         lines, expected = ["method = lcgc"], {}
-        for key, (name, *choices) in _SCHEMA.items():
+        for key, name in _SCHEMA.items():
             if name not in train or key == "method":
                 continue
             default = getattr(cfg, name)
@@ -303,7 +310,8 @@ class TestMethodResolution:
             elif isinstance(default, float):
                 value = default / 2 if default else 0.5
             else:
-                value = next(c for c in choices[0] if c != default)
+                choices = _field(name).metadata["choices"]
+                value = next(c for c in choices if c != default)
             lines.append(f"{key} = {str(value).lower()}")
             expected[name] = value
         assert len(expected) == 15
@@ -368,6 +376,12 @@ class TestOverrideAndOutput:
     def test_override_validates_like_the_parser(self, bad):
         with pytest.raises(ConfigError):
             default_config().override(**bad)
+
+    def test_the_first_bad_field_in_declaration_order_is_reported(self):
+        """Each field's rule is checked in declaration order, the
+        RunSettings fields before the config's own."""
+        with pytest.raises(ConfigError, match="^tau must be"):
+            default_config().override(seeds=(-1,), ig_steps=0, tau=2.0)
 
     @pytest.mark.parametrize("method", ["baseline", "cdmad", "lcgc"])
     def test_probe_that_lights_nothing_rejected(self, method):

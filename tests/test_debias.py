@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
+import ast
 import copy
+import inspect
+import textwrap
 import time
 import warnings
+from dataclasses import fields
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
 from conftest import finite_diff_grad, generic_net, grad_b, grad_d, tape_leaves
+from lcgclab.config import _SCHEMA, ExperimentConfig, default_config, parse_config_text
 from lcgclab.data import AugmentConfig, LongTailSpec, synthesize
 from lcgclab.debias import (
     _IG_BLOCK_ROWS,
     BASELINE_COLORS,
     GradientVector,
+    RunSettings,
     TrainSettings,
     TrainState,
     baseline_logits,
@@ -28,6 +35,7 @@ from lcgclab.debias import (
     verify_theorem1,
 )
 from lcgclab.errors import (
+    ConfigError,
     ContractError,
     DimensionError,
     EvaluationError,
@@ -129,7 +137,7 @@ class TestBaselines:
     def test_unknown_color_rejected(self):
         with pytest.raises(ContractError):
             make_baseline("purple", 4, 1.0)
-        with pytest.raises(ContractError, match="unknown baseline color"):
+        with pytest.raises(ContractError, match="baseline_color must be one of"):
             TrainSettings(baseline_color="purple")
         assert set(BASELINE_COLORS) == {
             "red", "green", "blue", "gray", "white", "black"
@@ -371,6 +379,89 @@ class TestWrongProbe:
 def test_train_settings_rejects_out_of_range(field, value):
     with pytest.raises(ContractError, match=field):
         TrainSettings(**{field: value})
+
+
+# The settings records and where a config holds their fields. Their
+# fields declare the single-field rules in metadata; ExperimentConfig's
+# RunSettings fields are RunSettings'.
+_RECORDS = {RunSettings: "", LongTailSpec: "spec.", AugmentConfig: "aug.",
+            ExperimentConfig: ""}
+# n_max at its bound of 1 keeps a tail class only at gamma 1.
+_FEASIBLE = {LongTailSpec: dict(gamma_labeled=1.0, gamma_unlabeled=1.0)}
+_KEYS = {attr: key for key, attr in _SCHEMA.items()}
+
+
+def _at_the_rules(f) -> list[tuple[object, bool]]:
+    """(value, accepted) at each rule the field ``f`` declares: an
+    inclusive bound and the nearest value past it, an exclusive bound
+    and the nearest value inside it, each choice and a str that is none.
+    A bound on an int tuple's items is tried on a 1-tuple."""
+    rules = dict(f.metadata)
+    if "choices" in rules:
+        return [(c, True) for c in rules["choices"]] + [("nonesuch", False)]
+    if "lo" in rules:
+        item = (lambda v: (v,)) if f.type.startswith("tuple") else (lambda v: v)
+        return [(item(rules["lo"]), True), (item(rules["lo"] - 1), False)]
+    out = []
+    for rule, bound in rules.items():
+        inside = np.inf if rule in ("ge", "gt") else -np.inf
+        if rule in ("ge", "le"):
+            out += [(bound, True), (float(np.nextafter(bound, -inside)), False)]
+        else:
+            out += [(bound, False), (float(np.nextafter(bound, inside)), True)]
+    return out
+
+
+def _declared_cases():
+    run_fields = {f.name for f in fields(RunSettings)}
+    for cls in _RECORDS:
+        for f in fields(cls):
+            if not f.metadata or cls is ExperimentConfig and f.name in run_fields:
+                continue
+            for value, accepted in _at_the_rules(f):
+                yield pytest.param(cls, f.name, value, accepted,
+                                   id=f"{cls.__name__}.{f.name}={value!r}")
+
+
+def _through_the_config(cls, name, value):
+    """The config with the field at ``value``: through override for a
+    field of its own, through the config text for a field of spec or aug."""
+    if not _RECORDS[cls]:
+        return default_config().override(**{name: value})
+    given = {f"{_RECORDS[cls]}{k}": v for k, v in _FEASIBLE.get(cls, {}).items()}
+    given[_RECORDS[cls] + name] = value
+    return parse_config_text("".join(f"{_KEYS[a]} = {v!r}\n" for a, v in given.items()))
+
+
+@pytest.mark.parametrize("cls, name, value, accepted", list(_declared_cases()))
+def test_declared_bounds_and_choices_hold(cls, name, value, accepted):
+    """Each bound and choice a settings field declares holds in its record
+    (ContractError naming the field; ExperimentConfig raises ConfigError)
+    and through the config (ConfigError naming the field)."""
+    kw = _FEASIBLE.get(cls, {}) | {name: value}
+    if accepted:
+        assert getattr(cls(**kw), name) == value
+        config = _through_the_config(cls, name, value)
+        assert attrgetter(_RECORDS[cls] + name)(config) == value
+        return
+    error = ConfigError if cls is ExperimentConfig else ContractError
+    with pytest.raises(error, match=rf"\b{name} must be"):
+        cls(**kw)
+    with pytest.raises(ConfigError, match=rf"\b{name} must be"):
+        _through_the_config(cls, name, value)
+
+
+def test_post_inits_check_no_single_field():
+    """A single-field rule is declared in the field's metadata: no
+    settings record's __post_init__ calls a converter with a bound or
+    choices."""
+    for cls in _RECORDS:
+        source = textwrap.dedent(inspect.getsource(cls.__post_init__))
+        called = {
+            getattr(n.func, "id", getattr(n.func, "attr", None))
+            for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)
+        }
+        assert not called & {"as_int", "as_float", "as_choice"}, cls.__name__
 
 
 class TestTrainStep:

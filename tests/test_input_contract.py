@@ -6,10 +6,11 @@ class that a module of the package defines, whose name has no leading
 underscore. Each one is called with valid arguments (``_VALID``, or
 fixtures by annotation for one that is not listed there), and then,
 for each parameter annotated as an int, a float, a bool, a str, a path
-(``str | Path``), an array or a tuple of ints, floats or strs, once with
-every bad value of that kind in ``BAD``, the other arguments valid. A
-path's bad values are a str's and two the operating system refuses as
-a file: an existing directory and a path under a regular file. Whatever
+(``str | Path``), an array or a tuple of ints, floats or strs, and for
+each record parameter in ``RECORDS``, once with every bad value of that
+kind in ``BAD``, the other arguments valid. A path's bad values are a
+str's and two the operating system refuses as a file: an existing
+directory and a path under a regular file. Whatever
 escapes must be an ``LcgclabError``. Returning is fine: a record or an
 exception takes any value, and an output directory may exist.
 
@@ -49,6 +50,8 @@ EXEMPT_CALLABLES = {
 }
 EXEMPT_PARAMS = {
     "errors.as_array.ndim": "a rank the package's own code passes as a literal",
+    "errors.as_choice.choices": "a tuple of names the package's own code passes "
+    "as a constant",
     "errors.as_int.lo": "a bound the package's own code passes as a literal",
     "errors.as_labels.n": "a count the package's own code takes from a shape",
     "errors.as_labels.classes": "a class count the package's own code takes from "
@@ -85,6 +88,16 @@ BAD = {
              "(4, True, 3)": (4, True, 3), "('4', '3')": ("4", "3")},
     "floats": {**_COMMON, "(0.5, nan)": (0.5, np.nan), "('0.5',)": ("0.5",)},
     "strs": {**_COMMON, "(1, 2)": (1, 2)},
+    "record": {"5": 5},
+}
+
+# The record parameters of the run entries, each checked with as_instance.
+RECORDS = {
+    "data.synthesize.spec",
+    "debias.run_training.ds",
+    "debias.run_training.settings",
+    "debias.evaluate.params",
+    "runner.run.config",
 }
 
 # Annotation (with any "| None" dropped) -> kind.
@@ -265,6 +278,7 @@ _VALID = {
     "errors.as_labels": lambda t: dict(y=np.array([1, 3]), name="y", n=2, classes=3),
     "errors.as_int": lambda t: dict(v=1, name="v"),
     "errors.as_float": lambda t: dict(v=0.5, name="v"),
+    "errors.as_choice": lambda t: dict(v="x", name="v", choices=("x", "y")),
     "errors.as_instance": lambda t: dict(v="x", name="v", types=(str,)),
     "errors.as_path": lambda t: dict(p="x", name="p"),
     "errors.check_fields": lambda t: dict(obj=AugmentConfig()),
@@ -403,6 +417,8 @@ def _cases():
     for key, obj in CALLABLES.items():
         for p in _parameters(obj):
             kind, nullable = _kind(p.annotation)
+            if f"{key}.{p.name}" in RECORDS:
+                kind = "record"
             if kind and f"{key}.{p.name}" not in EXEMPT_PARAMS:
                 yield pytest.param(key, p.name, kind, nullable, id=f"{key}.{p.name}")
 
