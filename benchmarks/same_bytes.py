@@ -9,12 +9,13 @@ checkout as it is on disk, uncommitted changes included: ``python3 -m
 lcgclab.cli`` with ``PYTHONPATH`` set to the tree's ``src`` and BLAS on
 one thread. That is ``lcgclab train`` on every config of ``CONFIGS``,
 then the sweeps, the ablations and both dataset exports on ``lcgc``.
-Each config trains 40 steps on seeds 1 and 2.
+Each config trains 40 steps on seeds 1 and 2 (``COMMON``), unless it
+sets a key of ``COMMON`` itself.
 
-Five more commands exit 2: ``lcgclab train`` on every config of
-``BAD_CONFIGS``, each of which breaks one declared bound or choice, and
-a ``train`` and an ``export-dataset`` on an output path under the
-``lcgc`` run's ``aggregate.json``.
+Six more commands exit 2: ``lcgclab train`` on every config of
+``BAD_CONFIGS``, each of which breaks one declared bound or choice or
+the distinct-seeds rule, and a ``train`` and an ``export-dataset`` on an
+output path under the ``lcgc`` run's ``aggregate.json``.
 
 Then it compares the two sides: the exit code, stdout and stderr of
 each command (with the output, runs and tree paths replaced by
@@ -95,12 +96,14 @@ CONFIGS = {
     ),
 }
 
-# Configs that break one field's declared rule: their train exits 2,
-# and its config error line is compared.
+# Configs that break one field's declared rule, or the rule that seeds
+# are distinct: their train exits 2, and its config error line is
+# compared.
 BAD_CONFIGS = {
     "bad-bound": "train.tau = 1.5\n",
     "bad-spec": "dataset.gamma_labeled = 0.5\n",
     "bad-choice": "lcgc.baseline = purple\n",
+    "bad-seeds": "seeds = 1, 1\n",
 }
 
 # (run name, config name, lcgclab arguments), where {cfg} stands for the
@@ -205,6 +208,14 @@ def _lcgclab(
     return r.returncode, scrub(r.stdout), scrub(r.stderr)
 
 
+def config_text(text: str) -> str:
+    """A config's text after the lines of ``COMMON`` whose key it does
+    not set itself (a key set twice is a config error)."""
+    own = {line.split("=")[0].strip() for line in text.splitlines()}
+    common = COMMON.splitlines(keepends=True)
+    return "".join(ln for ln in common if ln.split("=")[0].strip() not in own) + text
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("base_rev", help="revision to compare against, e.g. HEAD~1")
@@ -214,7 +225,7 @@ def main(argv=None) -> int:
     with worktree(args.base_rev) as base_tree, tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for name, text in (CONFIGS | BAD_CONFIGS).items():
-            (tmp / f"{name}.cfg").write_text(COMMON + text)
+            (tmp / f"{name}.cfg").write_text(config_text(text))
         for name, config, cli_args in RUNS:
             cfg = tmp / f"{config}.cfg"
             runs = {

@@ -193,7 +193,7 @@ class ExperimentConfig(RunSettings):
                     raise ConfigError(f"{key!r} must not be empty")
             as_output_dir(self.output_dir, "'output_dir'")
             if len(set(self.seeds)) != len(self.seeds):
-                raise ConfigError(f"'seeds' must be distinct and >= 0: {self.seeds}")
+                raise ConfigError(f"'seeds' must be distinct: {self.seeds}")
             make_baseline(self.baseline_color, self.spec.dim, 1.0)
         except ValueError as e:
             raise ConfigError(str(e)) from None

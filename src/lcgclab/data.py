@@ -6,7 +6,10 @@ invert, or flatten the labeled one, and a balanced test split. Class
 labels are 1-based everywhere in the public interface. The unlabeled
 pool's true labels travel with the dataset under ``hidden_labels`` for
 evaluation only; the training path never reads them. Per-class counts
-are derived from the labels, never stored beside them.
+are derived from the labels, never stored beside them. A
+``SynthDataset`` checks its own arrays when it is made, whoever makes
+it (``synthesize``, ``load_dataset`` or ``dataclasses.replace``), so
+``sample_minibatch`` and the training step do not check them again.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .errors import (
     DimensionError,
     InfeasibleSpecError,
     LabelError,
-    SamplingError,
     as_array,
     as_float,
     as_instance,
@@ -96,10 +98,27 @@ class AugmentConfig:
         check_fields(self)
 
 
-@dataclass
+# Each pool's rows and their labels, in the container's order.
+_POOLS = (
+    ("labeled_x", "labeled_y"),
+    ("unlabeled_x", "hidden_labels"),
+    ("test_x", "test_y"),
+)
+_ARRAYS = ("class_means", *(name for pool in _POOLS for name in pool))
+
+
+@dataclass(frozen=True)
 class SynthDataset:
     """One realized dataset: the class means and the three pools. Class
-    counts are properties, recounted from the labels on each read."""
+    counts are properties, recounted from the labels on each read.
+
+    The record checks its arrays where it is made: the class means go
+    through ``errors.as_array`` as a (C, d) array, each label array
+    through ``errors.as_labels`` against C, and each pool must be a
+    nonempty (n, d) batch with n labels (ContractError). It keeps the
+    converted arrays; a float64 array and an integer label array are
+    kept as they are, not copied.
+    """
 
     class_means: np.ndarray  # (C, d)
     labeled_x: np.ndarray  # (n_l, d)
@@ -108,6 +127,22 @@ class SynthDataset:
     hidden_labels: np.ndarray  # (n_u,) int64; evaluation only
     test_x: np.ndarray  # (n_t, d)
     test_y: np.ndarray  # (n_t,) int64
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "class_means", as_array(self.class_means, "class_means", 2)
+        )
+        C, d = self.class_means.shape
+        for x_name, y_name in _POOLS:
+            x = as_array(getattr(self, x_name), x_name)
+            y = as_labels(getattr(self, y_name), y_name, None, C)
+            if x.ndim != 2 or x.shape[1] != d or y.shape != x.shape[:1] or not len(y):
+                raise ContractError(
+                    f"{x_name} {x.shape} and {y_name} {y.shape} do not fit {C} "
+                    f"classes in {d} dims (a pool holds n >= 1 rows, n labels)"
+                )
+            object.__setattr__(self, x_name, x)
+            object.__setattr__(self, y_name, y)
 
     @property
     def classes(self) -> int:
@@ -253,14 +288,10 @@ def sample_minibatch(
 
     Uniform sampling over the pools preserves their imbalance in
     expectation. Returns (x_labeled, y_labeled, x_unlabeled).
+    batch_size and mu are integers >= 1 (``errors.as_int``); the pools
+    are nonempty, since ``SynthDataset`` checks that where it is made.
     """
-    batch_size, mu = as_int(batch_size, "batch_size"), as_int(mu, "mu")
-    if batch_size < 1 or mu < 1:
-        raise SamplingError(
-            f"batch_size and mu must be >= 1, got {batch_size}, {mu}"
-        )
-    if ds.labeled_x.shape[0] == 0 or ds.unlabeled_x.shape[0] == 0:
-        raise SamplingError("cannot sample from an empty pool")
+    batch_size, mu = as_int(batch_size, "batch_size", 1), as_int(mu, "mu", 1)
     li = rng.integers(0, ds.labeled_x.shape[0], size=batch_size)
     ui = rng.integers(0, ds.unlabeled_x.shape[0], size=mu * batch_size)
     return (
@@ -271,14 +302,6 @@ def sample_minibatch(
 
 
 # ------------------------------------------------------------------ export
-
-
-_POOLS = (
-    ("labeled_x", "labeled_y"),
-    ("unlabeled_x", "hidden_labels"),
-    ("test_x", "test_y"),
-)
-_ARRAYS = ("class_means", *(name for pool in _POOLS for name in pool))
 
 
 def save_dataset(ds: SynthDataset, path: str | Path) -> None:
@@ -292,26 +315,19 @@ def load_dataset(path: str | Path) -> SynthDataset:
     """Read a container written by ``save_dataset``.
 
     It carries the realized arrays, which are all a ``SynthDataset``
-    holds. Malformed bytes and pools that disagree with the class means
-    raise ContractError; float64 labels that are no integers raise
-    LabelError, and the integers go through ``errors.as_labels``.
+    holds. Malformed bytes and other array names raise ContractError,
+    float64 labels that are no integers LabelError. The reader checks
+    only these bytes; ``SynthDataset`` checks the arrays it is made of.
     """
     _, arrays = read_container(path, "dataset")
-    if tuple(arrays) != _ARRAYS or arrays["class_means"].ndim != 2:
-        raise ContractError(f"{path}: dataset must hold (C, d) {_ARRAYS}")
-    C, d = arrays["class_means"].shape
-    for x_name, y_name in _POOLS:
-        x, y = arrays[x_name], arrays[y_name]
-        if x.ndim != 2 or x.shape[1] != d or y.shape != x.shape[:1]:
-            raise ContractError(
-                f"{path}: {x_name} {x.shape} and {y_name} {y.shape} "
-                f"do not fit {C} classes in {d} dims"
-            )
-        with np.errstate(invalid="ignore"):  # NaN and inf cast to numbers that differ
-            labels = y.astype(np.int64)
-        if not np.array_equal(labels, y):
+    if tuple(arrays) != _ARRAYS:
+        raise ContractError(f"{path}: dataset must hold {_ARRAYS}")
+    for _, y_name in _POOLS:
+        with np.errstate(invalid="ignore"):  # a cast out of int64's range
+            labels = arrays[y_name].astype(np.int64)
+        if not np.array_equal(labels, arrays[y_name]):
             raise LabelError(f"{path}: {y_name} must hold integers")
-        arrays[y_name] = as_labels(labels, f"{path}: {y_name}", None, C)
+        arrays[y_name] = labels
     return SynthDataset(**arrays)
 
 

@@ -39,10 +39,6 @@ class EvaluationError(LcgclabError, RuntimeError):
     """A numeric evaluation produced non-finite values."""
 
 
-class SamplingError(LcgclabError, ValueError):
-    """A minibatch request cannot be satisfied by the dataset."""
-
-
 class InfeasibleSpecError(LcgclabError, ValueError):
     """A dataset specification admits no valid realization."""
 

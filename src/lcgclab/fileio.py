@@ -84,8 +84,9 @@ def read_container(path: str | Path, kind: str) -> tuple[object, dict]:
     """Return (meta, {name: fresh float64 array}) in manifest order.
 
     A file that cannot be read (missing, a directory) raises ConfigError;
-    a foreign, truncated, padded or corrupt one, another kind, and a
-    non-finite value raise ContractError."""
+    a foreign, truncated, padded or corrupt one (a manifest too deep
+    for JSON or whose shapes numpy refuses included), another kind, and
+    a non-finite value raise ContractError."""
     p = as_path(path, "path")
     try:
         raw = p.read_bytes()
@@ -106,7 +107,7 @@ def read_container(path: str | Path, kind: str) -> tuple[object, dict]:
             type(n) is int and n >= 0 for shape in shapes.values() for n in shape
         ):
             raise ValueError(f"bad array table {manifest['arrays']}")
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, RecursionError) as e:  # deep JSON nesting
         raise ContractError(f"{path}: unreadable container manifest ({e})") from None
     if found != as_instance(kind, "kind", str):
         raise ContractError(f"{path}: expected a {kind!r} container, found {found!r}")
@@ -117,7 +118,10 @@ def read_container(path: str | Path, kind: str) -> tuple[object, dict]:
     if not np.isfinite(values).all():
         raise ContractError(f"{path}: non-finite value in container")
     arrays, off = {}, 0
-    for (name, shape), size in zip(shapes.items(), sizes):
-        arrays[name] = values[off : off + size].astype(np.float64).reshape(shape)
-        off += size
+    try:  # numpy refuses over 64 dims, and a shape past intp even when empty
+        for (name, shape), size in zip(shapes.items(), sizes):
+            arrays[name] = values[off : off + size].astype(np.float64).reshape(shape)
+            off += size
+    except ValueError as e:
+        raise ContractError(f"{path}: unreadable container manifest ({e})") from None
     return meta, arrays

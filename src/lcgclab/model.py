@@ -1,15 +1,19 @@
 """Fully connected ReLU classifier, plus checkpointing.
 
-Parameters are plain arrays. Training runs on them: ``forward_cached``
-keeps each layer's input and ``backward_rows`` turns the logit adjoint
-of a row range into the flat parameter gradient. The integrated-gradients
-audit in ``debias`` runs neither: its straight-line path lets it run the
-layers on the kernels directly, without forming the path points, and a
-net with one hidden layer needs only each unit's count of active points.
-``forward_logits`` records the same network on the autodiff tape, which
-takes the arrays as constants; it is only the gradient reference of
-the parity tests and the audit's tests, which wrap the parameters in
-leaves (``tape_leaves``) to get their gradients.
+Parameters are plain arrays, held by a frozen ``ModelParams`` that
+checks its layer widths against its tensors' shapes where it is made,
+however it is made; ``load_checkpoint`` checks only the bytes and
+leaves the rest to the record. Training runs on them:
+``forward_cached`` keeps each layer's input and ``backward_rows``
+turns the logit adjoint of a row range into the flat parameter
+gradient. The integrated-gradients audit in ``debias`` runs neither:
+its straight-line path lets it run the layers on the kernels directly,
+without forming the path points, and a net with one hidden layer needs
+only each unit's count of active points. ``forward_logits`` records
+the same network on the autodiff tape, which takes the arrays as
+constants; it is only the gradient reference of the parity tests and
+the audit's tests, which wrap the parameters in leaves
+(``tape_leaves``) to get their gradients.
 
 A training run allocates its large per-step arrays once, as a
 ``StepBuffers``, and every step writes into them: on a wide network
@@ -46,19 +50,31 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels as K
-from .errors import ContractError, DimensionError, EvaluationError
+from .errors import ContractError, DimensionError, EvaluationError, LcgclabError
 from .errors import as_array, as_instance, as_int
 from .fileio import read_container, write_container
 from .tensor import Tensor, add_rowvec, matmul, relu
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
-    """Weights and biases of an MLP as float64 arrays, in layer order."""
+    """Weights and biases of an MLP as float64 arrays, in layer order.
+
+    The record checks itself where it is made: ``dims`` under the width
+    rule (``_widths``), kept as a tuple of Python ints, and one weight
+    of shape (dims[i], dims[i + 1]) and one bias of shape (dims[i + 1],)
+    per layer, or DimensionError. It reads only each tensor's ``shape``.
+    """
 
     dims: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+
+    def __post_init__(self):
+        object.__setattr__(self, "dims", _widths(self.dims))
+        shapes = [getattr(t, "shape", None) for t in (*self.weights, *self.biases)]
+        if shapes != [*zip(self.dims, self.dims[1:]), *((o,) for o in self.dims[1:])]:
+            raise DimensionError(f"the layer widths {self.dims} do not fit the tensors")
 
     def tensors(self) -> list[np.ndarray]:
         """All parameters in the canonical flat order (W1, b1, W2, b2, ...)."""
@@ -259,18 +275,16 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict | None]:
     """Inverse of save_checkpoint; returns (params, extra).
 
-    Malformed files, layer widths that break ``init_mlp``'s width rule
-    or disagree with the stored tensors, and non-finite parameters raise
-    ContractError.
+    Malformed bytes and non-finite parameters raise ContractError
+    (``read_container``), and so does a ``meta`` whose layer widths make
+    no ``ModelParams`` of the stored tensors, in their order: the record
+    checks the widths and the shapes.
     """
     meta, arrays = read_container(path, "mlp-checkpoint")
-    try:
-        dims, extra = _widths(meta["dims"]), meta["extra"]
-        shapes = [s for i, o in zip(dims, dims[1:]) for s in ((i, o), (o,))]
-        fits = [a.shape for a in arrays.values()] == shapes
-    except (KeyError, TypeError, ValueError):  # ValueError: the width rule
-        fits = False
-    if not fits:
-        raise ContractError(f"{path}: the layer widths do not fit the tensors")
     t = list(arrays.values())
-    return ModelParams(dims=dims, weights=t[0::2], biases=t[1::2]), extra
+    try:
+        return ModelParams(meta["dims"], t[0::2], t[1::2]), meta["extra"]
+    except (KeyError, TypeError, LcgclabError):  # TypeError: meta is no dict
+        raise ContractError(
+            f"{path}: the layer widths do not fit the tensors"
+        ) from None

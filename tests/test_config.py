@@ -377,6 +377,13 @@ class TestOverrideAndOutput:
         with pytest.raises(ConfigError):
             default_config().override(**bad)
 
+    def test_duplicate_seeds_name_only_their_rule(self):
+        """A negative seed fails the field's own bound first, so the
+        duplicate rule says nothing about the sign."""
+        with pytest.raises(ConfigError) as e:
+            default_config().override(seeds=(1, 1))
+        assert str(e.value) == "'seeds' must be distinct: (1, 1)"
+
     def test_the_first_bad_field_in_declaration_order_is_reported(self):
         """Each field's rule is checked in declaration order, the
         RunSettings fields before the config's own."""

@@ -25,7 +25,6 @@ from lcgclab.errors import (
     DimensionError,
     InfeasibleSpecError,
     LabelError,
-    SamplingError,
 )
 from lcgclab.fileio import write_container
 
@@ -252,18 +251,21 @@ class TestMinibatch:
     def test_rejects_bad_sizes(self):
         ds = synthesize(LongTailSpec())
         rng = np.random.default_rng(3)
-        with pytest.raises(SamplingError):
+        with pytest.raises(ContractError, match="^batch_size must be an integer >= 1"):
             sample_minibatch(ds, 0, 2, rng)
-        with pytest.raises(SamplingError):
+        with pytest.raises(ContractError, match="^mu must be an integer >= 1"):
             sample_minibatch(ds, 4, 0, rng)
 
     @pytest.mark.parametrize("pool", ["labeled", "unlabeled"])
     def test_rejects_an_empty_pool(self, pool):
+        """No dataset has an empty pool to sample from: the record
+        refuses one where it is made."""
         ds = synthesize(TINY_SPEC)
-        x = getattr(ds, f"{pool}_x")
-        empty = dataclasses.replace(ds, **{f"{pool}_x": x[:0]})
-        with pytest.raises(SamplingError, match="empty pool"):
-            sample_minibatch(empty, 4, 2, np.random.default_rng(0))
+        x_name = f"{pool}_x"
+        y_name = "labeled_y" if pool == "labeled" else "hidden_labels"
+        empty = {x_name: getattr(ds, x_name)[:0], y_name: getattr(ds, y_name)[:0]}
+        with pytest.raises(ContractError, match=f"^{x_name} .* n >= 1 rows"):
+            dataclasses.replace(ds, **empty)
 
 
 TINY_SPEC = LongTailSpec(
@@ -276,6 +278,48 @@ TINY_SPEC = LongTailSpec(
     test_per_class=2,
     seed=5,
 )
+
+
+def _with_label(y, label):
+    y = y.copy()
+    y[0] = label
+    return y
+
+
+# Arrays a SynthDataset refuses where it is made, as replace() keywords,
+# and the error each raises (an empty pool: TestMinibatch). Each of
+# these once built a record that failed later in numpy (float labels,
+# label 0, string class means), only when a batch drew its last row
+# (one label short), or not at all.
+_BAD_ARRAYS = {
+    "float labels": (LabelError, lambda ds: dict(labeled_y=ds.labeled_y * 1.0)),
+    "label 0": (LabelError, lambda ds: dict(test_y=_with_label(ds.test_y, 0))),
+    "one label short": (ContractError, lambda ds: dict(labeled_y=ds.labeled_y[:-1])),
+    "a pool of the wrong width": (ContractError, lambda ds: dict(test_x=ds.test_x[:, :1])),
+    "string class means": (ContractError, lambda ds: dict(
+        class_means=ds.class_means.astype(str)
+    )),
+}
+
+
+class TestTheRecordChecksItself:
+    @pytest.mark.parametrize("case", list(_BAD_ARRAYS))
+    def test_bad_arrays_raise_where_the_record_is_made(self, case):
+        ds = synthesize(TINY_SPEC)
+        error, bad = _BAD_ARRAYS[case]
+        with pytest.raises(error):
+            dataclasses.replace(ds, **bad(ds))
+
+    def test_a_valid_record_keeps_its_arrays(self):
+        ds = synthesize(TINY_SPEC)
+        again = dataclasses.replace(ds)
+        for f in dataclasses.fields(ds):
+            assert getattr(again, f.name) is getattr(ds, f.name), f.name
+
+    def test_the_record_is_frozen(self):
+        ds = synthesize(TINY_SPEC)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.labeled_y = ds.labeled_y[:-1]
 
 
 def _payload_offset(blob) -> int:

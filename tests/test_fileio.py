@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import struct
 
@@ -172,15 +173,26 @@ class TestContainer:
             load_checkpoint(p)
 
     def test_bad_array_table_rejected(self, tmp_path):
+        """Each reader raises ContractError on a manifest it cannot read,
+        Python's and numpy's refusals included: JSON nested too deep
+        (RecursionError), and, with the payload their sizes ask for,
+        more than 64 dims and shapes past numpy's size limit (ValueError)."""
         p = tmp_path / "c.bin"
         bad_shapes = [[["a", s]] for s in ([-1, 2], [True, 1], [2.0], "ab", 3)]
         duplicate = [["a", [1]], ["a", [1]]]
-        for table in bad_shapes + [duplicate]:
-            manifest = json.dumps(
-                {"arrays": table, "kind": "k", "meta": None}
-            ).encode()
-            p.write_bytes(
-                b"LCGC" + struct.pack("<HI", 2, len(manifest)) + manifest
-            )
-            with pytest.raises(ContractError, match="manifest"):
-                read_container(p, "k")
+        refused = [[1] * 70, [2**63, 0], [0, 2**62, 2**62]]  # 1, 0 and 0 values
+        tables = [(t, b"") for t in bad_shapes + [duplicate]]
+        tables += [([["a", s]], bytes(8 * math.prod(s))) for s in refused]
+        readers = {"dataset": [load_dataset, read_dataset_container],
+                   "mlp-checkpoint": [load_checkpoint]}
+        for kind, loads in readers.items():
+            manifests = [(b"[" * 200000, b"")] + [
+                (json.dumps({"arrays": t, "kind": kind, "meta": None}).encode(), payload)
+                for t, payload in tables
+            ]
+            for manifest, payload in manifests:
+                header = b"LCGC" + struct.pack("<HI", 2, len(manifest))
+                p.write_bytes(header + manifest + payload)
+                for load in loads:
+                    with pytest.raises(ContractError, match="manifest"):
+                        load(p)

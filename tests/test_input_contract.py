@@ -11,8 +11,11 @@ each record parameter in ``RECORDS``, once with every bad value of that
 kind in ``BAD``, the other arguments valid. A path's bad values are a
 str's and two the operating system refuses as a file: an existing
 directory and a path under a regular file. Whatever
-escapes must be an ``LcgclabError``. Returning is fine: a record or an
-exception takes any value, and an output directory may exist.
+escapes must be an ``LcgclabError``. Returning is fine: an exception
+or a record not in ``CHECKED_RECORDS`` takes any value, and an output
+directory may exist. The records in ``CHECKED_RECORDS`` must raise, not
+return, on every bad value of an array or int-tuple field: they check
+their own arrays where they are made.
 
 Exempt are ``lcgclab.kernels``, whose documented contract leaves layout
 and checks to its callers, and the callables in ``EXEMPT_CALLABLES`` and
@@ -270,7 +273,6 @@ _VALID = {
     "errors.LabelError": lambda t: {},
     "errors.ContractError": lambda t: {},
     "errors.EvaluationError": lambda t: {},
-    "errors.SamplingError": lambda t: {},
     "errors.InfeasibleSpecError": lambda t: {},
     "errors.ConfigError": lambda t: {},
     "errors.TrainingDiverged": lambda t: dict(step=1, diagnostics={}),
@@ -441,10 +443,10 @@ def test_valid_arguments_pass(key, tmp):
         _call(obj, _valid_args(key, obj, tmp))
 
 
-@pytest.mark.parametrize("key, param, kind, nullable", list(_cases()))
-def test_bad_arguments_raise_only_package_errors(key, param, kind, nullable, tmp):
+def _outcomes(key, param, kind, nullable, tmp):
+    """(label, the LcgclabError raised or None if the call returned, or
+    the text of a non-package error) for each bad value of ``kind``."""
     obj = CALLABLES[key]
-    escaped = []
     for label, bad in BAD[kind].items():
         if nullable and bad is None:
             continue
@@ -454,8 +456,31 @@ def test_bad_arguments_raise_only_package_errors(key, param, kind, nullable, tmp
             with warnings.catch_warnings(), np.errstate(all="ignore"):
                 warnings.simplefilter("ignore")
                 _call(obj, args)
-        except LcgclabError:
-            pass
+        except LcgclabError as e:
+            yield label, e
         except Exception as e:  # noqa: BLE001 - the point of the test
-            escaped.append(f"{param}={label}: {type(e).__name__}: {e}")
+            yield label, f"{param}={label}: {type(e).__name__}: {e}"
+        else:
+            yield label, None
+
+
+@pytest.mark.parametrize("key, param, kind, nullable", list(_cases()))
+def test_bad_arguments_raise_only_package_errors(key, param, kind, nullable, tmp):
+    outcomes = _outcomes(key, param, kind, nullable, tmp)
+    escaped = [e for _, e in outcomes if isinstance(e, str)]
     assert not escaped, f"{key} let non-package errors escape:\n" + "\n".join(escaped)
+
+
+# The records that check their own arrays and widths where they are made.
+CHECKED_RECORDS = ("data.SynthDataset", "model.ModelParams")
+
+
+@pytest.mark.parametrize(
+    "key, param, kind, nullable",
+    [c for c in _cases() if c.values[0] in CHECKED_RECORDS],
+)
+def test_checked_records_raise_on_every_bad_field(key, param, kind, nullable, tmp):
+    assert kind in ("array", "ints")
+    outcomes = _outcomes(key, param, kind, nullable, tmp)
+    returned = [label for label, e in outcomes if e is None]
+    assert not returned, f"{key} was made with {param} = {returned}"

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lcgclab.errors import ContractError, DimensionError
 from lcgclab.fileio import write_container
 from lcgclab.model import (
+    ModelParams,
     StepBuffers,
     backward_rows,
     forward_cached,
@@ -184,6 +187,30 @@ def test_init_and_load_refuse_the_same_widths(case, tmp_path):
     write_container(path, "mlp-checkpoint", meta, arrays)
     with pytest.raises(ContractError, match="layer widths"):
         load_checkpoint(path)
+
+
+class TestTheRecordChecksItself:
+    """ModelParams checks its widths against its tensors where it is made.
+    A record with hidden width 7 in ``dims`` and 5-wide weights once went
+    through ``evaluate`` without an error."""
+
+    def test_dims_that_do_not_fit_the_weights_raise(self):
+        p = init_mlp((4, 5, 3), seed=0)
+        with pytest.raises(DimensionError, match="layer widths"):
+            ModelParams((4, 7, 3), p.weights, p.biases)
+
+    @pytest.mark.parametrize("drop", ["weights", "biases"])
+    def test_a_missing_tensor_raises(self, drop):
+        p = init_mlp((4, 5, 3), seed=0)
+        tensors = {"weights": p.weights, "biases": p.biases}
+        tensors[drop] = tensors[drop][:-1]
+        with pytest.raises(DimensionError, match="layer widths"):
+            ModelParams(p.dims, **tensors)
+
+    def test_the_record_is_frozen(self):
+        p = init_mlp((4, 5, 3), seed=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.dims = (4, 7, 3)
 
 
 class TestCheckpoint:

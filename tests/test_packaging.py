@@ -144,8 +144,7 @@ _MODULE_NAMES = {
     ),
     "errors": (
         "ConfigError", "ContractError", "DimensionError", "EvaluationError",
-        "InfeasibleSpecError", "LabelError", "SamplingError",
-        "TrainingDiverged",
+        "InfeasibleSpecError", "LabelError", "TrainingDiverged",
     ),
     "losses": (
         "PseudoLabelBatch", "distribution_alignment", "ema_update",

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 _DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 sys.path.insert(0, str(_DIR))  # same_bytes imports its sibling ab.py
 same_bytes = importlib.import_module("same_bytes")
@@ -18,6 +20,7 @@ sys.path.remove(str(_DIR))
 from lcgclab import runner  # noqa: E402
 from lcgclab.cli import _build_parser  # noqa: E402
 from lcgclab.config import _SCHEMA, default_config, parse_config_text  # noqa: E402
+from lcgclab.errors import ConfigError  # noqa: E402
 
 RUN = {"seed": 1, "final_bacc": 0.5, "wall_time_s": 1.25, "steps": [1.0, 2.0]}
 AGGREGATE = {"per_seed": [RUN], "bacc_mean": 0.5, "wall_time_s": 3.5}
@@ -133,6 +136,17 @@ def test_every_bool_key_is_flipped_in_the_gate(monkeypatch):
         if key in bools and value != bools[key]
     }
     assert flipped == set(bools)
+
+
+def test_each_bad_config_breaks_a_rule_not_the_key_table():
+    """Each config of ``BAD_CONFIGS`` fails on the rule it names, not as
+    a key set twice: its own line replaces the line of ``COMMON`` that
+    sets the same key, and the others stay."""
+    assert same_bytes.config_text("seeds = 1, 1\n") == "train.steps = 40\nseeds = 1, 1\n"
+    for name, text in same_bytes.BAD_CONFIGS.items():
+        with pytest.raises(ConfigError) as e:
+            parse_config_text(same_bytes.config_text(text))
+        assert "duplicate key" not in str(e.value), name
 
 
 def test_every_key_config_moves_every_key():
